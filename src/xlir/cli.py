@@ -32,13 +32,11 @@ from . import distill as distill_mod
 from . import evaluation as eval_mod
 from . import lexical as lexical_mod
 from . import psq as psq_mod
+from . import search as search_mod
 from . import shards as shards_mod
 from .errors import FormatError, ValidationError, XlirError
 
 logger = logging.getLogger("xlir")
-
-SHARDED_FORMAT = "xlir-sharded-index"
-SHARDED_VERSION = 1
 
 _CONFIG_SCHEMA = {
     "collection": {
@@ -185,52 +183,6 @@ def _entries_for_topic(
 
 
 # ---------------------------------------------------------------------------
-# sharded index directories
-
-
-def _sharded_meta(engine: str, shard_ordinals: list[int]) -> dict:
-    return {
-        "format": SHARDED_FORMAT,
-        "version": SHARDED_VERSION,
-        "engine": engine,
-        "shards": shard_ordinals,
-    }
-
-
-def _read_index_kind(index_dir: Path) -> str:
-    """One of ``lexical``, ``dense``, ``sharded-lexical``, ``sharded-dense``."""
-    meta_path = index_dir / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        fmt = meta.get("format")
-        if fmt == SHARDED_FORMAT:
-            return f"sharded-{meta['engine']}"
-        if fmt == dense_mod.INDEX_FORMAT:
-            return "dense"
-        raise FormatError(f"{index_dir}: unrecognized index format {fmt!r}")
-    if (index_dir / "stats.json").exists():
-        return "lexical"
-    raise FormatError(f"{index_dir}: not an index directory")
-
-
-def _global_stats(indexes: dict[int, lexical_mod.InvertedIndex]) -> lexical_mod.CollectionStats:
-    doc_freq: dict[str, int] = {}
-    coll_freq: dict[str, float] = {}
-    num_docs = 0
-    total_weight = 0.0
-    for index in indexes.values():
-        num_docs += index.stats.num_docs
-        total_weight += index.stats.total_weight
-        for term, df in index.stats.doc_freq.items():
-            doc_freq[term] = doc_freq.get(term, 0) + df
-        for term, cf in index.stats.coll_freq.items():
-            coll_freq[term] = coll_freq.get(term, 0.0) + cf
-    return lexical_mod.CollectionStats(
-        num_docs=num_docs, total_weight=total_weight, doc_freq=doc_freq, coll_freq=coll_freq
-    )
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -268,41 +220,21 @@ def cmd_psq_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_index_lexical(args: argparse.Namespace) -> int:
-    bags_path = _require_path(args.bags, "weighted bag file")
-    bags = _read_bags(bags_path)
+    bags = _read_bags(_require_path(args.bags, "weighted bag file"))
     out_dir = Path(args.output)
     start = time.perf_counter()
     if args.shard_plan is None:
         index = lexical_mod.build_index(bags)
         lexical_mod.save_index(index, out_dir)
-        logger.info(
-            "event=index_lexical docs=%d terms=%d elapsed_ms=%.1f",
-            index.num_docs,
-            len(index.postings),
-            (time.perf_counter() - start) * 1e3,
-        )
-        return 0
-    plan = shards_mod.ShardPlan.load(_require_path(args.shard_plan, "shard plan"))
-    grouped: dict[int, list[tuple[str, dict[str, float]]]] = {}
-    for doc_id, bag in bags:
-        if doc_id not in plan.assignment:
-            raise ValidationError(f"document {doc_id!r} missing from shard plan")
-        grouped.setdefault(plan.assignment[doc_id], []).append((doc_id, bag))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ordinals = sorted(grouped)
-    for ordinal in ordinals:
-        lexical_mod.save_index(
-            lexical_mod.build_index(grouped[ordinal]), out_dir / f"shard_{ordinal:04d}"
-        )
-    plan.save(out_dir / "plan.json")
-    (out_dir / "meta.json").write_text(
-        json.dumps(_sharded_meta("lexical", ordinals), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+        detail = f"terms={len(index.postings)}"
+    else:
+        plan = shards_mod.ShardPlan.load(_require_path(args.shard_plan, "shard plan"))
+        ordinals = search_mod.save_sharded(out_dir, plan, "lexical", bags, lexical_mod.build_index)
+        detail = f"shards={len(ordinals)}"
     logger.info(
-        "event=index_lexical docs=%d shards=%d elapsed_ms=%.1f",
+        "event=index_lexical docs=%d %s elapsed_ms=%.1f",
         len(bags),
-        len(ordinals),
+        detail,
         (time.perf_counter() - start) * 1e3,
     )
     return 0
@@ -315,27 +247,13 @@ def cmd_index_dense(args: argparse.Namespace) -> int:
     embeddings = dense_mod.load_embeddings(emb_path)
     out_dir = Path(args.output)
     if args.shard_plan is None:
-        index = dense_mod.build_dense_index(embeddings, params)
-        dense_mod.save_dense_index(index, out_dir)
+        dense_mod.save_dense_index(dense_mod.build_dense_index(embeddings, params), out_dir)
         return 0
     plan = shards_mod.ShardPlan.load(_require_path(args.shard_plan, "shard plan"))
-    grouped: dict[int, dict[str, np.ndarray]] = {}
-    for key, matrix in embeddings.items():
-        doc_id, _ = corpus_mod.parse_passage_key(key)
-        if doc_id not in plan.assignment:
-            raise ValidationError(f"document {doc_id!r} missing from shard plan")
-        grouped.setdefault(plan.assignment[doc_id], {})[key] = matrix
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ordinals = sorted(grouped)
-    for ordinal in ordinals:
-        # Shard-local codebooks: scores are not guaranteed comparable across
-        # shards; the raw-score merge mirrors that limitation deliberately.
-        index = dense_mod.build_dense_index(grouped[ordinal], params)
-        dense_mod.save_dense_index(index, out_dir / f"shard_{ordinal:04d}")
-    plan.save(out_dir / "plan.json")
-    (out_dir / "meta.json").write_text(
-        json.dumps(_sharded_meta("dense", ordinals), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
+    # Shard-local codebooks: scores are not guaranteed comparable across
+    # shards; the raw-score merge mirrors that limitation deliberately.
+    search_mod.save_sharded(
+        out_dir, plan, "dense", embeddings.items(), lambda group: dense_mod.build_dense_index(dict(group), params)
     )
     return 0
 
@@ -355,37 +273,6 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _topic_filters(topics: list[corpus_mod.Topic]) -> dict[str, shards_mod.DateFilter]:
-    return {
-        topic.topic_id: shards_mod.DateFilter(start=topic.start_date, end=topic.end_date)
-        for topic in topics
-    }
-
-
-def _search_lexical_sharded(
-    indexes: dict[int, lexical_mod.InvertedIndex],
-    stats: lexical_mod.CollectionStats,
-    selected: set[int],
-    tokens: list[str],
-    args_ns: argparse.Namespace,
-    params: lexical_mod.LexicalParams,
-) -> list[tuple[str, float]]:
-    per_shard = [
-        lexical_mod.search_lexical(
-            indexes[ordinal],
-            tokens,
-            scorer=args_ns.scorer,
-            rm3=args_ns.rm3,
-            k=args_ns.k,
-            params=params,
-            stats=stats,
-        )
-        for ordinal in sorted(selected)
-        if ordinal in indexes
-    ]
-    return shards_mod.merge_shard_results(per_shard, k=args_ns.k)
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     search_cfg = config.get("search", {})
@@ -400,116 +287,34 @@ def cmd_search(args: argparse.Namespace) -> int:
     run_tag = args.run_tag or config.get("output", {}).get("run_tag", "xlir")
 
     index_dir = _require_path(args.index, "index directory")
-    kind = _read_index_kind(index_dir)
-    entries: list[eval_mod.RunEntry] = []
     start = time.perf_counter()
-
-    if kind in ("lexical", "sharded-lexical"):
+    searcher = search_mod.open_index(index_dir)
+    lexical = searcher.engine == "lexical"
+    topics: list[corpus_mod.Topic] = []
+    if lexical or args.topics is not None or "topics" in config.get("collection", {}):
         topics = corpus_mod.ingest_topics(_resolve_path(args.topics, config, "topics", "topic file"))
-        params = _lexical_params(config)
+    if lexical:
         tokenizer = _tokenizer(config)
+        options = {"scorer": args.scorer, "rm3": args.rm3, "params": _lexical_params(config)}
+        queries = [(t.topic_id, tokenizer(corpus_mod.form_query(t, args.variant))) for t in topics]
+    else:
+        options = {"params": _dense_params(config, args)}
+        emb_path = _resolve_path(args.query_embeddings, config, "query_embeddings", "query embeddings")
+        queries = list(dense_mod.load_embeddings(emb_path).items())
+    filters = {t.topic_id: shards_mod.DateFilter(start=t.start_date, end=t.end_date) for t in topics}
 
-        if kind == "lexical":
-            indexes = {0: lexical_mod.load_index(index_dir)}
-            stats = indexes[0].stats
-            plan = None
-        else:
-            meta = json.loads((index_dir / "meta.json").read_text(encoding="utf-8"))
-            indexes = {
-                ordinal: lexical_mod.load_index(index_dir / f"shard_{ordinal:04d}")
-                for ordinal in meta["shards"]
-            }
-            stats = _global_stats(indexes)
-            plan = shards_mod.ShardPlan.load(index_dir / "plan.json")
-        filters = _topic_filters(topics)
+    def run_query(item: tuple) -> list[eval_mod.RunEntry]:
+        query_id, query = item
+        date_filter = filters.get(query_id, shards_mod.DateFilter())
+        ranked = searcher.search(query, date_filter, args.k, query_id=query_id, **options)
+        return _entries_for_topic(query_id, ranked, run_tag)
 
-        def run_topic(topic: corpus_mod.Topic) -> list[eval_mod.RunEntry]:
-            tokens = tokenizer(corpus_mod.form_query(topic, args.variant))
-            known = [t for t in tokens if stats.doc_freq.get(t, 0) > 0]
-            if len(known) < len(tokens):
-                logger.info(
-                    "event=query_vocab topic=%s dropped=%d kept=%d",
-                    topic.topic_id,
-                    len(tokens) - len(known),
-                    len(known),
-                )
-            if not known:
-                return []
-            if plan is None:
-                ranked = lexical_mod.search_lexical(
-                    indexes[0], known, scorer=args.scorer, rm3=args.rm3, k=args.k, params=params
-                )
-            else:
-                selected = shards_mod.select_shards(plan, filters[topic.topic_id])
-                ranked = _search_lexical_sharded(indexes, stats, selected, known, args, params)
-            return _entries_for_topic(topic.topic_id, ranked, run_tag)
-
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                for result in pool.map(run_topic, topics):
-                    entries.extend(result)
-        else:
-            for topic in topics:
-                entries.extend(run_topic(topic))
-
-    elif kind in ("dense", "sharded-dense"):
-        queries = dense_mod.load_embeddings(
-            _resolve_path(args.query_embeddings, config, "query_embeddings", "query embeddings")
-        )
-        params = _dense_params(config, args)
-        filters: dict[str, shards_mod.DateFilter] = {}
-        topics_path = args.topics or config.get("collection", {}).get("topics")
-        if topics_path is not None:
-            filters = _topic_filters(
-                corpus_mod.ingest_topics(_require_path(topics_path, "topic file"))
-            )
-
-        if kind == "dense":
-            indexes = {0: dense_mod.load_dense_index(index_dir)}
-            plan = None
-        else:
-            meta = json.loads((index_dir / "meta.json").read_text(encoding="utf-8"))
-            indexes = {
-                ordinal: dense_mod.load_dense_index(index_dir / f"shard_{ordinal:04d}")
-                for ordinal in meta["shards"]
-            }
-            plan = shards_mod.ShardPlan.load(index_dir / "plan.json")
-
-        def run_query(item: tuple[str, np.ndarray]) -> list[eval_mod.RunEntry]:
-            query_id, vectors = item
-            if plan is None:
-                passage_scores = dense_mod.search_dense(indexes[0], vectors, params)
-            else:
-                selected = shards_mod.select_shards(
-                    plan, filters.get(query_id, shards_mod.DateFilter())
-                )
-                per_shard = [
-                    dense_mod.search_dense(indexes[ordinal], vectors, params)
-                    for ordinal in sorted(selected)
-                    if ordinal in indexes
-                ]
-                passage_scores = shards_mod.merge_shard_results(
-                    per_shard, k=max(args.k, params.candidate_cap)
-                )
-            doc_scores = dense_mod.maxp_aggregate(
-                (corpus_mod.parse_passage_key(key)[0], score) for key, score in passage_scores
-            )
-            return _entries_for_topic(query_id, doc_scores[: args.k], run_tag)
-
-        items = list(queries.items())
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                for result in pool.map(run_query, items):
-                    entries.extend(result)
-        else:
-            for item in items:
-                entries.extend(run_query(item))
-    else:  # pragma: no cover - _read_index_kind exhausts the kinds
-        raise FormatError(f"unsupported index kind {kind!r}")
+    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
+        entries = [entry for result in pool.map(run_query, queries) for entry in result]
 
     logger.info(
         "event=search kind=%s topics=%d entries=%d elapsed_ms=%.1f",
-        kind,
+        searcher.kind,
         len({e.topic_id for e in entries}),
         len(entries),
         (time.perf_counter() - start) * 1e3,
@@ -536,16 +341,16 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def cmd_mine_distill(args: argparse.Namespace) -> int:
-    index_dir = _require_path(args.index, "index directory")
-    if _read_index_kind(index_dir) != "dense":
+    searcher = search_mod.open_index(_require_path(args.index, "index directory"))
+    if searcher.kind != "dense":
         raise ValidationError("mine-distill requires an unsharded dense index")
     queries = dense_mod.load_embeddings(_require_path(args.query_embeddings, "query embeddings"))
-    index = dense_mod.load_dense_index(index_dir)
+    (index,) = searcher.indexes.values()
     pairs = []
     for query_id, vectors in queries.items():
         # The mining engine's own scores stand in for teacher scores; an
         # external reranker replaces them downstream.
-        scored = dense_mod.search_dense(index, vectors)[: args.k]
+        scored = distill_mod.mine_hard_passages(index, vectors, k=args.k)
         if len(scored) < 2:
             logger.info("event=mine_distill topic=%s skipped=too_few_passages", query_id)
             continue

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dense import DenseIndex, DenseIndexParams, search_dense
+from . import dense
 from .errors import FormatError, ValidationError
 
 
@@ -39,17 +39,17 @@ class DistillPair:
 
 
 def mine_hard_passages(
-    index: DenseIndex,
+    index: dense.DenseIndex,
     query_vectors: np.ndarray,
     k: int = 50,
-    params: DenseIndexParams | None = None,
-) -> list[str]:
-    """Keys of the top-k passages for one query; fewer if the index is smaller."""
+    params: dense.DenseIndexParams | None = None,
+) -> list[tuple[str, float]]:
+    """``(passage key, score)`` of the top-k passages for one query; fewer if the index is smaller."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if len(index) == 0:
         return []
-    return [key for key, _ in search_dense(index, query_vectors, params)[:k]]
+    return dense.search_dense(index, query_vectors, params)[:k]
 
 
 def _log_softmax(scores: Sequence[float], temperature: float) -> np.ndarray:

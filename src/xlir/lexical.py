@@ -81,6 +81,22 @@ class CollectionStats:
     def avg_doc_length(self) -> float:
         return self.total_weight / self.num_docs if self.num_docs else 0.0
 
+    @classmethod
+    def merge(cls, parts: Iterable["CollectionStats"]) -> "CollectionStats":
+        """Statistics of the union of disjoint collections, summed in the given order."""
+        doc_freq: dict[str, int] = {}
+        coll_freq: dict[str, float] = {}
+        num_docs = 0
+        total_weight = 0.0
+        for part in parts:
+            num_docs += part.num_docs
+            total_weight += part.total_weight
+            for term, df in part.doc_freq.items():
+                doc_freq[term] = doc_freq.get(term, 0) + df
+            for term, cf in part.coll_freq.items():
+                coll_freq[term] = coll_freq.get(term, 0.0) + cf
+        return cls(num_docs=num_docs, total_weight=total_weight, doc_freq=doc_freq, coll_freq=coll_freq)
+
 
 class InvertedIndex:
     """Immutable term-to-postings index built once from weighted bags."""

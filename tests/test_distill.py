@@ -41,7 +41,7 @@ class TestMineHardPassages:
         query = unit_rows(rng.standard_normal((3, 8)))
         (top,) = mine_hard_passages(small_index, query, k=1)
         full = search_dense(small_index, query)
-        assert top == full[0][0]
+        assert top == full[0]
 
     def test_deterministic(self, small_index):
         rng = np.random.default_rng(2)
