@@ -270,30 +270,43 @@ def rm3_expand(
     scorer: str = "bm25",
     stats: CollectionStats | None = None,
 ) -> dict[str, float]:
-    """RM3 weighted-query expansion from a first-pass ranking.
+    """RM3 weighted-query expansion from a first-pass ranking of ``index``.
 
-    The relevance model is estimated over the top ``rm3_fb_docs`` documents
-    (weighted by softmax of their first-pass scores), truncated to the top
-    ``rm3_fb_terms`` terms, interpolated with the original maximum-likelihood
-    query model at weight ``rm3_alpha``, and renormalized to sum to 1. With
-    no feedback documents the original query weights are returned unchanged.
+    The feedback documents are the top ``rm3_fb_docs`` of a plain first pass;
+    ``rm3_weights`` turns them into the expanded query.
     """
     if not query_terms:
         raise ValidationError("empty query")
     params, stats = _resolve(params, stats, index)
-    counts = Counter(query_terms)
-    total = sum(counts.values())
-    mle = {term: c / total for term, c in counts.items()}
-
     feedback = search_lexical(
         index, query_terms, scorer=scorer, rm3=False, k=params.rm3_fb_docs, params=params, stats=stats
     )
+    return rm3_weights(query_terms, [(index, doc_id, score) for doc_id, score in feedback], params)
+
+
+def rm3_weights(
+    query_terms: Sequence[str],
+    feedback: Sequence[tuple[InvertedIndex, str, float]],
+    params: LexicalParams,
+) -> dict[str, float]:
+    """RM3 query model from ``(index holding the document, doc_id, score)`` feedback.
+
+    The relevance model is estimated over the feedback documents in the order
+    given (weighted by softmax of their first-pass scores), truncated to the
+    top ``rm3_fb_terms`` terms, interpolated with the original
+    maximum-likelihood query model at weight ``rm3_alpha``, and renormalized
+    to sum to 1. With no feedback documents the original query weights are
+    returned unchanged.
+    """
+    counts = Counter(query_terms)
+    total = sum(counts.values())
+    mle = {term: c / total for term, c in counts.items()}
     if not feedback:
         return mle
 
-    doc_weights = _softmax([score for _, score in feedback])
+    doc_weights = _softmax([score for _, _, score in feedback])
     relevance: dict[str, float] = {}
-    for (doc_id, _), dw in zip(feedback, doc_weights):
+    for (index, doc_id, _), dw in zip(feedback, doc_weights):
         dl = index.doc_lengths[doc_id]
         if dl <= 0:
             continue

@@ -32,7 +32,12 @@ def _shard_dir(root: Path, ordinal: int) -> Path:
 
 
 class Searcher:
-    """Shards of one engine plus the plan that dates them (``None`` if unsharded)."""
+    """Shards of one engine plus the plan that dates them (``None`` if unsharded).
+
+    Subclasses provide ``search(query, date_filter, k, *, query_id, ...)``
+    returning ``(doc_id, score)`` pairs, best first, ties by doc id;
+    ``query_id`` only labels log records.
+    """
 
     engine: str
 
@@ -79,13 +84,40 @@ class LexicalSearcher(Searcher):
             logger.info("event=query_vocab topic=%s dropped=%d kept=%d", query_id, dropped, len(known))
         if not known:
             return []
-        per_shard = [
-            lexical.search_lexical(
-                index, known, scorer=scorer, rm3=rm3, k=k, params=params, stats=self.stats
-            )
-            for index in self._selected(date_filter)
-        ]
+        selected = self._selected(date_filter)
+        if rm3 and len(selected) > 1:
+            # Feedback comes from the merged first pass, as from one index.
+            weights = self._rm3_weights(selected, known, scorer, params or lexical.DEFAULT_PARAMS)
+            per_shard = [
+                lexical.search_weighted(index, weights, scorer=scorer, k=k, params=params, stats=self.stats)
+                for index in selected
+            ]
+        else:
+            per_shard = [
+                lexical.search_lexical(
+                    index, known, scorer=scorer, rm3=rm3, k=k, params=params, stats=self.stats
+                )
+                for index in selected
+            ]
         return shards.merge_shard_results(per_shard, k=k)
+
+    def _rm3_weights(
+        self,
+        selected: list[lexical.InvertedIndex],
+        terms: list[str],
+        scorer: str,
+        params: lexical.LexicalParams,
+    ) -> dict[str, float]:
+        fb_docs = params.rm3_fb_docs
+        first_pass = [
+            lexical.search_lexical(index, terms, scorer=scorer, k=fb_docs, params=params, stats=self.stats)
+            for index in selected
+        ]
+        feedback = [
+            (next(index for index in selected if doc_id in index), doc_id, score)
+            for doc_id, score in shards.merge_shard_results(first_pass, k=fb_docs)
+        ]
+        return lexical.rm3_weights(terms, feedback, params)
 
 
 class DenseSearcher(Searcher):
