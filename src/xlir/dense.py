@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, malformed
 
 logger = logging.getLogger(__name__)
 
@@ -539,33 +539,43 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
     meta_path = dirpath / "meta.json"
     if not meta_path.exists():
         raise FormatError(f"{dirpath}: missing meta.json")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("format") != INDEX_FORMAT or meta.get("version") != INDEX_VERSION:
-        raise FormatError(
-            f"{dirpath}: unsupported index format {meta.get('format')!r} v{meta.get('version')!r}"
+    with malformed(meta_path, "index metadata"):
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if meta.get("format") != INDEX_FORMAT or meta.get("version") != INDEX_VERSION:
+            raise FormatError(
+                f"{dirpath}: unsupported index format {meta.get('format')!r} v{meta.get('version')!r}"
+            )
+        num_passages = int(meta["num_passages"])
+        params = DenseIndexParams(
+            bits=int(meta["bits"]),
+            num_centroids=int(meta["num_centroids"]),
+            nprobe=int(meta["nprobe"]),
+            candidate_cap=int(meta["candidate_cap"]),
+            kmeans_iters=int(meta["kmeans_iters"]),
+            sample_per_centroid=int(meta["sample_per_centroid"]),
+            seed=int(meta["seed"]),
         )
     codebook = ResidualCodebook(
         centroids=np.load(dirpath / "centroids.npy"),
         boundaries=np.load(dirpath / "bucket_boundaries.npy"),
         values=np.load(dirpath / "bucket_values.npy"),
-        bits=int(meta["bits"]),
+        bits=params.bits,
     )
     codebook.validate()
     keys = (dirpath / "keys.txt").read_text(encoding="utf-8").splitlines()
     token_counts = np.load(dirpath / "token_counts.npy")
-    if len(keys) != len(token_counts) or len(keys) != meta["num_passages"]:
+    if len(keys) != len(token_counts) or len(keys) != num_passages:
         raise FormatError(f"{dirpath}: passage table sizes disagree with meta.json")
     centroid_ids = np.load(dirpath / "centroid_ids.npy")
+    if (
+        centroid_ids.ndim != 1
+        or not np.issubdtype(centroid_ids.dtype, np.integer)
+        or (centroid_ids.size and (centroid_ids.min() < 0 or centroid_ids.max() >= codebook.num_centroids))
+    ):
+        raise FormatError(
+            f"{dirpath}/centroid_ids.npy: centroid ids must be integers in [0, {codebook.num_centroids})"
+        )
     packed = np.load(dirpath / "packed_codes.npy")
-    params = DenseIndexParams(
-        bits=int(meta["bits"]),
-        num_centroids=int(meta["num_centroids"]),
-        nprobe=int(meta["nprobe"]),
-        candidate_cap=int(meta["candidate_cap"]),
-        kmeans_iters=int(meta["kmeans_iters"]),
-        sample_per_centroid=int(meta["sample_per_centroid"]),
-        seed=int(meta["seed"]),
-    )
     passages = []
     id_offset = 0
     byte_offset = 0

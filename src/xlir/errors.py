@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from pathlib import Path
+
 
 class XlirError(Exception):
     """Base class for all engine errors."""
@@ -11,3 +15,18 @@ class FormatError(XlirError):
 
 class ValidationError(XlirError):
     """A value violates a documented invariant or precondition."""
+
+
+@contextmanager
+def malformed(path: str | Path, what: str) -> Iterator[None]:
+    """Report a record that fails to parse as a ``FormatError`` naming ``path``.
+
+    Malformed JSON, missing keys and values of the wrong type surface as
+    ``ValueError``, ``KeyError``, ``TypeError``, ``AttributeError`` or
+    ``IndexError`` while a record is read; inside this block they become one
+    typed error instead of a traceback.
+    """
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise FormatError(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from None

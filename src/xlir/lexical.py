@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, malformed
 
 INDEX_FORMAT = "xlir-lexical-index"
 INDEX_VERSION = 1
@@ -417,28 +417,32 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
     stats_path = dirpath / "stats.json"
     if not stats_path.exists():
         raise FormatError(f"{dirpath}: missing stats.json")
-    meta = json.loads(stats_path.read_text(encoding="utf-8"))
-    if meta.get("format") != INDEX_FORMAT or meta.get("version") != INDEX_VERSION:
-        raise FormatError(
-            f"{dirpath}: unsupported index format {meta.get('format')!r} v{meta.get('version')!r}"
-        )
-    doc_ids = json.loads((dirpath / "docs.json").read_text(encoding="utf-8"))
-    bags: dict[str, dict[str, float]] = {doc_id: {} for doc_id in doc_ids}
-    with open(dirpath / "postings.jsonl", encoding="utf-8") as fh:
+    with malformed(stats_path, "index statistics"):
+        meta = json.loads(stats_path.read_text(encoding="utf-8"))
+        fmt, version = meta.get("format"), meta.get("version")
+        num_docs = int(meta["num_docs"])
+    if fmt != INDEX_FORMAT or version != INDEX_VERSION:
+        raise FormatError(f"{dirpath}: unsupported index format {fmt!r} v{version!r}")
+    docs_path = dirpath / "docs.json"
+    with malformed(docs_path, "document list"):
+        bags: dict[str, dict[str, float]] = {
+            doc_id: {} for doc_id in json.loads(docs_path.read_text(encoding="utf-8"))
+        }
+    postings_path = dirpath / "postings.jsonl"
+    with open(postings_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            term = record["term"]
-            for doc_id, w in record["postings"]:
-                if doc_id not in bags:
-                    raise FormatError(
-                        f"{dirpath}/postings.jsonl:{lineno}: unknown document {doc_id!r}"
-                    )
-                bags[doc_id][term] = w
+            with malformed(f"{postings_path}:{lineno}", "postings record"):
+                record = json.loads(line)
+                term = record["term"]
+                for doc_id, w in record["postings"]:
+                    if doc_id not in bags:
+                        raise FormatError(f"{postings_path}:{lineno}: unknown document {doc_id!r}")
+                    bags[doc_id][term] = w
     index = build_index(bags.items())
-    if index.num_docs != meta["num_docs"]:
+    if index.num_docs != num_docs:
         raise FormatError(
-            f"{dirpath}: stats.json declares {meta['num_docs']} docs, postings yield {index.num_docs}"
+            f"{dirpath}: stats.json declares {num_docs} docs, postings yield {index.num_docs}"
         )
     return index

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from . import corpus, dense, lexical, shards
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, malformed
 
 logger = logging.getLogger(__name__)
 
@@ -164,16 +164,22 @@ def open_index(path: str | Path) -> Searcher:
         if (root / "stats.json").exists():
             return LexicalSearcher({0: lexical.load_index(root)})
         raise FormatError(f"{root}: not an index directory")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    fmt = meta.get("format")
+    with malformed(meta_path, "index metadata"):
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        fmt = meta.get("format")
+        if fmt == SHARDED_FORMAT:
+            engine = meta["engine"]
+            if engine not in _ENGINES:
+                raise FormatError(f"{meta_path}: unknown engine {engine!r}")
+            ordinals = [int(o) for o in meta["shards"]]
     if fmt == dense.INDEX_FORMAT:
         return DenseSearcher({0: dense.load_dense_index(root)})
     if fmt != SHARDED_FORMAT:
         raise FormatError(f"{root}: unrecognized index format {fmt!r}")
-    engine = meta["engine"]
     plan = shards.ShardPlan.load(root / "plan.json")
-    indexes = {o: _LOAD[engine](_shard_dir(root, o)) for o in meta["shards"]}
-    return _ENGINES[engine](indexes, plan)
+    if any(not 0 <= o < plan.num_shards for o in ordinals):
+        raise FormatError(f"{meta_path}: shard ordinals {ordinals} outside the plan's {plan.num_shards} windows")
+    return _ENGINES[engine]({o: _LOAD[engine](_shard_dir(root, o)) for o in ordinals}, plan)
 
 
 def save_sharded(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Document
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, malformed
 
 PLAN_FORMAT = "xlir-shard-plan"
 PLAN_VERSION = 1
@@ -67,18 +67,26 @@ class ShardPlan:
 
     @classmethod
     def load(cls, path: str | Path) -> "ShardPlan":
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-        if record.get("format") != PLAN_FORMAT or record.get("version") != PLAN_VERSION:
-            raise FormatError(f"{path}: not a shard plan file")
-        windows = [
-            (dt.date.fromisoformat(start), dt.date.fromisoformat(end))
-            for start, end in record["windows"]
-        ]
-        return cls(
-            windows=windows,
-            assignment={doc_id: int(s) for doc_id, s in record["assignment"].items()},
-            window_months=int(record["window_months"]),
-        )
+        with malformed(path, "shard plan"):
+            record = json.loads(Path(path).read_text(encoding="utf-8"))
+            if record.get("format") != PLAN_FORMAT or record.get("version") != PLAN_VERSION:
+                raise FormatError(f"{path}: not a shard plan file")
+            windows = [
+                (dt.date.fromisoformat(start), dt.date.fromisoformat(end))
+                for start, end in record["windows"]
+            ]
+            assignment = {doc_id: int(s) for doc_id, s in record["assignment"].items()}
+            window_months = int(record["window_months"])
+        if any(start >= end for start, end in windows) or any(
+            end != following for (_, end), (following, _) in zip(windows, windows[1:])
+        ):
+            raise FormatError(f"{path}: shard windows are not increasing and contiguous")
+        for doc_id, ordinal in assignment.items():
+            if not 0 <= ordinal < len(windows):
+                raise FormatError(
+                    f"{path}: document {doc_id!r} assigned to shard {ordinal}, outside [0, {len(windows)})"
+                )
+        return cls(windows=windows, assignment=assignment, window_months=window_months)
 
 
 def plan_shards(docs: Sequence[Document], window_months: int = 3) -> ShardPlan:

@@ -1,5 +1,7 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from xlir.cli import load_config, main
@@ -37,7 +39,47 @@ def workspace(tmp_path_factory):
         "--kmeans-iters", "5",
         "--seed", "7",
     ]) == 0
+
+    plan = root / "shards/plan.json"
+    assert main(["shard-plan", "--docs", str(paths["docs"]), "--output", str(plan)]) == 0
+    assert main([
+        "index-lexical",
+        "--bags", str(root / "bags/rus.jsonl"),
+        "--shard-plan", str(plan),
+        "--output", str(root / "idx/sharded-lexical"),
+    ]) == 0
+    assert main([
+        "index-dense",
+        "--embeddings", str(paths["passage_embeddings"]),
+        "--shard-plan", str(plan),
+        "--output", str(root / "idx/sharded-dense"),
+        "--num-centroids", "8",
+        "--kmeans-iters", "3",
+        "--seed", "7",
+    ]) == 0
     return root, paths
+
+
+INDEX_DIRS = {
+    "lexical": "idx/lex-rus",
+    "dense": "idx/dense",
+    "sharded-lexical": "idx/sharded-lexical",
+    "sharded-dense": "idx/sharded-dense",
+}
+
+
+def _search_argv(root, paths, kind, index_dir=None):
+    """``search`` arguments for one of the workspace's four index kinds."""
+    argv = [
+        "search",
+        "--index", str(index_dir or root / INDEX_DIRS[kind]),
+        "--topics", str(paths["topics"]),
+        "--scorer", "bm25",
+        "--k", "100",
+    ]
+    if kind.endswith("dense"):
+        argv += ["--query-embeddings", str(paths["query_embeddings"])]
+    return argv
 
 
 def test_search_emits_valid_run(workspace):
@@ -190,21 +232,15 @@ def test_sharded_dense_pipeline(workspace):
     assert all("#" not in entry.doc_id for entry in entries)
 
 
-def test_threads_do_not_change_output(workspace):
+@pytest.mark.parametrize("kind", sorted(INDEX_DIRS))
+def test_threads_do_not_change_output(workspace, kind):
     root, paths = workspace
     outputs = []
     for threads in ("1", "4"):
-        out = root / f"runs/threads_{threads}.run"
-        main([
-            "search",
-            "--index", str(root / "idx/lex-rus"),
-            "--topics", str(paths["topics"]),
-            "--scorer", "bm25",
-            "--threads", threads,
-            "--k", "100",
-            "--output", str(out),
-        ])
+        out = root / f"runs/threads_{kind}_{threads}.run"
+        assert main([*_search_argv(root, paths, kind), "--threads", threads, "--output", str(out)]) == 0
         outputs.append(out.read_bytes())
+    assert outputs[0]
     assert outputs[0] == outputs[1]
 
 
@@ -300,3 +336,85 @@ def test_config_drives_search(workspace, tmp_path):
     entries = read_run(out)
     assert all(entry.run_tag == "from_config" for entry in entries)
     assert max(entry.rank for entry in entries) <= 10
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _edit_json(change):
+    def corrupt(path):
+        record = json.loads(path.read_text())
+        change(record)
+        path.write_text(json.dumps(record))
+
+    return corrupt
+
+
+def _rename_in_first_line(old, new):
+    def corrupt(path):
+        first, rest = path.read_text().split("\n", 1)
+        path.write_text(first.replace(old, new, 1) + "\n" + rest)
+
+    return corrupt
+
+
+def _set_first_centroid_id(value):
+    def corrupt(path):
+        ids = np.load(path)
+        ids[0] = value
+        np.save(path, ids)
+
+    return corrupt
+
+
+def _assign_first_doc(shard):
+    return _edit_json(lambda plan: plan["assignment"].update({min(plan["assignment"]): shard}))
+
+
+# case -> (index kind, file inside the index directory, corruption)
+CORRUPTIONS = {
+    "sharded-meta-truncated": ("sharded-lexical", "meta.json", _truncate),
+    "sharded-meta-no-shards": ("sharded-dense", "meta.json", _edit_json(lambda meta: meta.pop("shards"))),
+    "plan-truncated": ("sharded-lexical", "plan.json", _truncate),
+    "plan-no-windows": ("sharded-dense", "plan.json", _edit_json(lambda plan: plan.pop("windows"))),
+    "plan-shard-out-of-range": ("sharded-lexical", "plan.json", _assign_first_doc(99)),
+    "dense-meta-truncated": ("dense", "meta.json", _truncate),
+    "dense-meta-no-nprobe": ("dense", "meta.json", _edit_json(lambda meta: meta.pop("nprobe"))),
+    "centroid-id-too-large": ("dense", "centroid_ids.npy", _set_first_centroid_id(16)),
+    "centroid-id-negative": ("dense", "centroid_ids.npy", _set_first_centroid_id(-1)),
+    "stats-truncated": ("lexical", "stats.json", _truncate),
+    "stats-no-num-docs": ("lexical", "stats.json", _edit_json(lambda stats: stats.pop("num_docs"))),
+    "postings-truncated": ("lexical", "postings.jsonl", _truncate),
+    "postings-no-term": ("lexical", "postings.jsonl", _rename_in_first_line('"term"', '"trm"')),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_index_is_a_typed_error(workspace, tmp_path, capsys, case):
+    root, paths = workspace
+    kind, name, corrupt = CORRUPTIONS[case]
+    index_dir = tmp_path / "index"
+    shutil.copytree(root / INDEX_DIRS[kind], index_dir)
+    corrupt(index_dir / name)
+    out = tmp_path / "never.run"
+    capsys.readouterr()
+    assert main([*_search_argv(root, paths, kind, index_dir), "--output", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert stderr.strip().splitlines()[-1].startswith("error: ")
+    assert name in stderr.strip().splitlines()[-1]
+    assert not out.exists()
+
+
+def test_out_of_range_shard_plan_rejected_before_indexing(workspace, tmp_path, capsys):
+    root, _ = workspace
+    plan = tmp_path / "plan.json"
+    shutil.copy(root / "shards/plan.json", plan)
+    _assign_first_doc(99)(plan)
+    out = tmp_path / "idx"
+    assert main(["index-lexical", "--bags", str(root / "bags/fas.jsonl"), "--shard-plan", str(plan),
+                 "--output", str(out)]) == 1
+    assert "outside [0," in capsys.readouterr().err
+    assert not out.exists()

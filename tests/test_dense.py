@@ -399,3 +399,23 @@ class TestPersistence:
     def test_load_rejects_alien_directory(self, tmp_path):
         with pytest.raises(FormatError):
             load_dense_index(tmp_path)
+
+    @pytest.mark.parametrize("bad_id", [-1, 8, 1000])
+    def test_load_rejects_centroid_id_out_of_range(self, tmp_path, bad_id):
+        rng = np.random.default_rng(29)
+        index = build_dense_index(random_embeddings(rng, 10, 8), DenseIndexParams(num_centroids=8, seed=3))
+        save_dense_index(index, tmp_path / "idx")
+        ids = np.load(tmp_path / "idx" / "centroid_ids.npy")
+        ids[len(ids) // 2] = bad_id
+        np.save(tmp_path / "idx" / "centroid_ids.npy", ids)
+        with pytest.raises(FormatError, match="centroid_ids.npy"):
+            load_dense_index(tmp_path / "idx")
+
+    def test_load_rejects_malformed_meta(self, tmp_path):
+        rng = np.random.default_rng(30)
+        index = build_dense_index(random_embeddings(rng, 10, 8), DenseIndexParams(num_centroids=4, seed=3))
+        save_dense_index(index, tmp_path / "idx")
+        meta = tmp_path / "idx" / "meta.json"
+        meta.write_text(meta.read_text()[:-10])
+        with pytest.raises(FormatError, match="meta.json"):
+            load_dense_index(tmp_path / "idx")

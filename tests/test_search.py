@@ -1,3 +1,5 @@
+import json
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -84,3 +86,24 @@ def test_save_sharded_rejects_unplanned_documents(lexical_dirs, tmp_path):
 def test_open_index_rejects_non_index(tmp_path):
     with pytest.raises(FormatError, match="not an index directory"):
         open_index(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda meta: meta.update(engine="sparse"), "unknown engine"),
+        (lambda meta: meta.update(shards=[0, 99]), "outside the plan"),
+        (lambda meta: meta.update(shards=3), "malformed"),
+        (lambda meta: meta.pop("engine"), "engine"),
+    ],
+    ids=["unknown-engine", "ordinal-outside-plan", "shards-not-a-list", "no-engine"],
+)
+def test_open_index_rejects_bad_sharded_meta(lexical_dirs, tmp_path, change, message):
+    _, root = lexical_dirs
+    shutil.copytree(root / "sharded", tmp_path / "sharded")
+    meta_path = tmp_path / "sharded" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    change(meta)
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=message):
+        open_index(tmp_path / "sharded")

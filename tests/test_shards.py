@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xlir.corpus import Document
-from xlir.errors import ValidationError
+from xlir.errors import FormatError, ValidationError
 from xlir.lexical import build_index, search_lexical
 from xlir.shards import (
     DateFilter,
@@ -61,6 +61,37 @@ class TestPlanShards:
         loaded = ShardPlan.load(tmp_path / "plan.json")
         assert loaded.windows == plan.windows
         assert loaded.assignment == plan.assignment
+
+    @pytest.mark.parametrize("shard", [-1, 3, 99])
+    def test_load_rejects_assignment_out_of_range(self, tmp_path, shard):
+        docs = [dated_doc("a", dt.date(2020, 1, 1)), dated_doc("b", dt.date(2020, 9, 9))]
+        plan = plan_shards(docs)
+        plan.assignment["b"] = shard
+        plan.save(tmp_path / "plan.json")
+        with pytest.raises(FormatError, match="outside"):
+            ShardPlan.load(tmp_path / "plan.json")
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            [(dt.date(2020, 1, 1), dt.date(2020, 4, 1)), (dt.date(2020, 5, 1), dt.date(2020, 8, 1))],
+            [(dt.date(2020, 4, 1), dt.date(2020, 7, 1)), (dt.date(2020, 1, 1), dt.date(2020, 4, 1))],
+            [(dt.date(2020, 4, 1), dt.date(2020, 4, 1))],
+        ],
+        ids=["gap", "decreasing", "empty-window"],
+    )
+    def test_load_rejects_broken_windows(self, tmp_path, windows):
+        ShardPlan(windows=windows, assignment={"a": 0}, window_months=3).save(tmp_path / "plan.json")
+        with pytest.raises(FormatError, match="contiguous"):
+            ShardPlan.load(tmp_path / "plan.json")
+
+    @pytest.mark.parametrize("text", ['{"format": "xlir-shard-plan"', "[1, 2]", '{"format": "xlir-shard-plan", '
+                                      '"version": 1, "windows": [["2020-13-01", "2021-01-01"]], '
+                                      '"assignment": {}, "window_months": 3}'])
+    def test_load_rejects_malformed_file(self, tmp_path, text):
+        (tmp_path / "plan.json").write_text(text)
+        with pytest.raises(FormatError, match="plan.json"):
+            ShardPlan.load(tmp_path / "plan.json")
 
     @given(st.lists(st.dates(min_value=dt.date(2015, 1, 1), max_value=dt.date(2023, 12, 31)),
                     min_size=1, max_size=30),
