@@ -42,6 +42,7 @@ from .lexical import (
     search_lexical,
 )
 from .psq import TranslationTable, load_table, prune_table, translate_doc
+from .search import open_index
 from .shards import DateFilter, ShardPlan, fuse_multilingual, merge_shard_results, plan_shards, select_shards
 
 __version__ = "0.1.0"
