@@ -247,7 +247,8 @@ def cmd_index_dense(args: argparse.Namespace) -> int:
     embeddings = dense_mod.load_embeddings(emb_path)
     out_dir = Path(args.output)
     if args.shard_plan is None:
-        dense_mod.save_dense_index(dense_mod.build_dense_index(embeddings, params), out_dir)
+        index = dense_mod.build_dense_index(embeddings, params)
+        dense_mod.save_dense_index(index, out_dir)
         return 0
     plan = shards_mod.ShardPlan.load(_require_path(args.shard_plan, "shard plan"))
     # Shard-local codebooks: scores are not guaranteed comparable across

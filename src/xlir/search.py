@@ -168,6 +168,8 @@ def open_index(path: str | Path) -> Searcher:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         fmt = meta.get("format")
         if fmt == SHARDED_FORMAT:
+            if meta.get("version") != SHARDED_VERSION:
+                raise FormatError(f"{meta_path}: unsupported sharded index version {meta.get('version')!r}")
             engine = meta["engine"]
             if engine not in _ENGINES:
                 raise FormatError(f"{meta_path}: unknown engine {engine!r}")

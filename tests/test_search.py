@@ -95,8 +95,9 @@ def test_open_index_rejects_non_index(tmp_path):
         (lambda meta: meta.update(shards=[0, 99]), "outside the plan"),
         (lambda meta: meta.update(shards=3), "malformed"),
         (lambda meta: meta.pop("engine"), "engine"),
+        (lambda meta: meta.update(version=2), "version"),
     ],
-    ids=["unknown-engine", "ordinal-outside-plan", "shards-not-a-list", "no-engine"],
+    ids=["unknown-engine", "ordinal-outside-plan", "shards-not-a-list", "no-engine", "wrong-version"],
 )
 def test_open_index_rejects_bad_sharded_meta(lexical_dirs, tmp_path, change, message):
     _, root = lexical_dirs
