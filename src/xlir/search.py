@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 SHARDED_FORMAT = "xlir-sharded-index"
 SHARDED_VERSION = 1
 
+
 def _shard_dir(root: Path, ordinal: int) -> Path:
     return root / f"shard_{ordinal:04d}"
 
@@ -86,7 +87,8 @@ class LexicalSearcher(Searcher):
             return []
         selected = self._selected(date_filter)
         if rm3 and len(selected) > 1:
-            # Feedback comes from the merged first pass, as from one index.
+            # Feedback over several shards comes from their merged first pass, as one
+            # index would rank it; a single shard's own RM3 already does that.
             weights = self._rm3_weights(selected, known, scorer, params or lexical.DEFAULT_PARAMS)
             per_shard = [
                 lexical.search_weighted(index, weights, scorer=scorer, k=k, params=params, stats=self.stats)
