@@ -17,6 +17,10 @@ class ValidationError(XlirError):
     """A value violates a documented invariant or precondition."""
 
 
+# What reading a malformed JSON record raises: bad JSON, a missing key, a wrong type.
+RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, IndexError)
+
+
 @contextmanager
 def malformed(path: str | Path, what: str) -> Iterator[None]:
     """Report a record that fails to parse as a ``FormatError`` naming ``path``.
@@ -28,5 +32,5 @@ def malformed(path: str | Path, what: str) -> Iterator[None]:
     """
     try:
         yield
-    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+    except RECORD_ERRORS as exc:
         raise FormatError(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from None

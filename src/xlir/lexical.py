@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, malformed
+from .errors import RECORD_ERRORS, FormatError, ValidationError, malformed
 
 INDEX_FORMAT = "xlir-lexical-index"
 INDEX_VERSION = 1
@@ -433,13 +433,17 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            with malformed(f"{postings_path}:{lineno}", "postings record"):
+            try:
                 record = json.loads(line)
                 term = record["term"]
                 for doc_id, w in record["postings"]:
                     if doc_id not in bags:
                         raise FormatError(f"{postings_path}:{lineno}: unknown document {doc_id!r}")
                     bags[doc_id][term] = w
+            except RECORD_ERRORS as exc:
+                raise FormatError(
+                    f"{postings_path}:{lineno}: malformed postings record ({type(exc).__name__}: {exc})"
+                ) from None
     index = build_index(bags.items())
     if index.num_docs != num_docs:
         raise FormatError(

@@ -86,9 +86,7 @@ class LexicalSearcher(Searcher):
         if not known:
             return []
         selected = self._selected(date_filter)
-        if rm3 and len(selected) > 1:
-            # Feedback over several shards comes from their merged first pass, as one
-            # index would rank it; a single shard's own RM3 already does that.
+        if rm3:
             weights = self._rm3_weights(selected, known, scorer, params or lexical.DEFAULT_PARAMS)
             per_shard = [
                 lexical.search_weighted(index, weights, scorer=scorer, k=k, params=params, stats=self.stats)
@@ -96,9 +94,7 @@ class LexicalSearcher(Searcher):
             ]
         else:
             per_shard = [
-                lexical.search_lexical(
-                    index, known, scorer=scorer, rm3=rm3, k=k, params=params, stats=self.stats
-                )
+                lexical.search_lexical(index, known, scorer=scorer, k=k, params=params, stats=self.stats)
                 for index in selected
             ]
         return shards.merge_shard_results(per_shard, k=k)
@@ -110,6 +106,7 @@ class LexicalSearcher(Searcher):
         scorer: str,
         params: lexical.LexicalParams,
     ) -> dict[str, float]:
+        """RM3 weights from the merged first pass, each document's bag read from its shard."""
         fb_docs = params.rm3_fb_docs
         first_pass = [
             lexical.search_lexical(index, terms, scorer=scorer, k=fb_docs, params=params, stats=self.stats)
