@@ -367,33 +367,58 @@ def maxsim(query_vectors: np.ndarray, doc_vectors: np.ndarray) -> float:
     return float((query_vectors @ doc_vectors.T).max(axis=1).sum())
 
 
+def _segments(offsets: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of segments ``which`` of a flat array cut at ``offsets``, concatenated,
+    and where each segment starts among those positions."""
+    lengths = offsets[which + 1] - offsets[which]
+    starts = np.zeros(len(which), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    positions = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(offsets[which] - starts, lengths)
+    return positions, starts
+
+
 class DenseIndex:
-    """Compressed passages plus a centroid-to-passages inverted map."""
+    """Compressed passages in the flat layout of the index directory, plus a
+    centroid-to-passages inverted map in the same offsets-and-values form."""
 
     def __init__(
         self,
         codebook: ResidualCodebook,
         keys: list[str],
-        passages: list[CompressedPassage],
+        token_counts: np.ndarray,
+        centroid_ids: np.ndarray,
+        packed_codes: np.ndarray,
         params: DenseIndexParams,
     ):
         self.codebook = codebook
         self.keys = keys
-        self.passages = passages
+        self.centroid_ids = centroid_ids
+        self.packed_codes = packed_codes
         self.params = params
-        self.inverted: dict[int, np.ndarray] = {}
-        buckets: dict[int, set[int]] = {}
-        for ordinal, cp in enumerate(passages):
-            for cid in np.unique(cp.centroid_ids):
-                buckets.setdefault(int(cid), set()).add(ordinal)
-        for cid, ordinals in buckets.items():
-            self.inverted[cid] = np.fromiter(sorted(ordinals), dtype=np.int64)
+        token_counts = np.asarray(token_counts, dtype=np.int64)
+        code_bytes = (token_counts * codebook.dim * codebook.bits + 7) // 8
+        self.token_offsets = np.concatenate(([0], np.cumsum(token_counts)))
+        self.byte_offsets = np.concatenate(([0], np.cumsum(code_bytes)))
+        if self.token_offsets[-1] != centroid_ids.size or self.byte_offsets[-1] != packed_codes.size:
+            raise FormatError("token counts disagree with the centroid id or code array lengths")
+        # One sort of (centroid id, passage ordinal) pairs, encoded as cid * n + ordinal.
+        n = len(keys)
+        ordinals = np.repeat(np.arange(n, dtype=np.int64), token_counts)
+        pairs = np.unique(centroid_ids.astype(np.int64) * n + ordinals)
+        self.inverted_passages = pairs % n
+        self.inverted_offsets = np.searchsorted(pairs // n, np.arange(codebook.num_centroids + 1))
+        # Rank of each key in string order, for ties broken by passage key.
+        self._key_rank = np.empty(n, dtype=np.int64)
+        self._key_rank[np.argsort(np.array(keys, dtype=object), kind="stable")] = np.arange(n)
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def decompress_passage(self, ordinal: int) -> np.ndarray:
-        return decompress(self.passages[ordinal], self.codebook)
+        t0, t1 = self.token_offsets[ordinal : ordinal + 2]
+        b0, b1 = self.byte_offsets[ordinal : ordinal + 2]
+        passage = CompressedPassage(self.keys[ordinal], self.centroid_ids[t0:t1], self.packed_codes[b0:b1], int(t1 - t0))
+        return decompress(passage, self.codebook)
 
 
 def build_dense_index(
@@ -419,7 +444,9 @@ def build_dense_index(
         (done - trained) * 1e3,
     )
     resolved = replace(params, num_centroids=codebook.num_centroids)
-    return DenseIndex(codebook, keys, passages, resolved)
+    ids = np.concatenate([p.centroid_ids for p in passages])
+    codes = np.concatenate([p.packed_codes for p in passages])
+    return DenseIndex(codebook, keys, [p.num_tokens for p in passages], ids, codes, resolved)
 
 
 def search_dense(
@@ -450,29 +477,22 @@ def search_dense(
     t0 = time.perf_counter()
     centroid_sims = query @ index.codebook.centroids.astype(np.float64).T  # (nq, K)
     nprobe = min(params.nprobe, index.codebook.num_centroids)
-    probed: set[int] = set()
-    for row in centroid_sims:
-        order = np.argsort(-row, kind="stable")
-        probed.update(int(c) for c in order[:nprobe])
-    candidate_ordinals: set[int] = set()
-    for cid in probed:
-        ordinals = index.inverted.get(cid)
-        if ordinals is not None:
-            candidate_ordinals.update(int(o) for o in ordinals)
+    probed = np.unique(np.argsort(-centroid_sims, axis=1, kind="stable")[:, :nprobe])
+    positions, _ = _segments(index.inverted_offsets, probed)
+    candidates = np.unique(index.inverted_passages[positions])
     t1 = time.perf_counter()
 
-    approx: list[tuple[float, str, int]] = []
-    for ordinal in candidate_ordinals:
-        cids = index.passages[ordinal].centroid_ids
-        score = float(centroid_sims[:, cids].max(axis=1).sum())
-        approx.append((score, index.keys[ordinal], ordinal))
-    approx.sort(key=lambda entry: (-entry[0], entry[1]))
-    survivors = approx[: params.candidate_cap]
+    # Row j holds the query tokens' similarities to the centroid of candidate
+    # token j. A segmented max leaves one row per candidate, and each row sums
+    # as one contiguous vector, the same summation as per-passage MaxSim.
+    positions, starts = _segments(index.token_offsets, candidates)
+    token_sims = np.ascontiguousarray(centroid_sims.T)[index.centroid_ids[positions]]
+    approx = np.maximum.reduceat(token_sims, starts, axis=0).sum(axis=1)
+    order = np.lexsort((index._key_rank[candidates], -approx))
+    survivors = candidates[order[: params.candidate_cap]]
     t2 = time.perf_counter()
 
-    results = [
-        (key, maxsim(query, index.decompress_passage(ordinal))) for _, key, ordinal in survivors
-    ]
+    results = [(index.keys[ordinal], maxsim(query, index.decompress_passage(ordinal))) for ordinal in survivors]
     results.sort(key=lambda entry: (-entry[1], entry[0]))
     t3 = time.perf_counter()
     logger.info(
@@ -480,7 +500,7 @@ def search_dense(
         "stage1_ms=%.2f stage2_ms=%.2f stage3_ms=%.2f",
         query.shape[0],
         len(probed),
-        len(candidate_ordinals),
+        len(candidates),
         len(results),
         (t1 - t0) * 1e3,
         (t2 - t1) * 1e3,
@@ -524,14 +544,9 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
     with open(dirpath / "keys.txt", "w", encoding="utf-8") as fh:
         for key in index.keys:
             fh.write(key + "\n")
-    token_counts = np.array([p.num_tokens for p in index.passages], dtype=np.int64)
-    np.save(dirpath / "token_counts.npy", token_counts)
-    if index.passages:
-        np.save(dirpath / "centroid_ids.npy", np.concatenate([p.centroid_ids for p in index.passages]))
-        np.save(dirpath / "packed_codes.npy", np.concatenate([p.packed_codes for p in index.passages]))
-    else:
-        np.save(dirpath / "centroid_ids.npy", np.empty(0, dtype=np.int32))
-        np.save(dirpath / "packed_codes.npy", np.empty(0, dtype=np.uint8))
+    np.save(dirpath / "token_counts.npy", np.diff(index.token_offsets))
+    np.save(dirpath / "centroid_ids.npy", index.centroid_ids)
+    np.save(dirpath / "packed_codes.npy", index.packed_codes)
 
 
 def load_dense_index(dirpath: str | Path) -> DenseIndex:
@@ -576,23 +591,7 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
             f"{dirpath}/centroid_ids.npy: centroid ids must be integers in [0, {codebook.num_centroids})"
         )
     packed = np.load(dirpath / "packed_codes.npy")
-    passages = []
-    id_offset = 0
-    byte_offset = 0
-    bits = codebook.bits
-    for key, count in zip(keys, token_counts):
-        count = int(count)
-        nbytes = (count * codebook.dim * bits + 7) // 8
-        passages.append(
-            CompressedPassage(
-                key=key,
-                centroid_ids=centroid_ids[id_offset : id_offset + count],
-                packed_codes=packed[byte_offset : byte_offset + nbytes],
-                num_tokens=count,
-            )
-        )
-        id_offset += count
-        byte_offset += nbytes
-    if id_offset != centroid_ids.size or byte_offset != packed.size:
-        raise FormatError(f"{dirpath}: centroid id or code arrays have trailing data")
-    return DenseIndex(codebook, keys, passages, params)
+    try:
+        return DenseIndex(codebook, keys, token_counts, centroid_ids, packed, params)
+    except FormatError as exc:
+        raise FormatError(f"{dirpath}: {exc}") from None
