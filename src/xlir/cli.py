@@ -139,15 +139,14 @@ def _lexical_params(config: dict) -> lexical_mod.LexicalParams:
     return params
 
 
-def _dense_params(config: dict, args: argparse.Namespace | None = None) -> dense_mod.DenseIndexParams:
+def _dense_params(config: dict, args: argparse.Namespace) -> dense_mod.DenseIndexParams:
     section = dict(config.get("dense", {}))
     allowed = {f.name for f in dataclass_fields(dense_mod.DenseIndexParams)}
     params = dense_mod.DenseIndexParams(**{k: v for k, v in section.items() if k in allowed})
-    if args is not None:
-        for name in ("bits", "num_centroids", "nprobe", "candidate_cap", "kmeans_iters", "seed"):
-            value = getattr(args, name, None)
-            if value is not None:
-                setattr(params, name, value)
+    for name in ("bits", "num_centroids", "nprobe", "candidate_cap", "kmeans_iters", "seed"):
+        value = getattr(args, name, None)
+        if value is not None:
+            setattr(params, name, value)
     params.validate()
     return params
 
@@ -299,7 +298,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         options = {"scorer": args.scorer, "rm3": args.rm3, "params": _lexical_params(config)}
         queries = [(t.topic_id, tokenizer(corpus_mod.form_query(t, args.variant))) for t in topics]
     else:
-        options = {"params": _dense_params(config, args)}
+        # Flags, then [dense] config keys, override the values stored in the index.
+        section = config.get("dense", {})
+        options = {
+            name: getattr(args, name) if getattr(args, name) is not None else section.get(name)
+            for name in ("nprobe", "candidate_cap")
+        }
         emb_path = _resolve_path(args.query_embeddings, config, "query_embeddings", "query embeddings")
         queries = list(dense_mod.load_embeddings(emb_path).items())
     filters = {t.topic_id: shards_mod.DateFilter(start=t.start_date, end=t.end_date) for t in topics}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Callable, Iterable, Sequence
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -131,12 +132,19 @@ class DenseSearcher(Searcher):
         k: int = 1000,
         *,
         query_id: str | None = None,
-        params: dense.DenseIndexParams | None = None,
+        nprobe: int | None = None,
+        candidate_cap: int | None = None,
     ) -> list[tuple[str, float]]:
-        """Top-k documents by MaxP over the best ``max(k, candidate_cap)`` passages."""
+        """Top-k documents by MaxP over the best ``max(k, candidate_cap)`` passages.
+
+        Each shard searches with the ``nprobe`` and ``candidate_cap`` stored in
+        its index unless they are given here.
+        """
         selected = self._selected(date_filter)
-        per_shard = [dense.search_dense(index, query, params) for index in selected]
-        cap = max(((params or index.params).candidate_cap for index in selected), default=k)
+        given = {"nprobe": nprobe, "candidate_cap": candidate_cap}
+        params = [replace(index.params, **{k: v for k, v in given.items() if v is not None}) for index in selected]
+        per_shard = [dense.search_dense(index, query, p) for index, p in zip(selected, params)]
+        cap = max((p.candidate_cap for p in params), default=k)
         passages = shards.merge_shard_results(per_shard, k=max(k, cap))
         docs = dense.maxp_aggregate((_doc_id("dense", key), score) for key, score in passages)
         return docs[:k]

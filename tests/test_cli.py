@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 import shutil
 
 import numpy as np
@@ -242,6 +244,35 @@ def test_threads_do_not_change_output(workspace, kind):
         outputs.append(out.read_bytes())
     assert outputs[0]
     assert outputs[0] == outputs[1]
+
+
+def test_dense_search_uses_stored_parameters(workspace, tmp_path, caplog):
+    """The candidate cap stored at index time applies unless a flag or [dense] config key overrides it."""
+    root, paths = workspace
+    index_dir = tmp_path / "capped"
+    assert main([
+        "index-dense",
+        "--embeddings", str(paths["passage_embeddings"]),
+        "--output", str(index_dir),
+        "--num-centroids", "16",
+        "--kmeans-iters", "2",
+        "--candidate-cap", "5",
+    ]) == 0
+    config = tmp_path / "dense.ini"
+    config.write_text("[dense]\ncandidate_cap = 7\n")
+    cases = [
+        ([], 5),
+        (["--candidate-cap", "3"], 3),
+        (["--config", str(config)], 7),
+        (["--config", str(config), "--candidate-cap", "3"], 3),
+    ]
+    for extra, scored in cases:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="xlir"):
+            argv = [*_search_argv(root, paths, "dense", index_dir), *extra, "--output", str(tmp_path / "run")]
+            assert main(argv) == 0
+        counts = [re.search(r"scored=(\d+)", m).group(1) for m in caplog.messages if "event=dense_search" in m]
+        assert counts and set(counts) == {str(scored)}, extra
 
 
 def test_fully_oov_topics_yield_empty_valid_run(workspace, tmp_path):
