@@ -549,6 +549,17 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
     np.save(dirpath / "packed_codes.npy", index.packed_codes)
 
 
+def _load_array(path: Path, ndim: int, dtype: type[np.generic]) -> np.ndarray:
+    """One index array; a ``FormatError`` naming ``path`` if it is unreadable or not ``ndim``-D ``dtype``."""
+    try:
+        array = np.load(path)
+    except (ValueError, EOFError) as exc:
+        raise FormatError(f"{path}: unreadable array ({exc})") from None
+    if array.ndim != ndim or not np.issubdtype(array.dtype, dtype):
+        raise FormatError(f"{path}: expected a {ndim}-D {dtype.__name__} array, got {array.ndim}-D {array.dtype}")
+    return array
+
+
 def load_dense_index(dirpath: str | Path) -> DenseIndex:
     dirpath = Path(dirpath)
     meta_path = dirpath / "meta.json"
@@ -571,26 +582,24 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
             seed=int(meta["seed"]),
         )
     codebook = ResidualCodebook(
-        centroids=np.load(dirpath / "centroids.npy"),
-        boundaries=np.load(dirpath / "bucket_boundaries.npy"),
-        values=np.load(dirpath / "bucket_values.npy"),
+        centroids=_load_array(dirpath / "centroids.npy", 2, np.floating),
+        boundaries=_load_array(dirpath / "bucket_boundaries.npy", 2, np.floating),
+        values=_load_array(dirpath / "bucket_values.npy", 2, np.floating),
         bits=params.bits,
     )
     codebook.validate()
     keys = (dirpath / "keys.txt").read_text(encoding="utf-8").splitlines()
-    token_counts = np.load(dirpath / "token_counts.npy")
+    token_counts = _load_array(dirpath / "token_counts.npy", 1, np.integer)
+    if (token_counts < 0).any():
+        raise FormatError(f"{dirpath}/token_counts.npy: negative token count")
     if len(keys) != len(token_counts) or len(keys) != num_passages:
         raise FormatError(f"{dirpath}: passage table sizes disagree with meta.json")
-    centroid_ids = np.load(dirpath / "centroid_ids.npy")
-    if (
-        centroid_ids.ndim != 1
-        or not np.issubdtype(centroid_ids.dtype, np.integer)
-        or (centroid_ids.size and (centroid_ids.min() < 0 or centroid_ids.max() >= codebook.num_centroids))
-    ):
+    centroid_ids = _load_array(dirpath / "centroid_ids.npy", 1, np.integer)
+    if centroid_ids.size and (centroid_ids.min() < 0 or centroid_ids.max() >= codebook.num_centroids):
         raise FormatError(
             f"{dirpath}/centroid_ids.npy: centroid ids must be integers in [0, {codebook.num_centroids})"
         )
-    packed = np.load(dirpath / "packed_codes.npy")
+    packed = _load_array(dirpath / "packed_codes.npy", 1, np.uint8)
     try:
         return DenseIndex(codebook, keys, token_counts, centroid_ids, packed, params)
     except FormatError as exc:
