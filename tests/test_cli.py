@@ -400,6 +400,21 @@ def _set_first_centroid_id(value):
     return corrupt
 
 
+def _retype(dtype):
+    def corrupt(path):
+        np.save(path, np.load(path).astype(dtype))
+
+    return corrupt
+
+
+def _negate_first_token_count(path):
+    # The second passage absorbs the difference, so the totals still match the arrays.
+    counts = np.load(path)
+    counts[1] += 2 * counts[0]
+    counts[0] = -counts[0]
+    np.save(path, counts)
+
+
 def _assign_first_doc(shard):
     return _edit_json(lambda plan: plan["assignment"].update({min(plan["assignment"]): shard}))
 
@@ -415,6 +430,11 @@ CORRUPTIONS = {
     "dense-meta-no-nprobe": ("dense", "meta.json", _edit_json(lambda meta: meta.pop("nprobe"))),
     "centroid-id-too-large": ("dense", "centroid_ids.npy", _set_first_centroid_id(16)),
     "centroid-id-negative": ("dense", "centroid_ids.npy", _set_first_centroid_id(-1)),
+    "centroids-truncated": ("dense", "centroids.npy", _truncate),
+    "token-counts-truncated": ("dense", "token_counts.npy", _truncate),
+    "token-count-negative": ("dense", "token_counts.npy", _negate_first_token_count),
+    "packed-codes-truncated": ("dense", "packed_codes.npy", _truncate),
+    "packed-codes-int16": ("dense", "packed_codes.npy", _retype(np.int16)),
     "stats-truncated": ("lexical", "stats.json", _truncate),
     "stats-no-num-docs": ("lexical", "stats.json", _edit_json(lambda stats: stats.pop("num_docs"))),
     "postings-truncated": ("lexical", "postings.jsonl", _truncate),
