@@ -55,6 +55,36 @@ def exhaustive_search(index, query):
     return scored
 
 
+def per_passage_search(index, embeddings, query, params):
+    """Staged search over one CompressedPassage per passage, with Python sets and sorts.
+
+    Returns the results and the number of stage-1 candidates.
+    """
+    passages = [compress(embeddings[key], index.codebook, key=key) for key in index.keys]
+    inverted = {}
+    for ordinal, cp in enumerate(passages):
+        for cid in np.unique(cp.centroid_ids):
+            inverted.setdefault(int(cid), set()).add(ordinal)
+    centroid_sims = query @ index.codebook.centroids.astype(np.float64).T
+    probed = set()
+    for row in centroid_sims:
+        probed.update(int(c) for c in np.argsort(-row, kind="stable")[: params.nprobe])
+    candidates = set()
+    for cid in probed:
+        candidates.update(inverted.get(cid, ()))
+    approx = []
+    for ordinal in candidates:
+        score = float(centroid_sims[:, passages[ordinal].centroid_ids].max(axis=1).sum())
+        approx.append((score, index.keys[ordinal], ordinal))
+    approx.sort(key=lambda entry: (-entry[0], entry[1]))
+    results = [
+        (key, maxsim(query, decompress(passages[ordinal], index.codebook)))
+        for _, key, ordinal in approx[: params.candidate_cap]
+    ]
+    results.sort(key=lambda entry: (-entry[1], entry[0]))
+    return results, len(candidates)
+
+
 class TestEmbeddingFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -360,6 +390,49 @@ class TestSearch:
         two = build_dense_index(embeddings, params)
         query = unit_rows(np.random.default_rng(9).standard_normal((3, 8)))
         assert search_dense(one, query) == search_dense(two, query)
+
+
+class TestFlatLayout:
+    @pytest.fixture
+    def built(self):
+        # Short passages over few centroids, so approximate scores tie often;
+        # shuffled keys, so passage order is not key order.
+        rng = np.random.default_rng(40)
+        embeddings = random_embeddings(rng, 150, 8, min_tokens=1, max_tokens=4)
+        keys = list(embeddings)
+        embeddings = {keys[i]: embeddings[keys[i]] for i in rng.permutation(len(keys))}
+        index = build_dense_index(embeddings, DenseIndexParams(num_centroids=16, kmeans_iters=5, seed=41))
+        return index, embeddings
+
+    def test_inverted_map_lists_passages_per_centroid(self, built):
+        index, embeddings = built
+        expected = {}
+        for ordinal, key in enumerate(index.keys):
+            for cid in compress(embeddings[key], index.codebook).centroid_ids:
+                expected.setdefault(int(cid), set()).add(ordinal)
+        offsets = index.inverted_offsets
+        got = {
+            cid: index.inverted_passages[offsets[cid] : offsets[cid + 1]].tolist()
+            for cid in range(index.codebook.num_centroids)
+            if offsets[cid + 1] > offsets[cid]
+        }
+        assert got == {cid: sorted(ordinals) for cid, ordinals in expected.items()}
+
+    def test_staged_search_equals_per_passage_reference(self, built, tmp_path):
+        index, embeddings = built
+        save_dense_index(index, tmp_path / "idx")
+        loaded = load_dense_index(tmp_path / "idx")
+        rng = np.random.default_rng(42)
+        cut = 0
+        for nprobe, cap in [(1, 5), (1, 20), (2, 10), (3, 40), (4, 100), (16, 7), (16, 1000)]:
+            params = DenseIndexParams(nprobe=nprobe, candidate_cap=cap)
+            for _ in range(4):
+                query = unit_rows(rng.standard_normal((int(rng.integers(1, 12)), 8)))
+                expected, candidates = per_passage_search(index, embeddings, query, params)
+                cut += candidates > cap
+                assert search_dense(index, query, params) == expected
+                assert search_dense(loaded, query, params) == expected
+        assert cut >= 16
 
 
 class TestMaxP:
