@@ -22,7 +22,9 @@ Index directory layout: ``meta.json`` (format, version, parameters),
 ``keys.txt`` (one passage key per line), ``token_counts.npy``,
 ``centroid_ids.npy`` (concatenated per passage), ``packed_codes.npy``
 (per-passage bit-packed residual codes, each passage padded to a byte
-boundary and concatenated).
+boundary and concatenated). A loaded ``DenseIndex`` keeps these arrays as
+they are on disk; only the offsets into them and the inverted map are
+derived, once, when the index is built or loaded.
 """
 
 from __future__ import annotations
@@ -378,8 +380,18 @@ def _segments(offsets: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class DenseIndex:
-    """Compressed passages in the flat layout of the index directory, plus a
-    centroid-to-passages inverted map in the same offsets-and-values form."""
+    """Compressed passages in the flat layout of the index directory, plus an inverted map.
+
+    Passage ``i`` has key ``keys[i]``, centroid ids
+    ``centroid_ids[token_offsets[i]:token_offsets[i + 1]]`` and residual codes
+    ``packed_codes[byte_offsets[i]:byte_offsets[i + 1]]``; the latter are
+    ``ceil(tokens * dim * bits / 8)`` bytes, as each passage's codes are
+    padded to a byte boundary. Both offset arrays have ``len(keys) + 1``
+    entries, start at 0, never decrease, and end at the length of the array
+    they cut. The passages containing centroid ``c`` are
+    ``inverted_passages[inverted_offsets[c]:inverted_offsets[c + 1]]``, in
+    increasing order and each once. No other code computes these offsets.
+    """
 
     def __init__(
         self,
