@@ -142,7 +142,8 @@ class DenseSearcher(Searcher):
         """
         selected = self._selected(date_filter)
         given = {"nprobe": nprobe, "candidate_cap": candidate_cap}
-        params = [replace(index.params, **{k: v for k, v in given.items() if v is not None}) for index in selected]
+        overrides = {name: value for name, value in given.items() if value is not None}
+        params = [replace(index.params, **overrides) for index in selected]
         per_shard = [dense.search_dense(index, query, p) for index, p in zip(selected, params)]
         cap = max((p.candidate_cap for p in params), default=k)
         passages = shards.merge_shard_results(per_shard, k=max(k, cap))
