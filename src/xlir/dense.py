@@ -36,6 +36,7 @@ import struct
 import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,7 @@ def _bucketize(residuals: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
 
 
 _ASSIGN_BLOCK = 16384
+_DECODE_BLOCK = 128
 
 
 def _assign_nearest(vectors: np.ndarray, centroids_t: np.ndarray) -> np.ndarray:
@@ -305,11 +307,23 @@ def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
     return np.packbits(bitstream)
 
 
-def _unpack_codes(packed: np.ndarray, num_tokens: int, dim: int, bits: int) -> np.ndarray:
-    total_bits = num_tokens * dim * bits
-    bitstream = np.unpackbits(packed, count=total_bits).reshape(num_tokens, dim, bits)
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint8)
-    return (bitstream.astype(np.uint8) << shifts).sum(axis=2).astype(np.uint8)
+def _decode(codebook: ResidualCodebook, token_counts, centroid_ids, packed_codes) -> np.ndarray:
+    """Token vectors of passages with ``token_counts`` tokens, whose centroid ids and
+    byte-padded residual codes are concatenated in ``centroid_ids`` and ``packed_codes``:
+    each the float64 sum of its centroid and bucket values, rounded to float32."""
+    dim, bits = codebook.dim, codebook.bits
+    stream = np.unpackbits(packed_codes)
+    if dim * bits % 8:  # drop the pad bits that end each passage
+        kept = token_counts * (dim * bits)
+        padded = (kept + 7) // 8 * 8
+        within = np.arange(stream.size) - np.repeat(np.cumsum(padded) - padded, padded)
+        stream = stream[within < np.repeat(kept, padded)]
+    stream = stream.reshape(-1, dim, bits)
+    level = stream[:, :, 0]
+    for j in range(1, bits):
+        level = 2 * level + stream[:, :, j]
+    offsets = codebook.values.take(level + np.arange(dim) * 2**bits)
+    return np.add(codebook.centroids.take(centroid_ids, axis=0), offsets, dtype=np.float64).astype(np.float32)
 
 
 def compress(vectors: np.ndarray, codebook: ResidualCodebook, key: str = "") -> CompressedPassage:
@@ -349,9 +363,7 @@ def decompress(compressed: CompressedPassage, codebook: ResidualCodebook) -> np.
             f"passage {compressed.key!r}: expected {expected_bytes} code bytes, "
             f"got {compressed.packed_codes.size}"
         )
-    codes = _unpack_codes(compressed.packed_codes, compressed.num_tokens, codebook.dim, codebook.bits)
-    offsets = codebook.values[np.arange(codebook.dim)[None, :], codes]
-    return (codebook.centroids[ids].astype(np.float64) + offsets).astype(np.float32)
+    return _decode(codebook, np.array([compressed.num_tokens]), ids, compressed.packed_codes)
 
 
 def maxsim(query_vectors: np.ndarray, doc_vectors: np.ndarray) -> float:
@@ -426,11 +438,17 @@ class DenseIndex:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def decode(self, ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Token vectors of passages ``ordinals``, concatenated, and offsets cutting them
+        per passage (``len(ordinals) + 1`` entries, from 0)."""
+        tokens, starts = _segments(self.token_offsets, ordinals)
+        code_bytes, _ = _segments(self.byte_offsets, ordinals)
+        counts = self.token_offsets[ordinals + 1] - self.token_offsets[ordinals]
+        vectors = _decode(self.codebook, counts, self.centroid_ids[tokens], self.packed_codes[code_bytes])
+        return vectors, np.append(starts, len(tokens))
+
     def decompress_passage(self, ordinal: int) -> np.ndarray:
-        t0, t1 = self.token_offsets[ordinal : ordinal + 2]
-        b0, b1 = self.byte_offsets[ordinal : ordinal + 2]
-        passage = CompressedPassage(self.keys[ordinal], self.centroid_ids[t0:t1], self.packed_codes[b0:b1], int(t1 - t0))
-        return decompress(passage, self.codebook)
+        return self.decode(np.array([ordinal]))[0]
 
 
 def build_dense_index(
@@ -504,8 +522,16 @@ def search_dense(
     survivors = candidates[order[: params.candidate_cap]]
     t2 = time.perf_counter()
 
-    results = [(index.keys[ordinal], maxsim(query, index.decompress_passage(ordinal))) for ordinal in survivors]
-    results.sort(key=lambda entry: (-entry[1], entry[0]))
+    # Decode survivors a block at a time to bound memory; score each passage by its own
+    # product, as BLAS orders a dot product's sum by the shape of the matrices.
+    exact = np.empty(len(survivors))
+    for first in range(0, len(survivors), _DECODE_BLOCK):
+        vectors, offsets = index.decode(survivors[first : first + _DECODE_BLOCK])
+        vectors = vectors.astype(np.float64)
+        for i, (start, end) in enumerate(pairwise(offsets.tolist()), start=first):
+            exact[i] = (query @ vectors[start:end].T).max(axis=1).sum()
+    order = np.lexsort((index._key_rank[survivors], -exact))
+    results = [(index.keys[survivors[i]], float(exact[i])) for i in order]
     t3 = time.perf_counter()
     logger.info(
         "event=dense_search query_tokens=%d probed_centroids=%d candidates=%d scored=%d "
