@@ -451,12 +451,20 @@ class DenseIndex:
         return self.decode(np.array([ordinal]))[0]
 
 
+def _check_keys(keys: Iterable[str]) -> None:
+    """``keys.txt`` holds one passage key per line, so no key may contain a line feed."""
+    for key in keys:
+        if "\n" in key:
+            raise ValidationError(f"passage key {key!r} contains a line feed")
+
+
 def build_dense_index(
     embeddings: Mapping[str, np.ndarray], params: DenseIndexParams | None = None
 ) -> DenseIndex:
     """Train a codebook on the collection and compress every passage."""
     params = params if params is not None else DenseIndexParams()
     params.validate()
+    _check_keys(embeddings)
     start = time.perf_counter()
     codebook = train_codebook(embeddings, params)
     trained = time.perf_counter()
@@ -558,6 +566,7 @@ def maxp_aggregate(passage_scores: Iterable[tuple[str, float]]) -> list[tuple[st
 
 
 def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
+    _check_keys(index.keys)
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -579,7 +588,7 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
     np.save(dirpath / "centroids.npy", index.codebook.centroids)
     np.save(dirpath / "bucket_boundaries.npy", index.codebook.boundaries)
     np.save(dirpath / "bucket_values.npy", index.codebook.values)
-    with open(dirpath / "keys.txt", "w", encoding="utf-8") as fh:
+    with open(dirpath / "keys.txt", "w", encoding="utf-8", newline="\n") as fh:
         for key in index.keys:
             fh.write(key + "\n")
     np.save(dirpath / "token_counts.npy", np.diff(index.token_offsets))
@@ -626,7 +635,9 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
         bits=params.bits,
     )
     codebook.validate()
-    keys = (dirpath / "keys.txt").read_text(encoding="utf-8").splitlines()
+    # Split on line feeds only: a key may contain any other line break.
+    with open(dirpath / "keys.txt", encoding="utf-8", newline="") as fh:
+        keys = fh.read().split("\n")[:-1]
     token_counts = _load_array(dirpath / "token_counts.npy", 1, np.integer)
     if (token_counts < 0).any():
         raise FormatError(f"{dirpath}/token_counts.npy: negative token count")

@@ -469,6 +469,28 @@ class TestPersistence:
         for path in sorted((tmp_path / "one").iterdir()):
             assert path.read_bytes() == (tmp_path / "two" / path.name).read_bytes()
 
+    @pytest.mark.parametrize("separator", ["\r", "\x85", "\u2028"])
+    def test_keys_with_other_line_breaks_round_trip(self, tmp_path, separator):
+        rng = np.random.default_rng(31)
+        embeddings = {f"p{i}{separator}{i}": m for i, m in enumerate(random_embeddings(rng, 10, 8).values())}
+        index = build_dense_index(embeddings, DenseIndexParams(num_centroids=4, seed=3))
+        save_dense_index(index, tmp_path / "idx")
+        loaded = load_dense_index(tmp_path / "idx")
+        assert loaded.keys == list(embeddings)
+        query = unit_rows(rng.standard_normal((3, 8)))
+        assert search_dense(loaded, query) == search_dense(index, query)
+
+    def test_key_with_line_feed_is_refused(self, tmp_path):
+        rng = np.random.default_rng(32)
+        embeddings = random_embeddings(rng, 10, 8)
+        index = build_dense_index(embeddings, DenseIndexParams(num_centroids=4, seed=3))
+        with pytest.raises(ValidationError, match="line feed"):
+            build_dense_index({"bad\nkey": embeddings["p0000"], **embeddings}, DenseIndexParams(num_centroids=4))
+        index.keys[3] = "p\n3"
+        with pytest.raises(ValidationError, match="line feed"):
+            save_dense_index(index, tmp_path / "idx")
+        assert not (tmp_path / "idx").exists()
+
     def test_load_rejects_alien_directory(self, tmp_path):
         with pytest.raises(FormatError):
             load_dense_index(tmp_path)
