@@ -133,8 +133,8 @@ class InvertedIndex:
 def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedIndex:
     """Build an inverted index from ``(doc_id, term -> weight)`` bags.
 
-    Zero weights are dropped; negative weights and duplicate doc ids are
-    rejected.
+    Zero weights are dropped; negative or non-finite weights and duplicate
+    doc ids are rejected.
     """
     postings: dict[str, list[tuple[str, float]]] = {}
     doc_lengths: dict[str, float] = {}
@@ -146,8 +146,8 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
         length = 0.0
         for term, w in bag.items():
             w = float(w)
-            if w < 0:
-                raise ValidationError(f"document {doc_id!r}: negative weight for term {term!r}")
+            if not 0.0 <= w < math.inf:
+                raise ValidationError(f"document {doc_id!r}: weight {w!r} for term {term!r} is negative or not finite")
             if w == 0.0:
                 continue
             kept[term] = w
@@ -439,6 +439,13 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
                 for doc_id, w in record["postings"]:
                     if doc_id not in bags:
                         raise FormatError(f"{postings_path}:{lineno}: unknown document {doc_id!r}")
+                    # One chained comparison: NaN, infinities and negative weights fail it,
+                    # and a weight that is not a number raises TypeError.
+                    if not 0.0 <= w < math.inf:
+                        raise FormatError(
+                            f"{postings_path}:{lineno}: weight {w!r} of document {doc_id!r} is not a finite, "
+                            "non-negative number"
+                        )
                     bags[doc_id][term] = w
             except RECORD_ERRORS as exc:
                 raise FormatError(

@@ -391,6 +391,16 @@ def _rename_in_first_line(old, new):
     return corrupt
 
 
+def _set_first_weight(value):
+    def corrupt(path):
+        first, rest = path.read_text().split("\n", 1)
+        record = json.loads(first)
+        record["postings"][0][1] = value
+        path.write_text(json.dumps(record) + "\n" + rest)
+
+    return corrupt
+
+
 def _set_first_centroid_id(value):
     def corrupt(path):
         ids = np.load(path)
@@ -439,6 +449,11 @@ CORRUPTIONS = {
     "stats-no-num-docs": ("lexical", "stats.json", _edit_json(lambda stats: stats.pop("num_docs"))),
     "postings-truncated": ("lexical", "postings.jsonl", _truncate),
     "postings-no-term": ("lexical", "postings.jsonl", _rename_in_first_line('"term"', '"trm"')),
+    "postings-weight-nan": ("lexical", "postings.jsonl", _set_first_weight(float("nan"))),
+    "postings-weight-infinite": ("lexical", "postings.jsonl", _set_first_weight(float("inf"))),
+    "postings-weight-negative": ("lexical", "postings.jsonl", _set_first_weight(-1.0)),
+    "postings-weight-text": ("lexical", "postings.jsonl", _set_first_weight("x")),
+    "postings-weight-numeric-text": ("lexical", "postings.jsonl", _set_first_weight("0.5")),
 }
 
 

@@ -56,6 +56,11 @@ class TestBuildIndex:
         with pytest.raises(ValidationError):
             build_index([("d1", {"a": -1.0})])
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValidationError, match="not finite"):
+            build_index([("d1", {"a": 1.0}), ("d2", {"a": weight})])
+
 
 class TestBM25:
     def test_worked_example(self, two_doc_index):
@@ -262,6 +267,19 @@ class TestPersistence:
         save_index(index, tmp_path / "two")
         for name in ("stats.json", "postings.jsonl", "docs.json"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "1e999", "-1.0", '"x"', '"0.5"', "null"])
+    def test_load_rejects_weight_that_is_not_a_finite_non_negative_number(self, tmp_path, weight):
+        from xlir.errors import FormatError
+
+        save_index(build_index([("d1", {"a": 1.5}), ("d2", {"b": 2.5})]), tmp_path / "idx")
+        postings = tmp_path / "idx" / "postings.jsonl"
+        lines = postings.read_text().splitlines()
+        assert lines[1] == '{"term": "b", "postings": [["d2", 2.5]]}'
+        lines[1] = lines[1].replace("2.5", weight)
+        postings.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="postings.jsonl:2"):
+            load_index(tmp_path / "idx")
 
     def test_load_rejects_alien_directory(self, tmp_path):
         from xlir.errors import FormatError
