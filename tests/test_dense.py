@@ -1,8 +1,13 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from xlir import dense
 from xlir.dense import (
     CompressedPassage,
+    DenseIndex,
     DenseIndexParams,
     ResidualCodebook,
     build_dense_index,
@@ -355,6 +360,20 @@ class TestSearch:
         for (_, a), (_, b) in zip(got, oracle):
             assert a == pytest.approx(b, abs=1e-9)
 
+    def test_probed_centroids_without_passages_score_nothing(self, caplog):
+        rng = np.random.default_rng(19)
+        index, _ = self.build(rng, num_passages=20)
+        unused = unit_rows(rng.standard_normal((1, 8))).astype(np.float32)
+        codebook = replace(index.codebook, centroids=np.vstack([index.codebook.centroids, unused]))
+        widened = DenseIndex(
+            codebook, index.keys, np.diff(index.token_offsets), index.centroid_ids, index.packed_codes, index.params
+        )
+        assert widened.inverted_offsets[-1] == widened.inverted_offsets[-2]
+        with caplog.at_level(logging.INFO, logger="xlir"):
+            assert search_dense(widened, unused, DenseIndexParams(nprobe=1)) == []
+        (event,) = [m for m in caplog.messages if "event=dense_search" in m]
+        assert "candidates=0 scored=0" in event
+
     def test_single_passage_corpus(self):
         rng = np.random.default_rng(18)
         index, _ = self.build(rng, num_passages=1, num_centroids=1)
@@ -392,17 +411,59 @@ class TestSearch:
         assert search_dense(one, query) == search_dense(two, query)
 
 
+def reference_decompress(index, ordinal):
+    """Passage ``ordinal`` decoded token by token from the index arrays, with no shared code."""
+    dim, bits = index.codebook.dim, index.codebook.bits
+    t0, t1 = index.token_offsets[ordinal : ordinal + 2]
+    code_bits = np.unpackbits(index.packed_codes[index.byte_offsets[ordinal] :])
+    rows = []
+    for t, cid in enumerate(index.centroid_ids[t0:t1]):
+        row = []
+        for d in range(dim):
+            start = (t * dim + d) * bits
+            level = int("".join(str(b) for b in code_bits[start : start + bits]), 2)
+            row.append(float(index.codebook.centroids[cid, d]) + float(index.codebook.values[d, level]))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(-1, dim).astype(np.float32)
+
+
+def flat_layout_index(dim, bits):
+    """More passages than one decoding block, short enough to tie often on centroid
+    scores, with shuffled keys so passage order is not key order."""
+    rng = np.random.default_rng(40)
+    embeddings = random_embeddings(rng, 150, dim, min_tokens=1, max_tokens=4)
+    keys = list(embeddings)
+    embeddings = {keys[i]: embeddings[keys[i]] for i in rng.permutation(len(keys))}
+    index = build_dense_index(embeddings, DenseIndexParams(bits=bits, num_centroids=16, kmeans_iters=5, seed=41))
+    assert len(index) > dense._DECODE_BLOCK and (np.diff(index.token_offsets) == 1).any()
+    return index, embeddings
+
+
+def assert_staged_search_equals_reference(index, embeddings, tmp_path):
+    save_dense_index(index, tmp_path / "idx")
+    loaded = load_dense_index(tmp_path / "idx")
+    rng = np.random.default_rng(42)
+    cut = 0
+    for nprobe, cap in [(1, 5), (1, 20), (2, 10), (3, 40), (4, 100), (16, 7), (16, 1000)]:
+        params = DenseIndexParams(nprobe=nprobe, candidate_cap=cap)
+        for _ in range(4):
+            query = unit_rows(rng.standard_normal((int(rng.integers(1, 12)), index.codebook.dim)))
+            expected, candidates = per_passage_search(index, embeddings, query, params)
+            cut += candidates > cap
+            assert search_dense(index, query, params) == expected
+            assert search_dense(loaded, query, params) == expected
+    assert cut >= 16
+
+
 class TestFlatLayout:
     @pytest.fixture
     def built(self):
-        # Short passages over few centroids, so approximate scores tie often;
-        # shuffled keys, so passage order is not key order.
-        rng = np.random.default_rng(40)
-        embeddings = random_embeddings(rng, 150, 8, min_tokens=1, max_tokens=4)
-        keys = list(embeddings)
-        embeddings = {keys[i]: embeddings[keys[i]] for i in rng.permutation(len(keys))}
-        index = build_dense_index(embeddings, DenseIndexParams(num_centroids=16, kmeans_iters=5, seed=41))
-        return index, embeddings
+        return flat_layout_index(8, 1)
+
+    # (dim, bits): codes padded at the end of each passage, and whole-byte codes.
+    @pytest.fixture(params=[(5, 3), (7, 2), (8, 8)], ids=lambda p: f"dim{p[0]}-bits{p[1]}")
+    def coded(self, request):
+        return flat_layout_index(*request.param)
 
     def test_inverted_map_lists_passages_per_centroid(self, built):
         index, embeddings = built
@@ -419,20 +480,32 @@ class TestFlatLayout:
         assert got == {cid: sorted(ordinals) for cid, ordinals in expected.items()}
 
     def test_staged_search_equals_per_passage_reference(self, built, tmp_path):
-        index, embeddings = built
-        save_dense_index(index, tmp_path / "idx")
-        loaded = load_dense_index(tmp_path / "idx")
-        rng = np.random.default_rng(42)
-        cut = 0
-        for nprobe, cap in [(1, 5), (1, 20), (2, 10), (3, 40), (4, 100), (16, 7), (16, 1000)]:
-            params = DenseIndexParams(nprobe=nprobe, candidate_cap=cap)
-            for _ in range(4):
-                query = unit_rows(rng.standard_normal((int(rng.integers(1, 12)), 8)))
-                expected, candidates = per_passage_search(index, embeddings, query, params)
-                cut += candidates > cap
-                assert search_dense(index, query, params) == expected
-                assert search_dense(loaded, query, params) == expected
-        assert cut >= 16
+        assert_staged_search_equals_reference(*built, tmp_path)
+
+    def test_staged_search_equals_per_passage_reference_for_multi_bit_codes(self, coded, tmp_path):
+        assert_staged_search_equals_reference(*coded, tmp_path)
+
+    @pytest.mark.parametrize("dim, bits", [(8, 1), (5, 3), (7, 2), (8, 8)])
+    def test_block_decoder_equals_per_passage_decoding(self, dim, bits):
+        index, _ = flat_layout_index(dim, bits)
+        ordinals = np.random.default_rng(43).permutation(len(index))
+        vectors, offsets = index.decode(ordinals)
+        assert offsets.tolist() == [0, *np.cumsum(np.diff(index.token_offsets)[ordinals]).tolist()]
+        np.testing.assert_array_equal(vectors, np.vstack([reference_decompress(index, i) for i in ordinals]))
+        np.testing.assert_array_equal(vectors, np.vstack([index.decompress_passage(i) for i in ordinals]))
+
+    def test_each_passage_scored_by_its_own_product_at_dim_128(self):
+        # At dim 128 one matrix product per decoded block sums most dot products
+        # in a different order than a product per passage, changing the last bit.
+        rng = np.random.default_rng(44)
+        embeddings = random_embeddings(rng, 200, 128, min_tokens=1, max_tokens=12)
+        index = build_dense_index(embeddings, DenseIndexParams(num_centroids=16, kmeans_iters=3, seed=45))
+        params = DenseIndexParams(nprobe=16, candidate_cap=1000)
+        for _ in range(3):
+            query = unit_rows(rng.standard_normal((32, 128)))
+            expected, _ = per_passage_search(index, embeddings, query, params)
+            assert len(expected) == len(index) > dense._DECODE_BLOCK
+            assert search_dense(index, query, params) == expected
 
 
 class TestMaxP:
