@@ -6,7 +6,9 @@ centroid id plus a b-bit-per-dimension quantized residual, and builds an
 inverted map from centroid id to the passages containing it. Search runs in
 three stages: centroid probing per query token to collect candidate passages,
 ranking candidates by a centroid-only approximation of MaxSim, then exact
-MaxSim over decompressed token vectors for the surviving candidates.
+MaxSim over decompressed token vectors for the surviving candidates. The last
+stage decodes survivors in blocks and scores each passage with its own matrix
+product, which keeps scores bit-identical (see ``search_dense``).
 
 Embedding file format (all integers little-endian):
 
@@ -499,6 +501,13 @@ def search_dense(
     candidates by MaxSim computed on centroids alone and keeps the top
     ``candidate_cap``. Stage 3 scores the survivors exactly on decompressed
     vectors; results are sorted by descending score, ties by passage key.
+
+    Stage 3 decodes survivors ``_DECODE_BLOCK`` at a time, which bounds peak
+    memory, with one bit unpacking and one lookup of bucket values per block.
+    Each passage is then scored with its own matrix product, not one per
+    block, because BLAS sums a dot product in an order that depends on the
+    matrix shape; so every score equals ``maxsim`` on the passage's
+    ``decompress`` output exactly.
     """
     params = params if params is not None else index.params
     params.validate()
@@ -530,8 +539,6 @@ def search_dense(
     survivors = candidates[order[: params.candidate_cap]]
     t2 = time.perf_counter()
 
-    # Decode survivors a block at a time to bound memory; score each passage by its own
-    # product, as BLAS orders a dot product's sum by the shape of the matrices.
     exact = np.empty(len(survivors))
     for first in range(0, len(survivors), _DECODE_BLOCK):
         vectors, offsets = index.decode(survivors[first : first + _DECODE_BLOCK])
