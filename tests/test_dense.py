@@ -542,7 +542,7 @@ class TestPersistence:
         for path in sorted((tmp_path / "one").iterdir()):
             assert path.read_bytes() == (tmp_path / "two" / path.name).read_bytes()
 
-    @pytest.mark.parametrize("separator", ["\r", "\x85", "\u2028"])
+    @pytest.mark.parametrize("separator", ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
     def test_keys_with_other_line_breaks_round_trip(self, tmp_path, separator):
         rng = np.random.default_rng(31)
         embeddings = {f"p{i}{separator}{i}": m for i, m in enumerate(random_embeddings(rng, 10, 8).values())}
