@@ -320,7 +320,7 @@ def _decode(codebook: ResidualCodebook, token_counts, centroid_ids, packed_codes
         padded = (kept + 7) // 8 * 8
         within = np.arange(stream.size) - np.repeat(np.cumsum(padded) - padded, padded)
         stream = stream[within < np.repeat(kept, padded)]
-    stream = stream.reshape(-1, dim, bits)
+    stream = stream.reshape(-1, dim, bits)  # each code's bits, most significant first as packed
     level = stream[:, :, 0]
     for j in range(1, bits):
         level = 2 * level + stream[:, :, j]
