@@ -225,7 +225,7 @@ def cmd_index_lexical(args: argparse.Namespace) -> int:
     if args.shard_plan is None:
         index = lexical_mod.build_index(bags)
         lexical_mod.save_index(index, out_dir)
-        detail = f"terms={len(index.postings)}"
+        detail = f"terms={len(index.terms)}"
     else:
         plan = shards_mod.ShardPlan.load(_require_path(args.shard_plan, "shard plan"))
         ordinals = search_mod.save_sharded(out_dir, plan, "lexical", bags, lexical_mod.build_index)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -98,36 +99,72 @@ class CollectionStats:
         return cls(num_docs=num_docs, total_weight=total_weight, doc_freq=doc_freq, coll_freq=coll_freq)
 
 
+@dataclass(eq=False)
 class InvertedIndex:
-    """Immutable term-to-postings index built once from weighted bags."""
+    """Immutable index holding each posting once, in compressed sparse rows."""
 
-    def __init__(
-        self,
-        postings: dict[str, list[tuple[str, float]]],
-        doc_lengths: dict[str, float],
-        stats: CollectionStats,
-        doc_terms: dict[str, dict[str, float]],
-    ):
-        self.postings = postings
-        self.doc_lengths = doc_lengths
-        self.stats = stats
-        self._doc_terms = doc_terms
+    doc_ids: list[str]
+    terms: list[str]
+    offsets: np.ndarray
+    docs: np.ndarray
+    weights: np.ndarray
+    doc_lengths: np.ndarray
+    stats: CollectionStats
 
     @property
     def num_docs(self) -> int:
-        return len(self.doc_lengths)
+        return len(self.doc_ids)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.doc_lengths
+        i = bisect_left(self.doc_ids, doc_id)
+        return i < len(self.doc_ids) and self.doc_ids[i] == doc_id
+
+    def ordinal(self, doc_id: str) -> int:
+        if doc_id not in self:
+            raise ValidationError(f"document {doc_id!r} not in index")
+        return bisect_left(self.doc_ids, doc_id)
+
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """Document ordinals and weights of one term; empty for an unknown term."""
+        t = bisect_left(self.terms, term)
+        start, end = self.offsets[t : t + 2] if t < len(self.terms) and self.terms[t] == term else (0, 0)
+        return self.docs[start:end], self.weights[start:end]
 
     def weight(self, term: str, doc_id: str) -> float:
-        return self._doc_terms.get(doc_id, {}).get(term, 0.0)
+        docs, weights = self.postings(term)
+        return float(weights[docs == self.ordinal(doc_id)].sum())
 
     def doc_bag(self, doc_id: str) -> dict[str, float]:
-        try:
-            return self._doc_terms[doc_id]
-        except KeyError:
-            raise ValidationError(f"document {doc_id!r} not in index") from None
+        positions = np.flatnonzero(self.docs == self.ordinal(doc_id))
+        rows = np.searchsorted(self.offsets, positions, side="right") - 1
+        return dict(zip([self.terms[t] for t in rows.tolist()], self.weights[positions].tolist()))
+
+
+def _from_postings(doc_ids: list[str], vocabulary: list[str], postings: list[tuple[int, int, float]]) -> InvertedIndex:
+    """The index of positive ``(term id, ordinal, weight)`` postings into ``vocabulary`` and ``doc_ids``.
+
+    Every sum is sequential: document lengths in posting order, the total in ``doc_ids`` order.
+    """
+    fields = [("term", np.int64), ("doc", np.int64), ("weight", np.float64)]
+    columns = np.fromiter(postings, dtype=fields, count=len(postings))
+    lengths = np.bincount(columns["doc"], weights=columns["weight"], minlength=len(doc_ids))
+    total_weight = float(np.cumsum(lengths)[-1]) if len(doc_ids) else 0.0
+    doc_order = np.argsort(np.array(doc_ids, dtype=object), kind="stable")
+    term_order = np.argsort(np.array(vocabulary, dtype=object), kind="stable")
+    doc_ids, terms = [doc_ids[i] for i in doc_order], [vocabulary[t] for t in term_order]
+    for a, b in zip(doc_ids, doc_ids[1:]):
+        if a == b:
+            raise ValidationError(f"duplicate document id {a!r}")
+    rows, docs = np.argsort(term_order)[columns["term"]], np.argsort(doc_order)[columns["doc"]]
+    order = np.lexsort((docs, rows))
+    rows, docs, weights = rows[order], docs[order].astype(np.int32), columns["weight"][order]
+    if ((rows[1:] == rows[:-1]) & (docs[1:] == docs[:-1])).any():
+        raise ValidationError("a term has two postings for one document")
+    offsets = np.searchsorted(rows, np.arange(len(terms) + 1))
+    coll_freq = np.bincount(rows, weights=weights, minlength=len(terms))
+    doc_freq = dict(zip(terms, np.diff(offsets).tolist()))
+    stats = CollectionStats(len(doc_ids), total_weight, doc_freq, dict(zip(terms, coll_freq.tolist())))
+    return InvertedIndex(doc_ids, terms, offsets, docs, weights, lengths[doc_order], stats)
 
 
 def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedIndex:
@@ -136,95 +173,24 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
     Zero weights are dropped; negative or non-finite weights and duplicate
     doc ids are rejected.
     """
-    postings: dict[str, list[tuple[str, float]]] = {}
-    doc_lengths: dict[str, float] = {}
-    doc_terms: dict[str, dict[str, float]] = {}
-    for doc_id, bag in bags:
-        if doc_id in doc_lengths:
-            raise ValidationError(f"duplicate document id {doc_id!r}")
-        kept: dict[str, float] = {}
-        length = 0.0
+    doc_ids: list[str] = []
+    vocabulary: dict[str, int] = {}
+    postings: list[tuple[int, int, float]] = []
+    for ordinal, (doc_id, bag) in enumerate(bags):
+        doc_ids.append(doc_id)
         for term, w in bag.items():
             w = float(w)
             if not 0.0 <= w < math.inf:
                 raise ValidationError(f"document {doc_id!r}: weight {w!r} for term {term!r} is negative or not finite")
-            if w == 0.0:
-                continue
-            kept[term] = w
-            length += w
-        doc_lengths[doc_id] = length
-        doc_terms[doc_id] = kept
-        for term, w in kept.items():
-            postings.setdefault(term, []).append((doc_id, w))
-    for term in postings:
-        postings[term].sort(key=lambda entry: entry[0])
-    stats = CollectionStats(
-        num_docs=len(doc_lengths),
-        total_weight=float(sum(doc_lengths.values())),
-        doc_freq={term: len(entries) for term, entries in postings.items()},
-        coll_freq={term: float(sum(w for _, w in entries)) for term, entries in postings.items()},
-    )
-    return InvertedIndex(postings, doc_lengths, stats, doc_terms)
+            if w > 0.0:
+                postings.append((vocabulary.setdefault(term, len(vocabulary)), ordinal, w))
+    return _from_postings(doc_ids, list(vocabulary), postings)
 
 
 def _resolve(params: LexicalParams | None, stats: CollectionStats | None, index: InvertedIndex):
     params = params if params is not None else DEFAULT_PARAMS
     params.validate()
     return params, (stats if stats is not None else index.stats)
-
-
-def _bm25_weighted(
-    index: InvertedIndex,
-    query_weights: Mapping[str, float],
-    doc_id: str,
-    params: LexicalParams,
-    stats: CollectionStats,
-) -> float:
-    dl = index.doc_lengths.get(doc_id)
-    if dl is None:
-        raise ValidationError(f"document {doc_id!r} not in index")
-    avgdl = stats.avg_doc_length
-    length_norm = 1.0 - params.b + params.b * (dl / avgdl) if avgdl > 0 else 1.0
-    score = 0.0
-    for term, qw in query_weights.items():
-        if qw <= 0:
-            continue
-        tf = index.weight(term, doc_id)
-        if tf <= 0:
-            continue
-        df = stats.doc_freq.get(term, 0)
-        idf = math.log(1.0 + (stats.num_docs - df + 0.5) / (df + 0.5))
-        score += qw * idf * (tf / (tf + params.k1 * length_norm))
-    return score
-
-
-def _hmm_weighted(
-    index: InvertedIndex,
-    query_weights: Mapping[str, float],
-    doc_id: str,
-    params: LexicalParams,
-    stats: CollectionStats,
-) -> float:
-    dl = index.doc_lengths.get(doc_id)
-    if dl is None:
-        raise ValidationError(f"document {doc_id!r} not in index")
-    lam = params.lambda_
-    score = 0.0
-    for term, qw in query_weights.items():
-        if qw <= 0:
-            continue
-        p_doc = index.weight(term, doc_id) / dl if dl > 0 else 0.0
-        p_coll = (
-            stats.coll_freq.get(term, 0.0) / stats.total_weight if stats.total_weight > 0 else 0.0
-        )
-        p = lam * p_doc + (1.0 - lam) * p_coll
-        if p <= 0.0:
-            return float("-inf")
-        score += qw * math.log(p)
-    return score
-
-
-_WEIGHTED_SCORERS = {"bm25": _bm25_weighted, "hmm": _hmm_weighted}
 
 
 def bm25_score(
@@ -236,7 +202,18 @@ def bm25_score(
 ) -> float:
     """BM25 score of one document; repeated query terms count with multiplicity."""
     params, stats = _resolve(params, stats, index)
-    return _bm25_weighted(index, Counter(query_terms), doc_id, params, stats)
+    dl = float(index.doc_lengths[index.ordinal(doc_id)])
+    avgdl = stats.avg_doc_length
+    length_norm = 1.0 - params.b + params.b * (dl / avgdl) if avgdl > 0 else 1.0
+    score = 0.0
+    for term, qw in Counter(query_terms).items():
+        tf = index.weight(term, doc_id)
+        if tf <= 0:
+            continue
+        df = stats.doc_freq.get(term, 0)
+        idf = math.log(1.0 + (stats.num_docs - df + 0.5) / (df + 0.5))
+        score += qw * idf * (tf / (tf + params.k1 * length_norm))
+    return score
 
 
 def hmm_score(
@@ -253,7 +230,17 @@ def hmm_score(
     is absent from the whole collection).
     """
     params, stats = _resolve(params, stats, index)
-    return _hmm_weighted(index, Counter(query_terms), doc_id, params, stats)
+    dl = float(index.doc_lengths[index.ordinal(doc_id)])
+    lam = params.lambda_
+    score = 0.0
+    for term, qw in Counter(query_terms).items():
+        p_doc = index.weight(term, doc_id) / dl if dl > 0 else 0.0
+        p_coll = stats.coll_freq.get(term, 0.0) / stats.total_weight if stats.total_weight > 0 else 0.0
+        p = lam * p_doc + (1.0 - lam) * p_coll
+        if p <= 0.0:
+            return float("-inf")
+        score += qw * math.log(p)
+    return score
 
 
 def _softmax(scores: Sequence[float]) -> list[float]:
@@ -307,9 +294,7 @@ def rm3_weights(
     doc_weights = _softmax([score for _, _, score in feedback])
     relevance: dict[str, float] = {}
     for (index, doc_id, _), dw in zip(feedback, doc_weights):
-        dl = index.doc_lengths[doc_id]
-        if dl <= 0:
-            continue
+        dl = float(index.doc_lengths[index.ordinal(doc_id)])
         for term, w in index.doc_bag(doc_id).items():
             relevance[term] = relevance.get(term, 0.0) + dw * (w / dl)
     kept = dict(
@@ -344,24 +329,34 @@ def search_weighted(
     if not query_weights:
         raise ValidationError("empty query")
     params, stats = _resolve(params, stats, index)
-    score_fn = _WEIGHTED_SCORERS.get(scorer)
-    if score_fn is None:
+    if scorer not in SCORERS:
         raise ValidationError(f"unknown scorer {scorer!r}; expected one of {SCORERS}")
 
-    candidates: set[str] = set()
+    lengths, lam, avgdl = index.doc_lengths, params.lambda_, stats.avg_doc_length
+    length_norm = 1.0 - params.b + params.b * (lengths / avgdl) if avgdl > 0 else np.ones(len(lengths))
+    scores = np.zeros(index.num_docs)
+    matched = np.zeros(index.num_docs, dtype=bool)
     for term, qw in query_weights.items():
         if qw <= 0:
             continue
-        for doc_id, _ in index.postings.get(term, ()):
-            candidates.add(doc_id)
+        docs, tf = index.postings(term)
+        matched[docs] = True
+        if scorer == "bm25":
+            df = stats.doc_freq.get(term, 0)
+            idf = math.log(1.0 + (stats.num_docs - df + 0.5) / (df + 0.5))
+            scores[docs] += qw * idf * (tf / (tf + params.k1 * length_norm[docs]))
+            continue
+        # Documents without the term have P(t|D) = 0. Logs are math.log's, as in hmm_score.
+        p_coll = stats.coll_freq.get(term, 0.0) / stats.total_weight if stats.total_weight > 0 else 0.0
+        p = [(1.0 - lam) * p_coll, *(lam * (tf / lengths[docs]) + (1.0 - lam) * p_coll).tolist()]
+        logs = [qw * math.log(x) if x > 0.0 else -math.inf for x in p]
+        contribution = np.full(index.num_docs, logs[0])
+        contribution[docs] = logs[1:]
+        scores += contribution
 
-    scored = []
-    for doc_id in sorted(candidates):
-        score = score_fn(index, query_weights, doc_id, params, stats)
-        if math.isfinite(score):
-            scored.append((doc_id, score))
-    scored.sort(key=lambda entry: (-entry[1], entry[0]))
-    return scored[:k]
+    hits = np.flatnonzero(matched & np.isfinite(scores))
+    top = hits[np.lexsort((hits, -scores[hits]))[:k]]
+    return list(zip([index.doc_ids[i] for i in top.tolist()], scores[top].tolist()))
 
 
 def search_lexical(
@@ -397,18 +392,18 @@ def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
         "version": INDEX_VERSION,
         "num_docs": index.num_docs,
         "total_weight": index.stats.total_weight,
-        "num_terms": len(index.postings),
+        "num_terms": len(index.terms),
     }
     (dirpath / "stats.json").write_text(
         json.dumps(stats, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+    docs, weights, offsets = index.docs.tolist(), index.weights.astype(np.float32).tolist(), index.offsets.tolist()
     with open(dirpath / "postings.jsonl", "w", encoding="utf-8") as fh:
-        for term in sorted(index.postings):
-            entries = [[doc_id, float(np.float32(w))] for doc_id, w in index.postings[term]]
+        for term, start, end in zip(index.terms, offsets, offsets[1:]):
+            entries = [[index.doc_ids[d], w] for d, w in zip(docs[start:end], weights[start:end])]
             fh.write(json.dumps({"term": term, "postings": entries}, ensure_ascii=False) + "\n")
-    doc_ids = sorted(index.doc_lengths)
     (dirpath / "docs.json").write_text(
-        json.dumps(doc_ids, ensure_ascii=False) + "\n", encoding="utf-8"
+        json.dumps(index.doc_ids, ensure_ascii=False) + "\n", encoding="utf-8"
     )
 
 
@@ -425,9 +420,10 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
         raise FormatError(f"{dirpath}: unsupported index format {fmt!r} v{version!r}")
     docs_path = dirpath / "docs.json"
     with malformed(docs_path, "document list"):
-        bags: dict[str, dict[str, float]] = {
-            doc_id: {} for doc_id in json.loads(docs_path.read_text(encoding="utf-8"))
-        }
+        doc_ids = list(json.loads(docs_path.read_text(encoding="utf-8")))
+        ordinal_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+    vocabulary: dict[str, int] = {}
+    postings: list[tuple[int, int, float]] = []
     postings_path = dirpath / "postings.jsonl"
     with open(postings_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -435,9 +431,8 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
                 continue
             try:
                 record = json.loads(line)
-                term = record["term"]
                 for doc_id, w in record["postings"]:
-                    if doc_id not in bags:
+                    if doc_id not in ordinal_of:
                         raise FormatError(f"{postings_path}:{lineno}: unknown document {doc_id!r}")
                     # One chained comparison: NaN, infinities and negative weights fail it,
                     # and a weight that is not a number raises TypeError.
@@ -446,14 +441,18 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
                             f"{postings_path}:{lineno}: weight {w!r} of document {doc_id!r} is not a finite, "
                             "non-negative number"
                         )
-                    bags[doc_id][term] = w
+                    if w > 0.0:
+                        postings.append((vocabulary.setdefault(record["term"], len(vocabulary)), ordinal_of[doc_id], w))
             except RECORD_ERRORS as exc:
                 raise FormatError(
                     f"{postings_path}:{lineno}: malformed postings record ({type(exc).__name__}: {exc})"
                 ) from None
-    index = build_index(bags.items())
+    try:
+        index = _from_postings(doc_ids, list(vocabulary), postings)
+    except (ValidationError, TypeError) as exc:  # duplicates, or ids and terms that are not all strings
+        raise FormatError(f"{dirpath}: {exc}") from None
     if index.num_docs != num_docs:
         raise FormatError(
-            f"{dirpath}: stats.json declares {num_docs} docs, postings yield {index.num_docs}"
+            f"{dirpath}: stats.json declares {num_docs} docs, docs.json lists {index.num_docs}"
         )
     return index

@@ -165,7 +165,7 @@ def test_criterion_3_compression_round_trip():
 
 def exhaustive_lexical_ranking(index, query, scorer, params=None):
     score_fn = {"bm25": bm25_score, "hmm": hmm_score}[scorer]
-    scored = [(d, score_fn(index, query, d, params)) for d in index.doc_lengths]
+    scored = [(d, score_fn(index, query, d, params)) for d in index.doc_ids]
     scored.sort(key=lambda entry: (-entry[1], entry[0]))
     return scored
 

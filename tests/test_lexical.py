@@ -33,16 +33,16 @@ class TestBuildIndex:
         index = build_index([("d1", {"a": 2, "b": 2}), ("d2", {"a": 1, "c": 3})])
         assert index.stats.doc_freq["a"] == 2
         assert index.stats.doc_freq["b"] == 1
-        assert index.doc_lengths["d1"] == 4.0
+        assert index.doc_lengths[index.ordinal("d1")] == 4.0
 
     def test_empty(self):
         index = build_index([])
         assert index.stats.num_docs == 0
-        assert index.postings == {}
+        assert index.terms == [] and index.docs.size == 0
 
     def test_real_valued_weights(self):
         index = build_index([("d1", {"x": 2.2, "y": 0.8})])
-        assert index.doc_lengths["d1"] == pytest.approx(3.0)
+        assert index.doc_lengths[index.ordinal("d1")] == pytest.approx(3.0)
 
     def test_duplicate_doc_id(self):
         with pytest.raises(ValidationError, match="d1"):
@@ -50,7 +50,7 @@ class TestBuildIndex:
 
     def test_postings_sorted_by_doc_id(self):
         index = build_index([("d2", {"a": 1}), ("d1", {"a": 1}), ("d3", {"a": 1})])
-        assert [doc_id for doc_id, _ in index.postings["a"]] == ["d1", "d2", "d3"]
+        assert [index.doc_ids[i] for i in index.postings("a")[0]] == ["d1", "d2", "d3"]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
@@ -179,7 +179,7 @@ def exhaustive_ranking(index, query, scorer, params=None, stats=None):
     score_fn = {"bm25": bm25_score, "hmm": hmm_score}[scorer]
     scored = [
         (doc_id, score_fn(index, query, doc_id, params, stats))
-        for doc_id in index.doc_lengths
+        for doc_id in index.doc_ids
     ]
     scored.sort(key=lambda entry: (-entry[1], entry[0]))
     return scored
@@ -231,7 +231,7 @@ class TestSearch:
             # scored -inf (a collection-OOV query term zeroes every document).
             returned = {doc_id for doc_id, _ in got}
             score_fn = {"bm25": bm25_score, "hmm": hmm_score}[scorer]
-            for doc_id in index.doc_lengths:
+            for doc_id in index.doc_ids:
                 if doc_id not in returned:
                     unmatched = all(index.weight(t, doc_id) == 0.0 for t in query)
                     assert unmatched or score_fn(index, query, doc_id) == float("-inf")

@@ -47,7 +47,7 @@ def test_date_filter_restricts_shards(lexical_dirs):
     topics, root = lexical_dirs
     sharded = open_index(root / "sharded")
     first_window = DateFilter(start=sharded.plan.windows[0][0], end=sharded.plan.windows[0][0])
-    allowed = set(sharded.indexes[0].doc_lengths) if 0 in sharded.indexes else set()
+    allowed = set(sharded.indexes[0].doc_ids) if 0 in sharded.indexes else set()
     for topic in topics:
         terms = DEFAULT_TOKENIZER(form_query(topic, "TD"))
         for rm3 in (False, True):
