@@ -434,9 +434,10 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
                 for doc_id, w in record["postings"]:
                     if doc_id not in ordinal_of:
                         raise FormatError(f"{postings_path}:{lineno}: unknown document {doc_id!r}")
-                    # One chained comparison: NaN, infinities and negative weights fail it,
-                    # and a weight that is not a number raises TypeError.
-                    if not 0.0 <= w < math.inf:
+                    # NaN, infinities and negative weights fail the chained comparison, and a
+                    # weight that is not a number raises TypeError; JSON true and false are
+                    # Python bools, which compare as 1 and 0, so they are refused by type.
+                    if isinstance(w, bool) or not 0.0 <= w < math.inf:
                         raise FormatError(
                             f"{postings_path}:{lineno}: weight {w!r} of document {doc_id!r} is not a finite, "
                             "non-negative number"

@@ -454,6 +454,7 @@ CORRUPTIONS = {
     "postings-weight-negative": ("lexical", "postings.jsonl", _set_first_weight(-1.0)),
     "postings-weight-text": ("lexical", "postings.jsonl", _set_first_weight("x")),
     "postings-weight-numeric-text": ("lexical", "postings.jsonl", _set_first_weight("0.5")),
+    "postings-weight-boolean": ("lexical", "postings.jsonl", _set_first_weight(True)),
 }
 
 

@@ -268,7 +268,9 @@ class TestPersistence:
         for name in ("stats.json", "postings.jsonl", "docs.json"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
-    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "1e999", "-1.0", '"x"', '"0.5"', "null"])
+    @pytest.mark.parametrize(
+        "weight", ["NaN", "Infinity", "-Infinity", "1e999", "-1.0", '"x"', '"0.5"', "null", "true", "false"]
+    )
     def test_load_rejects_weight_that_is_not_a_finite_non_negative_number(self, tmp_path, weight):
         from xlir.errors import FormatError
 
