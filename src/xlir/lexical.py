@@ -35,6 +35,9 @@ INDEX_VERSION = 1
 
 SCORERS = ("bm25", "hmm")
 
+# The smallest weight that save_index's float32 cast rounds to infinity.
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
+
 
 @dataclass
 class LexicalParams:
@@ -170,8 +173,9 @@ def _from_postings(doc_ids: list[str], vocabulary: list[str], postings: list[tup
 def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedIndex:
     """Build an inverted index from ``(doc_id, term -> weight)`` bags.
 
-    Zero weights are dropped; negative or non-finite weights and duplicate
-    doc ids are rejected.
+    Zero weights are dropped; negative weights, weights that are not finite
+    as float32 (the precision ``save_index`` stores), and duplicate doc ids
+    are rejected.
     """
     doc_ids: list[str] = []
     vocabulary: dict[str, int] = {}
@@ -180,8 +184,10 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
         doc_ids.append(doc_id)
         for term, w in bag.items():
             w = float(w)
-            if not 0.0 <= w < math.inf:
-                raise ValidationError(f"document {doc_id!r}: weight {w!r} for term {term!r} is negative or not finite")
+            if not 0.0 <= w < _FLOAT32_OVERFLOW:
+                raise ValidationError(
+                    f"document {doc_id!r}: weight {w!r} for term {term!r} is negative or not finite as a float32"
+                )
             if w > 0.0:
                 postings.append((vocabulary.setdefault(term, len(vocabulary)), ordinal, w))
     return _from_postings(doc_ids, list(vocabulary), postings)
@@ -434,13 +440,14 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
                 for doc_id, w in record["postings"]:
                     if doc_id not in ordinal_of:
                         raise FormatError(f"{postings_path}:{lineno}: unknown document {doc_id!r}")
-                    # NaN, infinities and negative weights fail the chained comparison, and a
-                    # weight that is not a number raises TypeError; JSON true and false are
-                    # Python bools, which compare as 1 and 0, so they are refused by type.
-                    if isinstance(w, bool) or not 0.0 <= w < math.inf:
+                    # NaN, negative weights and weights too large for float32 fail the chained
+                    # comparison, and a weight that is not a number raises TypeError; JSON true
+                    # and false are Python bools, which compare as 1 and 0, so they are refused
+                    # by type.
+                    if isinstance(w, bool) or not 0.0 <= w < _FLOAT32_OVERFLOW:
                         raise FormatError(
-                            f"{postings_path}:{lineno}: weight {w!r} of document {doc_id!r} is not a finite, "
-                            "non-negative number"
+                            f"{postings_path}:{lineno}: weight {w!r} of document {doc_id!r} is not a "
+                            "non-negative number finite as a float32"
                         )
                     if w > 0.0:
                         postings.append((vocabulary.setdefault(record["term"], len(vocabulary)), ordinal_of[doc_id], w))

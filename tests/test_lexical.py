@@ -56,10 +56,18 @@ class TestBuildIndex:
         with pytest.raises(ValidationError):
             build_index([("d1", {"a": -1.0})])
 
-    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
-    def test_non_finite_weight_rejected(self, weight):
+    # 1e39 is finite as a float64 but save_index's float32 cast would write it as Infinity.
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 1e39, 2.0**128 - 2.0**103])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
         with pytest.raises(ValidationError, match="not finite"):
-            build_index([("d1", {"a": 1.0}), ("d2", {"a": weight})])
+            index = build_index([("d1", {"a": weight}), ("d2", {"a": 1.0})])
+            save_index(index, tmp_path / "idx")
+        assert not (tmp_path / "idx").exists()
+
+    def test_largest_float32_weight_round_trips(self, tmp_path):
+        largest = float(np.finfo(np.float32).max)
+        save_index(build_index([("d1", {"a": largest}), ("d2", {"a": 1.0})]), tmp_path / "idx")
+        assert load_index(tmp_path / "idx").weight("a", "d1") == largest
 
 
 class TestBM25:
@@ -269,7 +277,7 @@ class TestPersistence:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     @pytest.mark.parametrize(
-        "weight", ["NaN", "Infinity", "-Infinity", "1e999", "-1.0", '"x"', '"0.5"', "null", "true", "false"]
+        "weight", ["NaN", "Infinity", "-Infinity", "1e999", "-1.0", '"x"', '"0.5"', "null", "true", "false", "1e39"]
     )
     def test_load_rejects_weight_that_is_not_a_finite_non_negative_number(self, tmp_path, weight):
         from xlir.errors import FormatError
