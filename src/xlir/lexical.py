@@ -14,6 +14,18 @@ Scoring formulas:
   document language model and ``P(t|C)`` the collection model. Computed in
   log space; a zero-probability term yields ``-inf`` and the document is
   dropped from search results.
+
+Layout: an index keeps each posting once, in compressed sparse rows (see
+``InvertedIndex``); search, RM3 and ``save_index`` all read the same arrays.
+
+Summation order: search scores term at a time, adding each query term's
+contributions to one float64 accumulator per document. Every document
+therefore adds the same terms in the same order (query order) as
+``bm25_score``/``hmm_score`` add them for that document alone, and logs are
+taken with ``math.log`` in both (``np.log`` can differ in the last bit), so a
+searched score equals the per-document score exactly. Document lengths,
+collection frequencies and the total weight are likewise summed one element
+after another, never pairwise.
 """
 
 from __future__ import annotations
@@ -104,7 +116,23 @@ class CollectionStats:
 
 @dataclass(eq=False)
 class InvertedIndex:
-    """Immutable index holding each posting once, in compressed sparse rows."""
+    """Immutable index holding each posting once, in compressed sparse rows.
+
+    Invariants:
+
+    * ``doc_ids`` and ``terms`` are sorted and unique; a document's ordinal
+      is its position in ``doc_ids``.
+    * ``offsets`` has ``len(terms) + 1`` entries, starts at 0, ends at
+      ``len(docs)`` and strictly increases: every term has a posting.
+    * The postings of ``terms[t]`` are ``docs[offsets[t]:offsets[t + 1]]``
+      (int32 ordinals, strictly increasing) with the matching ``weights``
+      (float64, positive and finite as float32).
+    * ``doc_lengths[i]`` is the sum of document ``i``'s weights; ``stats``
+      holds this index's own collection statistics.
+
+    There is no per-document copy of the postings: ``doc_bag`` reads a
+    document's terms back from the arrays.
+    """
 
     doc_ids: list[str]
     terms: list[str]
@@ -128,7 +156,7 @@ class InvertedIndex:
         return bisect_left(self.doc_ids, doc_id)
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """Document ordinals and weights of one term; empty for an unknown term."""
+        """Document ordinals and weights of one term (views of the CSR arrays); empty for an unknown term."""
         t = bisect_left(self.terms, term)
         start, end = self.offsets[t : t + 2] if t < len(self.terms) and self.terms[t] == term else (0, 0)
         return self.docs[start:end], self.weights[start:end]
@@ -144,9 +172,13 @@ class InvertedIndex:
 
 
 def _from_postings(doc_ids: list[str], vocabulary: list[str], postings: list[tuple[int, int, float]]) -> InvertedIndex:
-    """The index of positive ``(term id, ordinal, weight)`` postings into ``vocabulary`` and ``doc_ids``.
+    """The one constructor of an index, from positive ``(term id, ordinal, weight)`` postings.
 
-    Every sum is sequential: document lengths in posting order, the total in ``doc_ids`` order.
+    Term ids index ``vocabulary`` and ordinals index ``doc_ids``, both in any
+    order. Every sum is taken one element after another: a document's length
+    in the order its postings are given, the total weight in ``doc_ids``
+    order, and a term's collection frequency in doc-id order. ``build_index``
+    gives postings in bag order and ``load_index`` in file order.
     """
     fields = [("term", np.int64), ("doc", np.int64), ("weight", np.float64)]
     columns = np.fromiter(postings, dtype=fields, count=len(postings))
@@ -324,11 +356,14 @@ def search_weighted(
     params: LexicalParams | None = None,
     stats: CollectionStats | None = None,
 ) -> list[tuple[str, float]]:
-    """Rank documents matching at least one weighted query term.
+    """Rank documents matching at least one positively weighted query term.
 
-    Candidates are drawn from the postings of the query terms, scored fully,
-    and returned in descending score order (ties broken by ascending doc id).
-    Documents scoring ``-inf`` are dropped.
+    Scores term at a time: each query term with a positive weight, in query
+    order, adds its contribution to every document's float64 accumulator
+    (for HMM, documents without the term add the collection-model log), so
+    each score equals the doc-at-a-time sum of ``bm25_score``/``hmm_score``.
+    Only documents in a query term's postings are returned, in descending
+    score order (ties broken by ascending doc id); ``-inf`` scores are dropped.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
