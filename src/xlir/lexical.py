@@ -114,7 +114,7 @@ class CollectionStats:
         return cls(num_docs=num_docs, total_weight=total_weight, doc_freq=doc_freq, coll_freq=coll_freq)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class InvertedIndex:
     """Immutable index holding each posting once, in compressed sparse rows.
 
