@@ -62,7 +62,7 @@ class TestBuildIndex:
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 1e39, 2.0**128 - 2.0**103])
     def test_non_finite_weight_rejected(self, tmp_path, weight):
         with pytest.raises(ValidationError, match="not finite"):
-            index = build_index([("d1", {"a": weight}), ("d2", {"a": 1.0})])
+            index = build_index([("d1", {"a": 1.0}), ("d2", {"a": weight})])
             save_index(index, tmp_path / "idx")
         assert not (tmp_path / "idx").exists()
 
