@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, malformed
+from .errors import FormatError, ValidationError, load_array, malformed
 
 logger = logging.getLogger(__name__)
 
@@ -603,17 +603,6 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
     np.save(dirpath / "packed_codes.npy", index.packed_codes)
 
 
-def _load_array(path: Path, ndim: int, dtype: type[np.generic]) -> np.ndarray:
-    """One index array; a ``FormatError`` naming ``path`` if it is unreadable or not ``ndim``-D ``dtype``."""
-    try:
-        array = np.load(path)
-    except (ValueError, EOFError) as exc:
-        raise FormatError(f"{path}: unreadable array ({exc})") from None
-    if array.ndim != ndim or not np.issubdtype(array.dtype, dtype):
-        raise FormatError(f"{path}: expected a {ndim}-D {dtype.__name__} array, got {array.ndim}-D {array.dtype}")
-    return array
-
-
 def load_dense_index(dirpath: str | Path) -> DenseIndex:
     dirpath = Path(dirpath)
     meta_path = dirpath / "meta.json"
@@ -636,26 +625,26 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
             seed=int(meta["seed"]),
         )
     codebook = ResidualCodebook(
-        centroids=_load_array(dirpath / "centroids.npy", 2, np.floating),
-        boundaries=_load_array(dirpath / "bucket_boundaries.npy", 2, np.floating),
-        values=_load_array(dirpath / "bucket_values.npy", 2, np.floating),
+        centroids=load_array(dirpath / "centroids.npy", 2, np.floating),
+        boundaries=load_array(dirpath / "bucket_boundaries.npy", 2, np.floating),
+        values=load_array(dirpath / "bucket_values.npy", 2, np.floating),
         bits=params.bits,
     )
     codebook.validate()
     # Split on line feeds only: a key may contain any other line break.
     with open(dirpath / "keys.txt", encoding="utf-8", newline="") as fh:
         keys = fh.read().split("\n")[:-1]
-    token_counts = _load_array(dirpath / "token_counts.npy", 1, np.integer)
+    token_counts = load_array(dirpath / "token_counts.npy", 1, np.integer)
     if (token_counts < 0).any():
         raise FormatError(f"{dirpath}/token_counts.npy: negative token count")
     if len(keys) != len(token_counts) or len(keys) != num_passages:
         raise FormatError(f"{dirpath}: passage table sizes disagree with meta.json")
-    centroid_ids = _load_array(dirpath / "centroid_ids.npy", 1, np.integer)
+    centroid_ids = load_array(dirpath / "centroid_ids.npy", 1, np.integer)
     if centroid_ids.size and (centroid_ids.min() < 0 or centroid_ids.max() >= codebook.num_centroids):
         raise FormatError(
             f"{dirpath}/centroid_ids.npy: centroid ids must be integers in [0, {codebook.num_centroids})"
         )
-    packed = _load_array(dirpath / "packed_codes.npy", 1, np.uint8)
+    packed = load_array(dirpath / "packed_codes.npy", 1, np.uint8)
     try:
         return DenseIndex(codebook, keys, token_counts, centroid_ids, packed, params)
     except FormatError as exc:

@@ -4,6 +4,8 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 
 class XlirError(Exception):
     """Base class for all engine errors."""
@@ -34,3 +36,14 @@ def malformed(path: str | Path, what: str) -> Iterator[None]:
         yield
     except RECORD_ERRORS as exc:
         raise FormatError(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from None
+
+
+def load_array(path: Path, ndim: int, dtype: type[np.generic]) -> np.ndarray:
+    """A ``.npy`` array; a ``FormatError`` naming ``path`` if it is unreadable, pickled or not ``ndim``-D ``dtype``."""
+    try:
+        array = np.load(path)
+    except (ValueError, EOFError) as exc:
+        raise FormatError(f"{path}: unreadable array ({exc})") from None
+    if array.ndim != ndim or not np.issubdtype(array.dtype, dtype):
+        raise FormatError(f"{path}: expected a {ndim}-D {dtype.__name__} array, got {array.ndim}-D {array.dtype}")
+    return array

@@ -40,10 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RECORD_ERRORS, FormatError, ValidationError, malformed
+from .errors import FormatError, ValidationError, load_array, malformed
 
 INDEX_FORMAT = "xlir-lexical-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 SCORERS = ("bm25", "hmm")
 
@@ -171,28 +171,32 @@ class InvertedIndex:
         return dict(zip([self.terms[t] for t in rows.tolist()], self.weights[positions].tolist()))
 
 
-def _from_postings(doc_ids: list[str], vocabulary: list[str], postings: list[tuple[int, int, float]]) -> InvertedIndex:
-    """The one constructor of an index, from positive ``(term id, ordinal, weight)`` postings.
+def _from_postings(
+    doc_ids: list[str], vocabulary: list[str], term_ids: np.ndarray, ordinals: np.ndarray, weights: np.ndarray
+) -> InvertedIndex:
+    """The one constructor of an index, from the columns of its positive postings.
 
-    Term ids index ``vocabulary`` and ordinals index ``doc_ids``, both in any
-    order. Every sum is taken one element after another: a document's length
-    in the order its postings are given, the total weight in ``doc_ids``
-    order, and a term's collection frequency in doc-id order. ``build_index``
-    gives postings in bag order and ``load_index`` in file order.
+    Posting ``j`` gives ``weights[j]`` to term ``vocabulary[term_ids[j]]`` in
+    document ``doc_ids[ordinals[j]]``; ids, terms and postings may come in
+    any order. Every sum is taken one element after another: a document's
+    length in the order its postings are given, the total weight in
+    ``doc_ids`` order, and a term's collection frequency in doc-id order.
+    ``build_index`` gives postings in bag order and ``load_index`` in file
+    (term-major) order.
     """
-    fields = [("term", np.int64), ("doc", np.int64), ("weight", np.float64)]
-    columns = np.fromiter(postings, dtype=fields, count=len(postings))
-    lengths = np.bincount(columns["doc"], weights=columns["weight"], minlength=len(doc_ids))
+    ordinals, weights = np.asarray(ordinals, dtype=np.int64), np.asarray(weights, dtype=np.float64)
+    lengths = np.bincount(ordinals, weights=weights, minlength=len(doc_ids))
     total_weight = float(np.cumsum(lengths)[-1]) if len(doc_ids) else 0.0
     doc_order = np.argsort(np.array(doc_ids, dtype=object), kind="stable")
     term_order = np.argsort(np.array(vocabulary, dtype=object), kind="stable")
     doc_ids, terms = [doc_ids[i] for i in doc_order], [vocabulary[t] for t in term_order]
-    for a, b in zip(doc_ids, doc_ids[1:]):
-        if a == b:
-            raise ValidationError(f"duplicate document id {a!r}")
-    rows, docs = np.argsort(term_order)[columns["term"]], np.argsort(doc_order)[columns["doc"]]
+    for what, names in (("document id", doc_ids), ("term", terms)):
+        for a, b in zip(names, names[1:]):
+            if a == b:
+                raise ValidationError(f"duplicate {what} {a!r}")
+    rows, docs = np.argsort(term_order)[term_ids], np.argsort(doc_order)[ordinals]
     order = np.lexsort((docs, rows))
-    rows, docs, weights = rows[order], docs[order].astype(np.int32), columns["weight"][order]
+    rows, docs, weights = rows[order], docs[order].astype(np.int32), weights[order]
     if ((rows[1:] == rows[:-1]) & (docs[1:] == docs[:-1])).any():
         raise ValidationError("a term has two postings for one document")
     offsets = np.searchsorted(rows, np.arange(len(terms) + 1))
@@ -222,7 +226,8 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
                 )
             if w > 0.0:
                 postings.append((vocabulary.setdefault(term, len(vocabulary)), ordinal, w))
-    return _from_postings(doc_ids, list(vocabulary), postings)
+    columns = np.fromiter(postings, dtype=[("term", np.int64), ("doc", np.int64), ("weight", np.float64)])
+    return _from_postings(doc_ids, list(vocabulary), columns["term"], columns["doc"], columns["weight"])
 
 
 def _resolve(params: LexicalParams | None, stats: CollectionStats | None, index: InvertedIndex):
@@ -420,11 +425,14 @@ def search_lexical(
 
 
 def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
-    """Persist postings and collection statistics to a directory.
+    """Persist the index as its CSR arrays.
 
-    Postings weights are quantized to 32-bit floats; document lengths and
-    collection statistics are recomputed from the quantized weights on load
-    so that index invariants hold exactly.
+    The directory holds ``stats.json`` (format, version and counts),
+    ``docs.json`` and ``terms.json`` (the sorted doc ids and terms),
+    ``offsets.npy`` (int64, one per term plus one), ``postings.npy`` (int32
+    document ordinals) and ``weights.npy`` (float32). Weights are quantized
+    to float32; ``load_index`` recomputes document lengths and collection
+    statistics from the quantized weights, so index invariants hold exactly.
     """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
@@ -438,17 +446,23 @@ def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
     (dirpath / "stats.json").write_text(
         json.dumps(stats, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    docs, weights, offsets = index.docs.tolist(), index.weights.astype(np.float32).tolist(), index.offsets.tolist()
-    with open(dirpath / "postings.jsonl", "w", encoding="utf-8") as fh:
-        for term, start, end in zip(index.terms, offsets, offsets[1:]):
-            entries = [[index.doc_ids[d], w] for d, w in zip(docs[start:end], weights[start:end])]
-            fh.write(json.dumps({"term": term, "postings": entries}, ensure_ascii=False) + "\n")
-    (dirpath / "docs.json").write_text(
-        json.dumps(index.doc_ids, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    for name, names in (("docs.json", index.doc_ids), ("terms.json", index.terms)):
+        (dirpath / name).write_text(json.dumps(names, ensure_ascii=False) + "\n", encoding="utf-8")
+    np.save(dirpath / "offsets.npy", index.offsets.astype(np.int64))
+    np.save(dirpath / "postings.npy", index.docs)
+    np.save(dirpath / "weights.npy", index.weights.astype(np.float32))
+
+
+def _load_strings(path: Path, what: str) -> list[str]:
+    with malformed(path, what):
+        names = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise FormatError(f"{path}: {what} must be a JSON list of strings")
+    return names
 
 
 def load_index(dirpath: str | Path) -> InvertedIndex:
+    """Load a directory written by ``save_index``, checking every array before use."""
     dirpath = Path(dirpath)
     stats_path = dirpath / "stats.json"
     if not stats_path.exists():
@@ -456,46 +470,27 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
     with malformed(stats_path, "index statistics"):
         meta = json.loads(stats_path.read_text(encoding="utf-8"))
         fmt, version = meta.get("format"), meta.get("version")
-        num_docs = int(meta["num_docs"])
+        num_docs, num_terms = int(meta["num_docs"]), int(meta["num_terms"])
     if fmt != INDEX_FORMAT or version != INDEX_VERSION:
-        raise FormatError(f"{dirpath}: unsupported index format {fmt!r} v{version!r}")
-    docs_path = dirpath / "docs.json"
-    with malformed(docs_path, "document list"):
-        doc_ids = list(json.loads(docs_path.read_text(encoding="utf-8")))
-        ordinal_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    vocabulary: dict[str, int] = {}
-    postings: list[tuple[int, int, float]] = []
-    postings_path = dirpath / "postings.jsonl"
-    with open(postings_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                for doc_id, w in record["postings"]:
-                    if doc_id not in ordinal_of:
-                        raise FormatError(f"{postings_path}:{lineno}: unknown document {doc_id!r}")
-                    # NaN, negative weights and weights too large for float32 fail the chained
-                    # comparison, and a weight that is not a number raises TypeError; JSON true
-                    # and false are Python bools, which compare as 1 and 0, so they are refused
-                    # by type.
-                    if isinstance(w, bool) or not 0.0 <= w < _FLOAT32_OVERFLOW:
-                        raise FormatError(
-                            f"{postings_path}:{lineno}: weight {w!r} of document {doc_id!r} is not a "
-                            "non-negative number finite as a float32"
-                        )
-                    if w > 0.0:
-                        postings.append((vocabulary.setdefault(record["term"], len(vocabulary)), ordinal_of[doc_id], w))
-            except RECORD_ERRORS as exc:
-                raise FormatError(
-                    f"{postings_path}:{lineno}: malformed postings record ({type(exc).__name__}: {exc})"
-                ) from None
-    try:
-        index = _from_postings(doc_ids, list(vocabulary), postings)
-    except (ValidationError, TypeError) as exc:  # duplicates, or ids and terms that are not all strings
-        raise FormatError(f"{dirpath}: {exc}") from None
-    if index.num_docs != num_docs:
+        raise FormatError(f"{dirpath}: unsupported index format {fmt!r} v{version!r}, expected v{INDEX_VERSION}")
+    doc_ids = _load_strings(dirpath / "docs.json", "document list")
+    terms = _load_strings(dirpath / "terms.json", "term list")
+    if (len(doc_ids), len(terms)) != (num_docs, num_terms):
+        raise FormatError(f"{dirpath}: docs.json or terms.json disagrees with the counts in stats.json")
+    offsets = load_array(dirpath / "offsets.npy", 1, np.integer)
+    postings = load_array(dirpath / "postings.npy", 1, np.integer)
+    weights = load_array(dirpath / "weights.npy", 1, np.float32)
+    ends = len(offsets) == len(terms) + 1 and offsets[0] == 0 and offsets[-1] == len(postings) == len(weights)
+    if not ends or not (offsets[1:] > offsets[:-1]).all():
         raise FormatError(
-            f"{dirpath}: stats.json declares {num_docs} docs, docs.json lists {index.num_docs}"
+            f"{dirpath}/offsets.npy: expected {len(terms) + 1} offsets rising strictly from 0 to the number of "
+            f"postings and weights ({len(postings)}, {len(weights)})"
         )
-    return index
+    if ((postings < 0) | (postings >= len(doc_ids))).any():
+        raise FormatError(f"{dirpath}/postings.npy: document ordinals must be in [0, {len(doc_ids)})")
+    if not ((weights > 0) & (weights < np.inf)).all():  # NaN fails both comparisons
+        raise FormatError(f"{dirpath}/weights.npy: weights must be positive and finite")
+    try:
+        return _from_postings(doc_ids, terms, np.repeat(np.arange(len(terms)), np.diff(offsets)), postings, weights)
+    except ValidationError as exc:  # duplicate ids, terms or postings
+        raise FormatError(f"{dirpath}: {exc}") from None

@@ -383,20 +383,18 @@ def _edit_json(change):
     return corrupt
 
 
-def _rename_in_first_line(old, new):
+def _edit_array(change):
     def corrupt(path):
-        first, rest = path.read_text().split("\n", 1)
-        path.write_text(first.replace(old, new, 1) + "\n" + rest)
+        np.save(path, change(np.load(path)))
 
     return corrupt
 
 
 def _set_first_weight(value):
     def corrupt(path):
-        first, rest = path.read_text().split("\n", 1)
-        record = json.loads(first)
-        record["postings"][0][1] = value
-        path.write_text(json.dumps(record) + "\n" + rest)
+        weights = np.load(path)
+        weights[0] = value
+        np.save(path, weights)
 
     return corrupt
 
@@ -447,14 +445,20 @@ CORRUPTIONS = {
     "packed-codes-int16": ("dense", "packed_codes.npy", _retype(np.int16)),
     "stats-truncated": ("lexical", "stats.json", _truncate),
     "stats-no-num-docs": ("lexical", "stats.json", _edit_json(lambda stats: stats.pop("num_docs"))),
-    "postings-truncated": ("lexical", "postings.jsonl", _truncate),
-    "postings-no-term": ("lexical", "postings.jsonl", _rename_in_first_line('"term"', '"trm"')),
-    "postings-weight-nan": ("lexical", "postings.jsonl", _set_first_weight(float("nan"))),
-    "postings-weight-infinite": ("lexical", "postings.jsonl", _set_first_weight(float("inf"))),
-    "postings-weight-negative": ("lexical", "postings.jsonl", _set_first_weight(-1.0)),
-    "postings-weight-text": ("lexical", "postings.jsonl", _set_first_weight("x")),
-    "postings-weight-numeric-text": ("lexical", "postings.jsonl", _set_first_weight("0.5")),
-    "postings-weight-boolean": ("lexical", "postings.jsonl", _set_first_weight(True)),
+    "offsets-truncated": ("lexical", "offsets.npy", _truncate),
+    "postings-truncated": ("lexical", "postings.npy", _truncate),
+    "weights-truncated": ("lexical", "weights.npy", _truncate),
+    "offsets-missing-term": ("lexical", "offsets.npy", _edit_array(lambda offsets: offsets[:-1])),
+    "postings-ordinal-too-large": ("lexical", "postings.npy", _edit_array(lambda ordinals: ordinals + 1000)),
+    "terms-number": ("lexical", "terms.json", _edit_json(lambda terms: terms.__setitem__(0, 7))),
+    "weights-nan": ("lexical", "weights.npy", _set_first_weight(np.nan)),
+    "weights-infinite": ("lexical", "weights.npy", _set_first_weight(np.inf)),
+    "weights-negative": ("lexical", "weights.npy", _set_first_weight(-1.0)),
+    "weights-zero": ("lexical", "weights.npy", _set_first_weight(0.0)),
+    "weights-float64": ("lexical", "weights.npy", _retype(np.float64)),
+    "weights-text": ("lexical", "weights.npy", _edit_array(lambda weights: np.full(weights.shape, "x"))),
+    "weights-numeric-text": ("lexical", "weights.npy", _retype(str)),
+    "weights-boolean": ("lexical", "weights.npy", _retype(bool)),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xlir.errors import ValidationError
+from xlir.errors import FormatError, ValidationError
 from xlir.lexical import (
     CollectionStats,
     LexicalParams,
@@ -397,30 +398,94 @@ class TestPersistence:
         query = ["t1", "t2", "t3"]
         assert search_lexical(loaded, query, k=10) == search_lexical(reloaded, query, k=10)
 
+    def test_round_trip_keeps_the_arrays(self, tmp_path):
+        index = build_index(random_weighted_bags(np.random.default_rng(33), num_docs=120))
+        save_index(index, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx")
+        assert loaded.doc_ids == index.doc_ids and loaded.terms == index.terms
+        assert np.array_equal(loaded.offsets, index.offsets) and np.array_equal(loaded.docs, index.docs)
+        assert loaded.weights.dtype == np.float64
+        assert np.array_equal(loaded.weights, index.weights.astype(np.float32).astype(np.float64))
+
     def test_save_is_deterministic(self, tmp_path):
         index = build_index([("d1", {"a": 1.5}), ("d2", {"b": 2.5, "a": 0.25})])
         save_index(index, tmp_path / "one")
         save_index(index, tmp_path / "two")
-        for name in ("stats.json", "postings.jsonl", "docs.json"):
+        names = sorted(path.name for path in (tmp_path / "one").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "two").iterdir())
+        assert names == ["docs.json", "offsets.npy", "postings.npy", "stats.json", "terms.json", "weights.npy"]
+        for name in names:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    # Array forms of the JSON weights this test used to write: NaN, Infinity, -Infinity (and 1e999),
+    # -1.0, false (now zero, which is no posting), 1e39 (no float32 holds it), true, "x" and
+    # "0.5" (text), and null (an object array, which np.load refuses to unpickle).
     @pytest.mark.parametrize(
-        "weight", ["NaN", "Infinity", "-Infinity", "1e999", "-1.0", '"x"', '"0.5"', "null", "true", "false", "1e39"]
+        "weights",
+        [
+            np.array([1.5, np.nan], dtype=np.float32),
+            np.array([1.5, np.inf], dtype=np.float32),
+            np.array([1.5, -np.inf], dtype=np.float32),
+            np.array([1.5, -1.0], dtype=np.float32),
+            np.array([1.5, 0.0], dtype=np.float32),
+            np.array([1.5, 1e39]),
+            np.array([1.5, 2.5]),
+            np.array([True, True]),
+            np.array(["1.5", "x"]),
+            np.array(["1.5", "0.5"]),
+            np.array([1.5, None], dtype=object),
+        ],
+        ids=["NaN", "Infinity", "-Infinity", "-1.0", "zero", "float64-1e39", "float64", "bool", "text",
+             "numeric-text", "object"],
     )
-    def test_load_rejects_weight_that_is_not_a_finite_non_negative_number(self, tmp_path, weight):
-        from xlir.errors import FormatError
-
+    def test_load_rejects_weight_that_is_not_a_finite_non_negative_number(self, tmp_path, weights):
         save_index(build_index([("d1", {"a": 1.5}), ("d2", {"b": 2.5})]), tmp_path / "idx")
-        postings = tmp_path / "idx" / "postings.jsonl"
-        lines = postings.read_text().splitlines()
-        assert lines[1] == '{"term": "b", "postings": [["d2", 2.5]]}'
-        lines[1] = lines[1].replace("2.5", weight)
-        postings.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="postings.jsonl:2"):
+        path = tmp_path / "idx" / "weights.npy"
+        assert np.load(path).tolist() == [1.5, 2.5]
+        np.save(path, weights)
+        with pytest.raises(FormatError, match="weights.npy"):
             load_index(tmp_path / "idx")
 
-    def test_load_rejects_alien_directory(self, tmp_path):
-        from xlir.errors import FormatError
+    @pytest.mark.parametrize(
+        "name, content, match",
+        [
+            ("postings.npy", np.array([0, 1, 2], dtype=np.int32), "postings.npy: document ordinals"),
+            ("postings.npy", np.array([0, -1, 1], dtype=np.int32), "postings.npy: document ordinals"),
+            ("postings.npy", np.array([0, 0, 0], dtype=np.int32), "two postings for one document"),
+            ("offsets.npy", np.array([0, 4, 3]), "offsets.npy"),
+            ("offsets.npy", np.array([0, 3, 3]), "offsets.npy"),
+            ("offsets.npy", np.array([1, 2, 3]), "offsets.npy"),
+            ("offsets.npy", np.array([0, 1, 2]), "offsets.npy"),
+            ("offsets.npy", np.array([0, 1, 2, 3]), "offsets.npy"),
+            ("offsets.npy", np.array([0, 4, 3], dtype=np.uint64), "offsets.npy"),
+            ("terms.json", '["a", 7]', "terms.json"),
+            ("terms.json", '["a", "a"]', "duplicate term 'a'"),
+            ("terms.json", '{"terms": ["a", "b"]}', "terms.json"),
+            ("docs.json", '["d1", 5]', "docs.json"),
+            ("docs.json", '["d1"]', "counts in stats.json"),
+        ],
+    )
+    def test_load_rejects_corrupt_index(self, tmp_path, name, content, match):
+        save_index(build_index([("d1", {"a": 1.5, "b": 1.0}), ("d2", {"b": 2.5})]), tmp_path / "idx")
+        path = tmp_path / "idx" / name
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            np.save(path, content)
+        with pytest.raises(FormatError, match=match):
+            load_index(tmp_path / "idx")
 
+    def test_load_rejects_version_1_directory(self, tmp_path):
+        # The JSON-lines layout that version 1 wrote; it must be rebuilt from its bags.
+        (tmp_path / "stats.json").write_text(
+            json.dumps({"format": "xlir-lexical-index", "version": 1, "num_docs": 1, "num_terms": 1,
+                        "total_weight": 1.5})
+        )
+        (tmp_path / "docs.json").write_text('["d1"]\n')
+        (tmp_path / "postings.jsonl").write_text('{"term": "a", "postings": [["d1", 1.5]]}\n')
+        with pytest.raises(FormatError, match="v1, expected v2"):
+            load_index(tmp_path)
+
+    def test_load_rejects_alien_directory(self, tmp_path):
         with pytest.raises(FormatError):
             load_index(tmp_path)
