@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Compare two output trees of scripts/run_pipeline.py.
+
+    PYTHONPATH=src python scripts/compare_pipeline.py OLD NEW
+
+Prints the manifest entries added, removed and changed from OLD/manifest.json
+to NEW/manifest.json. Then, for each run file under runs/ in both trees, it
+prints how many topics changed their ranking (the ordered doc ids differ) and
+the largest absolute score difference of a document retrieved for the same
+topic in both runs. A change that moves golden bytes records this report.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+from xlir.evaluation import read_run
+
+
+def _by_topic(path: Path) -> dict[str, dict[str, float]]:
+    """Topic -> doc id -> score, the doc ids in rank order."""
+    topics: dict[str, dict[str, float]] = {}
+    for entry in sorted(read_run(path), key=lambda e: (e.topic_id, e.rank)):
+        topics.setdefault(entry.topic_id, {})[entry.doc_id] = entry.score
+    return topics
+
+
+def compare_runs(old: Path, new: Path) -> tuple[int, int, float]:
+    """(topics whose ranking changed, topics in either run, largest absolute score difference)."""
+    old_topics, new_topics = _by_topic(old), _by_topic(new)
+    topics = sorted(set(old_topics) | set(new_topics))
+    changed, largest = 0, 0.0
+    for topic in topics:
+        before, after = old_topics.get(topic, {}), new_topics.get(topic, {})
+        changed += list(before) != list(after)
+        for doc_id in before.keys() & after.keys():
+            largest = max(largest, abs(before[doc_id] - after[doc_id]))
+    return changed, len(topics), largest
+
+
+def report(old: Path, new: Path) -> list[str]:
+    before = json.loads((old / "manifest.json").read_text(encoding="utf-8"))
+    after = json.loads((new / "manifest.json").read_text(encoding="utf-8"))
+    lines = [f"manifest: {len(before)} entries in OLD, {len(after)} in NEW"]
+    for what, names in (
+        ("added", sorted(after.keys() - before.keys())),
+        ("removed", sorted(before.keys() - after.keys())),
+        ("changed", sorted(name for name in before.keys() & after.keys() if before[name] != after[name])),
+    ):
+        lines.append(f"{what}: {len(names)}")
+        lines.extend(f"  {name}" for name in names)
+    old_runs = {path.name for path in (old / "runs").glob("*.run")}
+    new_runs = {path.name for path in (new / "runs").glob("*.run")}
+    for name in sorted(old_runs | new_runs):
+        if name not in old_runs or name not in new_runs:
+            lines.append(f"run {name}: only in {'NEW' if name in new_runs else 'OLD'}")
+            continue
+        changed, topics, largest = compare_runs(old / "runs" / name, new / "runs" / name)
+        lines.append(f"run {name}: {changed} of {topics} topics changed ranking, largest score difference {largest!r}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("old", type=Path, help="output tree before the change")
+    parser.add_argument("new", type=Path, help="output tree after the change")
+    args = parser.parse_args()
+    print("\n".join(report(args.old, args.new)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,55 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_pipeline.py"
+
+
+def _tree(root, manifest, runs):
+    (root / "runs").mkdir(parents=True)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    for name, rows in runs.items():
+        lines = [f"{topic} Q0 {doc} {rank} {score} tag" for topic, doc, rank, score in rows]
+        (root / "runs" / name).write_text("\n".join(lines) + "\n")
+
+
+def test_reports_manifest_entries_and_run_differences(tmp_path):
+    same = [("1", "d1", 1, 2.0), ("1", "d2", 2, 1.0)]
+    _tree(
+        tmp_path / "old",
+        {"kept": "a", "edited": "b", "gone": "c"},
+        {
+            "a.run": [*same, ("2", "d3", 1, 3.0), ("2", "d4", 2, 1.0)],
+            "same.run": same,
+            "old-only.run": same,
+        },
+    )
+    _tree(
+        tmp_path / "new",
+        {"kept": "a", "edited": "B", "new-1": "d", "new-2": "e"},
+        {
+            # Topic 1 keeps its ranking with one score lowered by 0.25; topic 2 swaps its documents.
+            "a.run": [("1", "d1", 1, 2.0), ("1", "d2", 2, 0.75), ("2", "d4", 1, 3.0), ("2", "d3", 2, 2.5)],
+            "same.run": same,
+        },
+    )
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path / "old"), str(tmp_path / "new")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines() == [
+        "manifest: 3 entries in OLD, 4 in NEW",
+        "added: 2",
+        "  new-1",
+        "  new-2",
+        "removed: 1",
+        "  gone",
+        "changed: 1",
+        "  edited",
+        "run a.run: 1 of 2 topics changed ranking, largest score difference 2.0",
+        "run old-only.run: only in OLD",
+        "run same.run: 0 of 1 topics changed ranking, largest score difference 0.0",
+    ]
