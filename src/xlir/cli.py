@@ -159,9 +159,17 @@ def _read_bags(path: Path) -> list[tuple[str, dict[str, float]]]:
                 continue
             try:
                 record = json.loads(line)
-                bags.append((record["id"], {t: float(w) for t, w in record["weights"].items()}))
-            except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
-                raise FormatError(f"{path}:{lineno}: expected {{'id', 'weights'}} record") from None
+                doc_id, weights = record["id"], record["weights"]
+            except (json.JSONDecodeError, KeyError, TypeError):
+                doc_id = weights = None
+            # A weight must be a JSON number: float() would also take numeric text, and true is an int.
+            if not (
+                isinstance(doc_id, str)
+                and isinstance(weights, dict)
+                and all(type(w) in (int, float) for w in weights.values())
+            ):
+                raise FormatError(f"{path}:{lineno}: expected an {{'id': string, 'weights': {{term: number}}}} record")
+            bags.append((doc_id, {t: float(w) for t, w in weights.items()}))
     return bags
 
 

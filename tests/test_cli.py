@@ -489,3 +489,23 @@ def test_out_of_range_shard_plan_rejected_before_indexing(workspace, tmp_path, c
                  "--output", str(out)]) == 1
     assert "outside [0," in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"id": "d2", "weights": {"a": "abc"}}',
+        '{"id": "d2", "weights": {"a": true}}',
+        '{"id": 5, "weights": {"a": 1.0}}',
+    ],
+    ids=["text-weight", "boolean-weight", "numeric-id"],
+)
+def test_bad_bag_rejected_before_indexing(tmp_path, capsys, record):
+    bags = tmp_path / "bags.jsonl"
+    bags.write_text('{"id": "d1", "weights": {"a": 1.0}}\n' + record + "\n")
+    out = tmp_path / "idx"
+    assert main(["index-lexical", "--bags", str(bags), "--output", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert stderr.strip().splitlines()[-1].startswith(f"error: {bags}:2: ")
+    assert not out.exists()
