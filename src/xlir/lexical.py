@@ -16,7 +16,10 @@ Scoring formulas:
   dropped from search results.
 
 Layout: an index keeps each posting once, in compressed sparse rows (see
-``InvertedIndex``); search, RM3 and ``save_index`` all read the same arrays.
+``InvertedIndex``); search and RM3 read the same arrays. On disk an index
+directory holds these arrays as ``.npy`` files (offsets, document ordinals
+and float32 weights) beside JSON lists of doc ids and terms (see
+``save_index``), and ``load_index`` checks them with array operations.
 
 Summation order: search scores term at a time, adding each query term's
 contributions to one float64 accumulator per document. Every document
