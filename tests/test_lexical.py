@@ -463,6 +463,7 @@ class TestPersistence:
             ("terms.json", '{"terms": ["a", "b"]}', "terms.json"),
             ("docs.json", '["d1", 5]', "docs.json"),
             ("docs.json", '["d1"]', "counts in stats.json"),
+            ("terms.json", '["a"]', "counts in stats.json"),
         ],
     )
     def test_load_rejects_corrupt_index(self, tmp_path, name, content, match):
