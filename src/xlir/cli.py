@@ -160,14 +160,11 @@ def _read_bags(path: Path) -> list[tuple[str, dict[str, float]]]:
             try:
                 record = json.loads(line)
                 doc_id, weights = record["id"], record["weights"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                doc_id = weights = None
-            # A weight must be a JSON number: float() would also take numeric text, and true is an int.
-            if not (
-                isinstance(doc_id, str)
-                and isinstance(weights, dict)
-                and all(type(w) in (int, float) for w in weights.values())
-            ):
+                # A weight must be a JSON number: float() would also take numeric text, and true is an int.
+                valid = isinstance(doc_id, str) and all(type(w) in (int, float) for w in weights.values())
+            except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
+                valid = False
+            if not valid:
                 raise FormatError(f"{path}:{lineno}: expected an {{'id': string, 'weights': {{term: number}}}} record")
             bags.append((doc_id, {t: float(w) for t, w in weights.items()}))
     return bags

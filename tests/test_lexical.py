@@ -417,9 +417,9 @@ class TestPersistence:
         for name in names:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
-    # Array forms of the JSON weights this test used to write: NaN, Infinity, -Infinity (and 1e999),
-    # -1.0, false (now zero, which is no posting), 1e39 (no float32 holds it), true, "x" and
-    # "0.5" (text), and null (an object array, which np.load refuses to unpickle).
+    # Each way a stored weight can be wrong: not a number, infinite, negative, zero (a posting of
+    # nothing), float64 (1e39 needs it), boolean, text, or an object array, which np.load refuses
+    # to unpickle.
     @pytest.mark.parametrize(
         "weights",
         [
