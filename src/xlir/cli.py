@@ -4,10 +4,12 @@ Commands map one-to-one onto library operations: ``psq-translate``,
 ``index-lexical``, ``index-dense``, ``shard-plan``, ``search``, ``fuse``,
 ``mine-distill``, and ``evaluate``. Shared parameters can come from an INI
 config file (sections ``collection``, ``tokenizer``, ``psq``, ``lexical``,
-``dense``, ``shards``, ``search``, ``output``); explicit flags override
-config values, and unknown config keys are rejected. Every command validates
-its inputs before writing any output, exits 0 on success and nonzero with a
-diagnostic on failure.
+``dense``, ``shards``, ``search``, ``output``), and unknown config keys are
+rejected. A setting is taken from its flag, then from the config file, then
+from the built-in default: ``main`` makes the config values the command's
+parser defaults and parses again, so commands read every setting from
+``args``. Every command validates its inputs before writing any output, exits
+0 on success and nonzero with a diagnostic on failure.
 """
 
 from __future__ import annotations
@@ -113,40 +115,26 @@ def _require_path(path: str | Path, what: str) -> Path:
     return path
 
 
-def _resolve_path(
-    flag_value: str | None, config: dict, key: str, what: str
-) -> Path:
-    """Flag value, falling back to the [collection] config section."""
-    value = flag_value if flag_value is not None else config.get("collection", {}).get(key)
+def _resolve_path(value: str | None, key: str, what: str) -> Path:
+    """A path from a flag or the [collection] config section."""
     if value is None:
         raise ValidationError(f"no {what} given: pass a flag or set collection.{key} in the config")
     return _require_path(value, what)
 
 
-def _tokenizer(config: dict) -> corpus_mod.Tokenizer:
-    name = config.get("tokenizer", {}).get("stemmer", "identity")
+def _tokenizer(args: argparse.Namespace) -> corpus_mod.Tokenizer:
+    name = getattr(args, "stemmer", "identity")
     if name not in _STEMMERS:
         raise ValidationError(f"unknown stemmer {name!r}; known: {sorted(_STEMMERS)}")
     return corpus_mod.Tokenizer(stemmer=_STEMMERS[name])
 
 
-def _lexical_params(config: dict) -> lexical_mod.LexicalParams:
-    section = dict(config.get("lexical", {}))
-    if "lambda" in section:
-        section["lambda_"] = section.pop("lambda")
-    params = lexical_mod.LexicalParams(**section)
-    params.validate()
-    return params
-
-
-def _dense_params(config: dict, args: argparse.Namespace) -> dense_mod.DenseIndexParams:
-    section = dict(config.get("dense", {}))
-    allowed = {f.name for f in dataclass_fields(dense_mod.DenseIndexParams)}
-    params = dense_mod.DenseIndexParams(**{k: v for k, v in section.items() if k in allowed})
-    for name in ("bits", "num_centroids", "nprobe", "candidate_cap", "kmeans_iters", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(params, name, value)
+def _params(cls: type, args: argparse.Namespace):
+    """A ``cls`` dataclass from the values ``args`` holds for its fields (a config key
+    drops the field's trailing underscore: ``lambda`` sets ``lambda_``); the rest keep
+    their dataclass defaults."""
+    given = {f.name: getattr(args, f.name.rstrip("_"), None) for f in dataclass_fields(cls)}
+    params = cls(**{name: value for name, value in given.items() if value is not None})
     params.validate()
     return params
 
@@ -191,22 +179,15 @@ def _entries_for_topic(
 
 
 def cmd_psq_translate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    docs_path = _resolve_path(args.docs, config, "docs", "document file")
+    docs_path = _resolve_path(args.docs, "docs", "document file")
     table_path = _require_path(args.table, "translation table")
-    tokenizer = _tokenizer(config)
-    cum_mass = args.cum_mass if args.cum_mass is not None else config.get("psq", {}).get(
-        "cum_mass", psq_mod.DEFAULT_CUM_MASS
-    )
-    max_alts = args.max_alts if args.max_alts is not None else config.get("psq", {}).get(
-        "max_alts", psq_mod.DEFAULT_MAX_ALTS
-    )
+    tokenizer = _tokenizer(args)
     docs = corpus_mod.ingest_collection(docs_path)
     if args.lang is not None:
         docs = [doc for doc in docs if doc.lang == args.lang]
         if not docs:
             raise ValidationError(f"no documents with lang {args.lang!r} in {docs_path}")
-    table = psq_mod.prune_table(psq_mod.load_table(table_path), cum_mass=cum_mass, max_alts=max_alts)
+    table = psq_mod.prune_table(psq_mod.load_table(table_path), cum_mass=args.cum_mass, max_alts=args.max_alts)
     start = time.perf_counter()
     bags = []
     for doc in docs:
@@ -245,9 +226,8 @@ def cmd_index_lexical(args: argparse.Namespace) -> int:
 
 
 def cmd_index_dense(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    params = _dense_params(config, args)
-    emb_path = _resolve_path(args.embeddings, config, "embeddings", "embedding file")
+    params = _params(dense_mod.DenseIndexParams, args)
+    emb_path = _resolve_path(args.embeddings, "embeddings", "embedding file")
     embeddings = dense_mod.load_embeddings(emb_path)
     out_dir = Path(args.output)
     if args.shard_plan is None:
@@ -264,14 +244,8 @@ def cmd_index_dense(args: argparse.Namespace) -> int:
 
 
 def cmd_shard_plan(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    docs = corpus_mod.ingest_collection(_resolve_path(args.docs, config, "docs", "document file"))
-    window_months = (
-        args.window_months
-        if args.window_months is not None
-        else config.get("shards", {}).get("window_months", 3)
-    )
-    plan = shards_mod.plan_shards(docs, window_months=window_months)
+    docs = corpus_mod.ingest_collection(_resolve_path(args.docs, "docs", "document file"))
+    plan = shards_mod.plan_shards(docs, window_months=args.window_months)
     Path(args.output).parent.mkdir(parents=True, exist_ok=True)
     plan.save(args.output)
     logger.info("event=shard_plan docs=%d shards=%d", len(docs), plan.num_shards)
@@ -279,37 +253,21 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    search_cfg = config.get("search", {})
-    if args.variant is None:
-        args.variant = search_cfg.get("variant", "TD")
-    if args.scorer is None:
-        args.scorer = search_cfg.get("scorer", "bm25")
-    if not args.rm3:
-        args.rm3 = bool(search_cfg.get("rm3", False))
-    if args.k is None:
-        args.k = search_cfg.get("k", 1000)
-    run_tag = args.run_tag or config.get("output", {}).get("run_tag", "xlir")
-
     index_dir = _require_path(args.index, "index directory")
     start = time.perf_counter()
     searcher = search_mod.open_index(index_dir)
     lexical = searcher.engine == "lexical"
     topics: list[corpus_mod.Topic] = []
-    if lexical or args.topics is not None or "topics" in config.get("collection", {}):
-        topics = corpus_mod.ingest_topics(_resolve_path(args.topics, config, "topics", "topic file"))
+    if lexical or args.topics is not None:
+        topics = corpus_mod.ingest_topics(_resolve_path(args.topics, "topics", "topic file"))
     if lexical:
-        tokenizer = _tokenizer(config)
-        options = {"scorer": args.scorer, "rm3": args.rm3, "params": _lexical_params(config)}
+        tokenizer = _tokenizer(args)
+        options = {"scorer": args.scorer, "rm3": args.rm3, "params": _params(lexical_mod.LexicalParams, args)}
         queries = [(t.topic_id, tokenizer(corpus_mod.form_query(t, args.variant))) for t in topics]
     else:
-        # Flags, then [dense] config keys, override the values stored in the index.
-        section = config.get("dense", {})
-        options = {
-            name: getattr(args, name) if getattr(args, name) is not None else section.get(name)
-            for name in ("nprobe", "candidate_cap")
-        }
-        emb_path = _resolve_path(args.query_embeddings, config, "query_embeddings", "query embeddings")
+        # A given nprobe or candidate cap overrides the value stored in the index.
+        options = {"nprobe": args.nprobe, "candidate_cap": args.candidate_cap}
+        emb_path = _resolve_path(args.query_embeddings, "query_embeddings", "query embeddings")
         queries = list(dense_mod.load_embeddings(emb_path).items())
     filters = {t.topic_id: shards_mod.DateFilter(start=t.start_date, end=t.end_date) for t in topics}
 
@@ -317,7 +275,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         query_id, query = item
         date_filter = filters.get(query_id, shards_mod.DateFilter())
         ranked = searcher.search(query, date_filter, args.k, query_id=query_id, **options)
-        return _entries_for_topic(query_id, ranked, run_tag)
+        return _entries_for_topic(query_id, ranked, args.run_tag)
 
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
         entries = [entry for result in pool.map(run_query, queries) for entry in result]
@@ -337,13 +295,12 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_fuse(args: argparse.Namespace) -> int:
     run_paths = [_require_path(p, "run file") for p in args.runs]
     runs = [eval_mod.ranking_with_scores(path) for path in run_paths]
-    run_tag = args.run_tag or "fused"
     topic_ids = sorted({topic_id for run in runs for topic_id in run})
     entries: list[eval_mod.RunEntry] = []
     for topic_id in topic_ids:
         per_language = [run[topic_id] for run in runs if topic_id in run]
         fused = shards_mod.fuse_multilingual(per_language, k=args.k, normalize=args.normalize)
-        entries.extend(_entries_for_topic(topic_id, fused, run_tag))
+        entries.extend(_entries_for_topic(topic_id, fused, args.run_tag))
     Path(args.output).parent.mkdir(parents=True, exist_ok=True)
     eval_mod.write_run(args.output, entries)
     logger.info("event=fuse runs=%d topics=%d entries=%d", len(runs), len(topic_ids), len(entries))
@@ -378,9 +335,8 @@ def cmd_mine_distill(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
     run_path = _require_path(args.run, "run file")
-    qrels_path = _resolve_path(args.qrels, config, "qrels", "qrels file")
+    qrels_path = _resolve_path(args.qrels, "qrels", "qrels file")
     report = eval_mod.evaluate(run_path, qrels_path, ndcg_k=args.ndcg_k, recall_k=args.recall_k)
     for topic_id in sorted(report.per_topic):
         metrics = report.per_topic[topic_id]
@@ -398,7 +354,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, dict] | None = None) -> argparse.ArgumentParser:
+    """The ``xlir`` parser; the values of ``config`` (from ``load_config``) replace the
+    built-in defaults of every command, and an explicit flag still wins over them."""
     parser = argparse.ArgumentParser(prog="xlir", description=__doc__)
     parser.add_argument("--verbose", action="store_true", help="debug-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -408,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True, help="TSV translation table source<TAB>target<TAB>prob")
     p.add_argument("--output", required=True, help="output JSONL bag file")
     p.add_argument("--lang", help="only translate documents with this language code")
-    p.add_argument("--cum-mass", type=float, default=None, help="pruning cumulative mass")
-    p.add_argument("--max-alts", type=int, default=None, help="pruning max translations per source")
+    p.add_argument("--cum-mass", type=float, default=psq_mod.DEFAULT_CUM_MASS, help="pruning cumulative mass")
+    p.add_argument("--max-alts", type=int, default=psq_mod.DEFAULT_MAX_ALTS, help="pruning max translations per source")
     p.add_argument("--config")
     p.set_defaults(func=cmd_psq_translate)
 
@@ -434,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shard-plan", help="plan date-window shards for a collection")
     p.add_argument("--docs", help="document JSONL (or collection.docs in the config)")
-    p.add_argument("--window-months", type=int, default=None)
+    p.add_argument("--window-months", type=int, default=3)
     p.add_argument("--output", required=True)
     p.add_argument("--config")
     p.set_defaults(func=cmd_shard_plan)
@@ -443,12 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--output", required=True, help="TREC run file")
     p.add_argument("--topics")
-    p.add_argument("--variant", choices=corpus_mod.QUERY_VARIANTS, default=None)
-    p.add_argument("--scorer", choices=lexical_mod.SCORERS, default=None)
+    p.add_argument("--variant", choices=corpus_mod.QUERY_VARIANTS, default="TD")
+    p.add_argument("--scorer", choices=lexical_mod.SCORERS, default="bm25")
     p.add_argument("--rm3", action="store_true")
     p.add_argument("--query-embeddings")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--run-tag")
+    p.add_argument("--k", type=int, default=1000)
+    p.add_argument("--run-tag", default="xlir")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--nprobe", type=int, default=None)
     p.add_argument("--candidate-cap", type=int, default=None)
@@ -460,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--normalize", action="store_true", help="per-run min-max before merging")
-    p.add_argument("--run-tag")
+    p.add_argument("--run-tag", default="fused")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("mine-distill", help="mine hard passages for distillation training data")
@@ -479,6 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.set_defaults(func=cmd_evaluate)
 
+    values = {key: value for section in (config or {}).values() for key, value in section.items()}
+    for p in sub.choices.values():
+        p.set_defaults(**values)
     return parser
 
 
@@ -490,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
+        config = load_config(getattr(args, "config", None))
+        if config:
+            args = build_parser(config).parse_args(argv)
         return args.func(args)
     except (XlirError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ import math
 import struct
 import time
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import pairwise
 from pathlib import Path
 
@@ -577,17 +577,13 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     meta = {
+        **asdict(index.params),
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "dim": index.codebook.dim,
         "bits": index.codebook.bits,
         "num_centroids": index.codebook.num_centroids,
         "num_passages": len(index),
-        "nprobe": index.params.nprobe,
-        "candidate_cap": index.params.candidate_cap,
-        "kmeans_iters": index.params.kmeans_iters,
-        "sample_per_centroid": index.params.sample_per_centroid,
-        "seed": index.params.seed,
     }
     (dirpath / "meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -615,15 +611,7 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
                 f"{dirpath}: unsupported index format {meta.get('format')!r} v{meta.get('version')!r}"
             )
         num_passages = int(meta["num_passages"])
-        params = DenseIndexParams(
-            bits=int(meta["bits"]),
-            num_centroids=int(meta["num_centroids"]),
-            nprobe=int(meta["nprobe"]),
-            candidate_cap=int(meta["candidate_cap"]),
-            kmeans_iters=int(meta["kmeans_iters"]),
-            sample_per_centroid=int(meta["sample_per_centroid"]),
-            seed=int(meta["seed"]),
-        )
+        params = DenseIndexParams(**{f.name: int(meta[f.name]) for f in fields(DenseIndexParams)})
     codebook = ResidualCodebook(
         centroids=load_array(dirpath / "centroids.npy", 2, np.floating),
         boundaries=load_array(dirpath / "bucket_boundaries.npy", 2, np.floating),
