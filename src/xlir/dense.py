@@ -610,7 +610,7 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
             raise FormatError(
                 f"{dirpath}: unsupported index format {meta.get('format')!r} v{meta.get('version')!r}"
             )
-        num_passages = int(meta["num_passages"])
+        num_passages, dim = int(meta["num_passages"]), int(meta["dim"])
         params = DenseIndexParams(**{f.name: int(meta[f.name]) for f in fields(DenseIndexParams)})
     codebook = ResidualCodebook(
         centroids=load_array(dirpath / "centroids.npy", 2, np.floating),
@@ -618,6 +618,11 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
         values=load_array(dirpath / "bucket_values.npy", 2, np.floating),
         bits=params.bits,
     )
+    if (dim, params.num_centroids) != (codebook.dim, codebook.num_centroids):
+        raise FormatError(
+            f"{meta_path}: dim {dim} and num_centroids {params.num_centroids} disagree with "
+            f"centroids.npy, which holds {codebook.num_centroids} centroids of dim {codebook.dim}"
+        )
     codebook.validate()
     # Split on line feeds only: a key may contain any other line break.
     with open(dirpath / "keys.txt", encoding="utf-8", newline="") as fh:

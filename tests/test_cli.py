@@ -436,6 +436,8 @@ CORRUPTIONS = {
     "plan-shard-out-of-range": ("sharded-lexical", "plan.json", _assign_first_doc(99)),
     "dense-meta-truncated": ("dense", "meta.json", _truncate),
     "dense-meta-no-nprobe": ("dense", "meta.json", _edit_json(lambda meta: meta.pop("nprobe"))),
+    "dense-meta-dim": ("dense", "meta.json", _edit_json(lambda meta: meta.update(dim=99))),
+    "dense-meta-num-centroids": ("dense", "meta.json", _edit_json(lambda meta: meta.update(num_centroids=3))),
     "centroid-id-too-large": ("dense", "centroid_ids.npy", _set_first_centroid_id(16)),
     "centroid-id-negative": ("dense", "centroid_ids.npy", _set_first_centroid_id(-1)),
     "centroids-truncated": ("dense", "centroids.npy", _truncate),
