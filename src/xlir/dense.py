@@ -602,8 +602,6 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
 def load_dense_index(dirpath: str | Path) -> DenseIndex:
     dirpath = Path(dirpath)
     meta_path = dirpath / "meta.json"
-    if not meta_path.exists():
-        raise FormatError(f"{dirpath}: missing meta.json")
     with malformed(meta_path, "index metadata"):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         if meta.get("format") != INDEX_FORMAT or meta.get("version") != INDEX_VERSION:
@@ -625,7 +623,8 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
         )
     codebook.validate()
     # Split on line feeds only: a key may contain any other line break.
-    with open(dirpath / "keys.txt", encoding="utf-8", newline="") as fh:
+    keys_path = dirpath / "keys.txt"
+    with malformed(keys_path, "passage key list"), open(keys_path, encoding="utf-8", newline="") as fh:
         keys = fh.read().split("\n")[:-1]
     token_counts = load_array(dirpath / "token_counts.npy", 1, np.integer)
     if (token_counts < 0).any():

@@ -468,8 +468,6 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
     """Load a directory written by ``save_index``, checking every array before use."""
     dirpath = Path(dirpath)
     stats_path = dirpath / "stats.json"
-    if not stats_path.exists():
-        raise FormatError(f"{dirpath}: missing stats.json")
     with malformed(stats_path, "index statistics"):
         meta = json.loads(stats_path.read_text(encoding="utf-8"))
         fmt, version = meta.get("format"), meta.get("version")

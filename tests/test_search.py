@@ -108,3 +108,40 @@ def test_open_index_rejects_bad_sharded_meta(lexical_dirs, tmp_path, change, mes
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(FormatError, match=message):
         open_index(tmp_path / "sharded")
+
+
+LEXICAL_FILES = ["stats.json", "docs.json", "terms.json", "offsets.npy", "postings.npy", "weights.npy"]
+DENSE_FILES = [
+    "meta.json",
+    "centroids.npy",
+    "bucket_boundaries.npy",
+    "bucket_values.npy",
+    "keys.txt",
+    "token_counts.npy",
+    "centroid_ids.npy",
+    "packed_codes.npy",
+]
+
+
+@pytest.mark.parametrize(
+    "engine,name", [("lexical", name) for name in LEXICAL_FILES] + [("dense", name) for name in DENSE_FILES]
+)
+def test_missing_index_file_is_a_format_error(lexical_dirs, tmp_path, engine, name):
+    """Each loader names a deleted file in a ``FormatError``, never a raw ``FileNotFoundError``."""
+    _, root = lexical_dirs
+    index_dir = tmp_path / "index"
+    if engine == "lexical":
+        shutil.copytree(root / "whole", index_dir)
+        load, files = lexical.load_index, LEXICAL_FILES
+    else:
+        vectors = np.random.default_rng(11).standard_normal((12, 3, 8))
+        vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
+        embeddings = {f"d{i:02d}#0": v.astype(np.float32) for i, v in enumerate(vectors)}
+        index = dense.build_dense_index(embeddings, dense.DenseIndexParams(num_centroids=4))
+        dense.save_dense_index(index, index_dir)
+        load, files = dense.load_dense_index, DENSE_FILES
+    assert sorted(path.name for path in index_dir.iterdir()) == sorted(files)
+    load(index_dir)
+    (index_dir / name).unlink()
+    with pytest.raises(FormatError, match=name.replace(".", r"\.")):
+        load(index_dir)
