@@ -213,13 +213,15 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
     """Build an inverted index from ``(doc_id, term -> weight)`` bags.
 
     Zero weights are dropped; negative weights, weights that are not finite
-    as float32 (the precision ``save_index`` stores), and duplicate doc ids
-    are rejected.
+    as float32 (the precision ``save_index`` stores), duplicate doc ids, and
+    doc ids or terms that are not strings are rejected.
     """
     doc_ids: list[str] = []
     vocabulary: dict[str, int] = {}
     postings: list[tuple[int, int, float]] = []
     for ordinal, (doc_id, bag) in enumerate(bags):
+        if not isinstance(doc_id, str):
+            raise ValidationError(f"document id {doc_id!r} is not a string")
         doc_ids.append(doc_id)
         for term, w in bag.items():
             w = float(w)
@@ -228,7 +230,12 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
                     f"document {doc_id!r}: weight {w!r} for term {term!r} is negative or not finite as a float32"
                 )
             if w > 0.0:
-                postings.append((vocabulary.setdefault(term, len(vocabulary)), ordinal, w))
+                t = vocabulary.get(term)
+                if t is None:  # a new term, checked once
+                    if not isinstance(term, str):
+                        raise ValidationError(f"document {doc_id!r}: term {term!r} is not a string")
+                    t = vocabulary[term] = len(vocabulary)
+                postings.append((t, ordinal, w))
     columns = np.fromiter(postings, dtype=[("term", np.int64), ("doc", np.int64), ("weight", np.float64)])
     return _from_postings(doc_ids, list(vocabulary), columns["term"], columns["doc"], columns["weight"])
 

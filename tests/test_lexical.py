@@ -51,6 +51,20 @@ class TestBuildIndex:
         with pytest.raises(ValidationError, match="d1"):
             build_index([("d1", {"a": 1}), ("d1", {"b": 1})])
 
+    @pytest.mark.parametrize(
+        "bags,named",
+        [
+            ([("d1", {"a": 1.0}), (5, {"a": 2.0})], "5"),
+            ([(None, {"a": 1.0})], "None"),
+            ([("d1", {"a": 1.0}), ("d2", {"a": 1.0, 7: 2.0})], "7"),
+            ([("d1", {("a",): 1.0})], r"\('a',\)"),
+        ],
+        ids=["int-doc-id", "none-doc-id", "int-term", "tuple-term"],
+    )
+    def test_non_string_id_or_term_rejected(self, bags, named):
+        with pytest.raises(ValidationError, match=f"{named} is not a string"):
+            build_index(bags)
+
     def test_postings_sorted_by_doc_id(self):
         index = build_index([("d2", {"a": 1}), ("d1", {"a": 1}), ("d3", {"a": 1})])
         assert [index.doc_ids[i] for i in index.postings("a")[0]] == ["d1", "d2", "d3"]
