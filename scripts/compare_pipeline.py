@@ -15,15 +15,15 @@ import json
 import sys
 from pathlib import Path
 
-from xlir.evaluation import read_run
+from xlir.evaluation import entries_by_topic, read_run
 
 
 def _by_topic(path: Path) -> dict[str, dict[str, float]]:
     """Topic -> doc id -> score, the doc ids in rank order."""
-    topics: dict[str, dict[str, float]] = {}
-    for entry in sorted(read_run(path), key=lambda e: (e.topic_id, e.rank)):
-        topics.setdefault(entry.topic_id, {})[entry.doc_id] = entry.score
-    return topics
+    return {
+        topic_id: {entry.doc_id: entry.score for entry in ranked}
+        for topic_id, ranked in entries_by_topic(read_run(path)).items()
+    }
 
 
 def compare_runs(old: Path, new: Path) -> tuple[int, int, float]:

@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError, load_array, malformed
+from .shards import _best_per_id
 
 logger = logging.getLogger(__name__)
 
@@ -564,12 +565,7 @@ def search_dense(
 
 def maxp_aggregate(passage_scores: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
     """Document score = max over its passages; descending order, ties by doc id."""
-    best: dict[str, float] = {}
-    for doc_id, score in passage_scores:
-        if doc_id not in best or score > best[doc_id]:
-            best[doc_id] = score
-    ranked = sorted(best.items(), key=lambda entry: (-entry[1], entry[0]))
-    return ranked
+    return _best_per_id(passage_scores)
 
 
 def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:

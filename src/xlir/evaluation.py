@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import pairwise
 from pathlib import Path
 
 from .errors import FormatError, ValidationError
@@ -33,24 +34,25 @@ def format_score(score: float) -> str:
     return repr(score)
 
 
-def _validate_topic_entries(topic_id: str, entries: Sequence[RunEntry], where: str) -> None:
-    ranks = [entry.rank for entry in entries]
-    if sorted(ranks) != list(range(1, len(entries) + 1)):
-        raise ValidationError(f"{where}: topic {topic_id}: ranks are not 1..{len(entries)} without gaps")
-    by_rank = sorted(entries, key=lambda entry: entry.rank)
-    for prev, cur in zip(by_rank, by_rank[1:]):
-        if cur.score > prev.score:
-            raise ValidationError(
-                f"{where}: topic {topic_id}: score increases from rank {prev.rank} to {cur.rank}"
-            )
-
-
-def _validate_run(entries: Sequence[RunEntry], where: str) -> None:
+def entries_by_topic(entries: Iterable[RunEntry]) -> dict[str, list[RunEntry]]:
+    """Run entries grouped by topic, topics in the order first seen, each topic's entries by rank."""
     by_topic: dict[str, list[RunEntry]] = {}
     for entry in entries:
         by_topic.setdefault(entry.topic_id, []).append(entry)
-    for topic_id, topic_entries in by_topic.items():
-        _validate_topic_entries(topic_id, topic_entries, where)
+    for topic_entries in by_topic.values():
+        topic_entries.sort(key=lambda entry: entry.rank)
+    return by_topic
+
+
+def _validate_run(entries: Sequence[RunEntry], where: str) -> None:
+    for topic_id, ranked in entries_by_topic(entries).items():
+        if [entry.rank for entry in ranked] != list(range(1, len(ranked) + 1)):
+            raise ValidationError(f"{where}: topic {topic_id}: ranks are not 1..{len(ranked)} without gaps")
+        for prev, cur in pairwise(ranked):
+            if cur.score > prev.score:
+                raise ValidationError(
+                    f"{where}: topic {topic_id}: score increases from rank {prev.rank} to {cur.rank}"
+                )
 
 
 def write_run(path: str | Path, entries: Sequence[RunEntry]) -> None:
@@ -85,25 +87,14 @@ def read_run(path: str | Path) -> list[RunEntry]:
 
 def ranking_from_entries(entries: Sequence[RunEntry]) -> dict[str, list[str]]:
     """Per-topic doc ids ordered by rank."""
-    by_topic: dict[str, list[RunEntry]] = {}
-    for entry in entries:
-        by_topic.setdefault(entry.topic_id, []).append(entry)
-    return {
-        topic_id: [entry.doc_id for entry in sorted(topic_entries, key=lambda e: e.rank)]
-        for topic_id, topic_entries in by_topic.items()
-    }
+    return {topic_id: [entry.doc_id for entry in ranked] for topic_id, ranked in entries_by_topic(entries).items()}
 
 
 def ranking_with_scores(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Per-topic ``(doc_id, score)`` pairs from a run file, ordered by rank."""
-    by_topic: dict[str, list[RunEntry]] = {}
-    for entry in read_run(path):
-        by_topic.setdefault(entry.topic_id, []).append(entry)
     return {
-        topic_id: [
-            (entry.doc_id, entry.score) for entry in sorted(topic_entries, key=lambda e: e.rank)
-        ]
-        for topic_id, topic_entries in by_topic.items()
+        topic_id: [(entry.doc_id, entry.score) for entry in ranked]
+        for topic_id, ranked in entries_by_topic(read_run(path)).items()
     }
 
 

@@ -13,6 +13,7 @@ import datetime as dt
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .corpus import Document
@@ -144,13 +145,16 @@ def merge_shard_results(
     """Merge per-shard ranked lists by raw score, keeping the max for duplicates."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    return _best_per_id(chain.from_iterable(per_shard))[:k]
+
+
+def _best_per_id(scored: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
+    """Each id once with its highest score; descending score, ties by ascending id."""
     best: dict[str, float] = {}
-    for results in per_shard:
-        for doc_id, score in results:
-            if doc_id not in best or score > best[doc_id]:
-                best[doc_id] = score
-    merged = sorted(best.items(), key=lambda entry: (-entry[1], entry[0]))
-    return merged[:k]
+    for doc_id, score in scored:
+        if doc_id not in best or score > best[doc_id]:
+            best[doc_id] = score
+    return sorted(best.items(), key=lambda entry: (-entry[1], entry[0]))
 
 
 def _min_max(results: Sequence[tuple[str, float]]) -> list[tuple[str, float]]:
