@@ -1,12 +1,14 @@
 import json
 import logging
 import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xlir.cli import load_config, main
+from xlir.cli import _CONFIG_SCHEMA, build_parser, load_config, main
 from xlir.errors import ValidationError
 from xlir.evaluation import read_run
 from xlir.synthetic import generate, write_corpus
@@ -367,6 +369,112 @@ def test_config_drives_search(workspace, tmp_path):
     entries = read_run(out)
     assert all(entry.run_tag == "from_config" for entry in entries)
     assert max(entry.rank for entry in entries) <= 10
+
+
+def _docs_subset(paths, tmp_path):
+    lines = paths["docs"].read_text(encoding="utf-8").splitlines(keepends=True)
+    subset = tmp_path / "docs_subset.jsonl"
+    subset.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+    return str(subset)
+
+
+def _plan_argv(root, paths, out):
+    return ["shard-plan", "--docs", str(paths["docs"]), "--output", str(out)]
+
+
+def _psq_argv(root, paths, out):
+    return ["psq-translate", "--docs", str(paths["docs"]), "--table", str(paths["table_fas"]),
+            "--lang", "fas", "--output", str(out)]
+
+
+def _index_dense_argv(root, paths, out):
+    return ["index-dense", "--embeddings", str(paths["passage_embeddings"]), "--output", str(out),
+            "--num-centroids", "8", "--kmeans-iters", "2"]
+
+
+def _lexical_search_argv(root, paths, out):
+    return ["search", "--index", str(root / INDEX_DIRS["lexical"]), "--topics", str(paths["topics"]),
+            "--output", str(out)]
+
+
+def _dense_search_argv(root, paths, out):
+    return [*_search_argv(root, paths, "dense"), "--output", str(out)]
+
+
+def _read_bytes(path, _):
+    return path.read_bytes()
+
+
+def _run_tags(path, _):
+    return {entry.run_tag for entry in read_run(path)}
+
+
+def _stored_seed(index_dir, _):
+    return json.loads((index_dir / "meta.json").read_text())["seed"]
+
+
+def _probed_centroids(_, messages):
+    return [re.search(r"probed_centroids=(\d+)", m).group(1) for m in messages if "event=dense_search" in m]
+
+
+# case -> (section, key, config value, value of the flag that must beat it, command argv,
+# what to compare as a function of the output path and the log messages); a value may be a
+# function of (paths, tmp_path)
+PRECEDENCE = {
+    "collection-docs": ("collection", "docs", lambda paths, _: str(paths["docs"]), _docs_subset,
+                        lambda root, paths, out: ["shard-plan", "--output", str(out)], _read_bytes),
+    "psq-max-alts": ("psq", "max_alts", 1, 2, _psq_argv, _read_bytes),
+    "dense-seed": ("dense", "seed", 3, 5, _index_dense_argv, _stored_seed),
+    "dense-nprobe": ("dense", "nprobe", 1, 16, _dense_search_argv, _probed_centroids),
+    "shards-window-months": ("shards", "window_months", 1, 6, _plan_argv, _read_bytes),
+    "search-variant": ("search", "variant", "T", "TD", _lexical_search_argv, _read_bytes),
+    "search-k": ("search", "k", 3, 5, _lexical_search_argv, _read_bytes),
+    "output-run-tag": ("output", "run_tag", "from_config", "from_flag", _lexical_search_argv, _run_tags),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE))
+def test_config_value_applies_and_a_flag_beats_it(workspace, tmp_path, caplog, case):
+    """A config key replaces the built-in default, and its flag replaces the config value."""
+    root, paths = workspace
+    section, key, config_value, flag_value, argv, observe = PRECEDENCE[case]
+    config_value, flag_value = (str(v(paths, tmp_path) if callable(v) else v) for v in (config_value, flag_value))
+    flag = "--" + key.replace("_", "-")
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[{section}]\n{key} = {config_value}\n", encoding="utf-8")
+
+    def run(name, *extra):
+        out = tmp_path / name
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="xlir"):
+            code = main([*argv(root, paths, out), *extra])
+        return observe(out, caplog.messages) if code == 0 else None
+
+    default = run("default")
+    from_config = run("config", "--config", str(config))
+    from_flag = run("flag", flag, flag_value)
+    assert from_config is not None and from_flag is not None
+    assert from_config != default and from_flag != from_config
+    assert run("config-as-flag", flag, config_value) == from_config
+    assert run("config-and-flag", "--config", str(config), flag, flag_value) == from_flag
+
+
+def test_config_keys_are_unique_across_sections():
+    """main sets every config key as a parser default by its bare name, so no two sections may share one."""
+    keys = [key for section in _CONFIG_SCHEMA.values() for key in section]
+    assert len(keys) == len(set(keys))
+
+
+def test_readme_cli_example_parses():
+    """Every ``xlir`` line of the README's CLI example is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## CLI", 1)[1].split("```", 2)[1].replace("\\\n", " ")
+    lines = [line for line in example.splitlines() if line.startswith("xlir ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 def _truncate(path):
