@@ -56,7 +56,12 @@ def _validate_run(entries: Sequence[RunEntry], where: str) -> None:
 
 
 def write_run(path: str | Path, entries: Sequence[RunEntry]) -> None:
+    """Write a run file; refuse a run ``read_run`` could not read back."""
     _validate_run(entries, str(path))
+    names = {name for entry in entries for name in (entry.topic_id, entry.doc_id, entry.run_tag)}
+    for name in names:
+        if name.split() != [name]:
+            raise ValidationError(f"{path}: run field {name!r} is empty or contains whitespace")
     with open(path, "w", encoding="utf-8") as fh:
         for entry in entries:
             fh.write(

@@ -131,6 +131,18 @@ class TestRunIO:
             write_run(path, bad)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "entry",
+        [RunEntry("t1", "d1", 1, 0.5, ""), RunEntry("t1", "d1", 1, 0.5, "a tag"), RunEntry("t 1", "d1", 1, 0.5, "x"),
+         RunEntry("t1", "d\t1", 1, 0.5, "x")],
+        ids=["empty-tag", "spaced-tag", "spaced-topic", "tabbed-doc"],
+    )
+    def test_unreadable_field_rejected_before_writing(self, tmp_path, entry):
+        path = tmp_path / "never.run"
+        with pytest.raises(ValidationError, match="whitespace"):
+            write_run(path, [entry])
+        assert not path.exists()
+
     def test_score_formatting_round_trips(self, tmp_path):
         path = tmp_path / "fmt.run"
         scores = [1 / 3, 0.1, -2.5e-7, 123456.789]
