@@ -41,7 +41,8 @@ def malformed(path: str | Path, what: str) -> Iterator[None]:
 
 
 def load_array(path: Path, ndim: int, dtype: type[np.generic]) -> np.ndarray:
-    """A ``.npy`` array; a ``FormatError`` naming ``path`` if it is missing, unreadable, pickled or not ``ndim``-D ``dtype``."""
+    """A ``.npy`` array; a ``FormatError`` naming ``path`` if it is missing, unreadable, pickled,
+    or not ``ndim``-D ``dtype``."""
     try:
         array = np.load(path)
     except (ValueError, EOFError, FileNotFoundError) as exc:
