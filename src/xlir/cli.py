@@ -36,7 +36,7 @@ from . import lexical as lexical_mod
 from . import psq as psq_mod
 from . import search as search_mod
 from . import shards as shards_mod
-from .errors import FormatError, ValidationError, XlirError
+from .errors import FormatError, ValidationError, XlirError, read_jsonl
 
 logger = logging.getLogger("xlir")
 
@@ -141,20 +141,16 @@ def _params(cls: type, args: argparse.Namespace):
 
 def _read_bags(path: Path) -> list[tuple[str, dict[str, float]]]:
     bags: list[tuple[str, dict[str, float]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                doc_id, weights = record["id"], record["weights"]
-                # A weight must be a JSON number: float() would also take numeric text, and true is an int.
-                valid = isinstance(doc_id, str) and all(type(w) in (int, float) for w in weights.values())
-            except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
-                valid = False
-            if not valid:
-                raise FormatError(f"{path}:{lineno}: expected an {{'id': string, 'weights': {{term: number}}}} record")
-            bags.append((doc_id, {t: float(w) for t, w in weights.items()}))
+    for lineno, record in read_jsonl(path):
+        try:
+            doc_id, weights = record["id"], record["weights"]
+            # A weight must be a JSON number: float() would also take numeric text, and true is an int.
+            valid = isinstance(doc_id, str) and all(type(w) in (int, float) for w in weights.values())
+        except (KeyError, AttributeError):
+            valid = False
+        if not valid:
+            raise FormatError(f"{path}:{lineno}: expected an {{'id': string, 'weights': {{term: number}}}} record")
+        bags.append((doc_id, {t: float(w) for t, w in weights.items()}))
     return bags
 
 

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_jsonl
 
 QUERY_VARIANTS = ("T", "D", "TD")
 
@@ -115,20 +115,6 @@ def parse_passage_key(key: str) -> tuple[str, int]:
     return doc_id, int(index)
 
 
-def _parse_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise FormatError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, record
-
-
 def _require(record: dict, key: str, path: str | Path, lineno: int) -> str:
     if key not in record:
         raise FormatError(f"{path}:{lineno}: missing field {key!r}")
@@ -149,7 +135,7 @@ def ingest_collection(
     allowed = set(languages) if languages is not None else None
     docs: list[Document] = []
     seen: set[str] = set()
-    for lineno, record in _parse_jsonl(path):
+    for lineno, record in read_jsonl(path):
         doc_id = _require(record, "id", path, lineno)
         if doc_id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
@@ -178,7 +164,7 @@ def ingest_collection(
 def ingest_topics(path: str | Path) -> list[Topic]:
     topics: list[Topic] = []
     seen: set[str] = set()
-    for lineno, record in _parse_jsonl(path):
+    for lineno, record in read_jsonl(path):
         topic_id = _require(record, "topic_id", path, lineno)
         if topic_id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate topic id {topic_id!r}")

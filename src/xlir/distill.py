@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dense
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_jsonl
 
 
 @dataclass
@@ -96,23 +96,16 @@ def write_distill_file(path: str | Path, pairs: Sequence[DistillPair]) -> None:
 
 def read_distill_file(path: str | Path) -> list[DistillPair]:
     pairs: list[DistillPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            try:
-                passages = record["passages"]
-                pairs.append(
-                    DistillPair(
-                        query_id=record["query_id"],
-                        passage_ids=[p["pid"] for p in passages],
-                        teacher_scores=[float(p["teacher"]) for p in passages],
-                    )
+    for lineno, record in read_jsonl(path):
+        try:
+            passages = record["passages"]
+            pairs.append(
+                DistillPair(
+                    query_id=record["query_id"],
+                    passage_ids=[p["pid"] for p in passages],
+                    teacher_scores=[float(p["teacher"]) for p in passages],
                 )
-            except (KeyError, TypeError):
-                raise FormatError(f"{path}:{lineno}: missing query_id/passages fields") from None
+            )
+        except (KeyError, TypeError):
+            raise FormatError(f"{path}:{lineno}: missing query_id/passages fields") from None
     return pairs

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 from pathlib import Path
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_lines
 
 # topic_id -> doc_id -> relevance grade
 Qrels = dict[str, dict[str, int]]
@@ -72,20 +72,17 @@ def write_run(path: str | Path, entries: Sequence[RunEntry]) -> None:
 
 def read_run(path: str | Path) -> list[RunEntry]:
     entries: list[RunEntry] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 6:
-                raise FormatError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-            topic_id, _, doc_id, rank_text, score_text, run_tag = fields
-            try:
-                rank = int(rank_text)
-                score = float(score_text)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric rank or score") from None
-            entries.append(RunEntry(topic_id, doc_id, rank, score, run_tag))
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 6:
+            raise FormatError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+        topic_id, _, doc_id, rank_text, score_text, run_tag = fields
+        try:
+            rank = int(rank_text)
+            score = float(score_text)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-numeric rank or score") from None
+        entries.append(RunEntry(topic_id, doc_id, rank, score, run_tag))
     _validate_run(entries, str(path))
     return entries
 
@@ -105,21 +102,18 @@ def ranking_with_scores(path: str | Path) -> dict[str, list[tuple[str, float]]]:
 
 def read_qrels(path: str | Path) -> Qrels:
     qrels: Qrels = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
-            topic_id, _, doc_id, grade_text = fields
-            try:
-                grade = int(grade_text)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-integer grade {grade_text!r}") from None
-            if grade < 0:
-                raise ValidationError(f"{path}:{lineno}: negative relevance grade {grade}")
-            qrels.setdefault(topic_id, {})[doc_id] = grade
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 4:
+            raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+        topic_id, _, doc_id, grade_text = fields
+        try:
+            grade = int(grade_text)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-integer grade {grade_text!r}") from None
+        if grade < 0:
+            raise ValidationError(f"{path}:{lineno}: negative relevance grade {grade}")
+        qrels.setdefault(topic_id, {})[doc_id] = grade
     return qrels
 
 

@@ -21,6 +21,13 @@ directory holds these arrays as ``.npy`` files (offsets, document ordinals
 and float32 weights) beside JSON lists of doc ids and terms (see
 ``save_index``), and ``load_index`` checks them with array operations.
 
+Feedback: ``rm3_expand`` is the one RM3, for an unsharded index (one shard)
+and a date-sharded one alike. Its feedback documents are the top
+``rm3_fb_docs`` of a first pass over every given shard, scored with the whole
+collection's statistics and merged by raw score with
+``shards.merge_shard_results``; each document's bag is read back from the
+arrays of the shard that holds it.
+
 Summation order: search scores term at a time, adding each query term's
 contributions to one float64 accumulator per document. Every document
 therefore adds the same terms in the same order (query order) as
@@ -44,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError, load_array, malformed
+from .shards import merge_shard_results
 
 INDEX_FORMAT = "xlir-lexical-index"
 INDEX_VERSION = 2
@@ -304,49 +312,42 @@ def _softmax(scores: Sequence[float]) -> list[float]:
 
 
 def rm3_expand(
-    index: InvertedIndex,
+    shards: Sequence[InvertedIndex],
     query_terms: Sequence[str],
     params: LexicalParams | None = None,
     scorer: str = "bm25",
     stats: CollectionStats | None = None,
 ) -> dict[str, float]:
-    """RM3 weighted-query expansion from a first-pass ranking of ``index``.
+    """RM3 weighted-query expansion from a first pass over the disjoint ``shards`` of one collection.
 
-    The feedback documents are the top ``rm3_fb_docs`` of a plain first pass;
-    ``rm3_weights`` turns them into the expanded query.
+    Each shard is searched for its top ``rm3_fb_docs`` with ``stats`` (the
+    shards' merged statistics when not given). The merged top ``rm3_fb_docs``
+    are the feedback documents, each read from the shard that holds it. The
+    relevance model is estimated over them in rank order (weighted by softmax
+    of their first-pass scores), truncated to the top ``rm3_fb_terms`` terms,
+    interpolated with the original maximum-likelihood query model at weight
+    ``rm3_alpha``, and renormalized to sum to 1. With no feedback documents
+    the original query weights are returned unchanged.
     """
     if not query_terms:
         raise ValidationError("empty query")
-    params, stats = _resolve(params, stats, index)
-    feedback = search_lexical(
-        index, query_terms, scorer=scorer, rm3=False, k=params.rm3_fb_docs, params=params, stats=stats
-    )
-    return rm3_weights(query_terms, [(index, doc_id, score) for doc_id, score in feedback], params)
-
-
-def rm3_weights(
-    query_terms: Sequence[str],
-    feedback: Sequence[tuple[InvertedIndex, str, float]],
-    params: LexicalParams,
-) -> dict[str, float]:
-    """RM3 query model from ``(index holding the document, doc_id, score)`` feedback.
-
-    The relevance model is estimated over the feedback documents in the order
-    given (weighted by softmax of their first-pass scores), truncated to the
-    top ``rm3_fb_terms`` terms, interpolated with the original
-    maximum-likelihood query model at weight ``rm3_alpha``, and renormalized
-    to sum to 1. With no feedback documents the original query weights are
-    returned unchanged.
-    """
+    params = params if params is not None else DEFAULT_PARAMS
+    params.validate()
+    stats = stats if stats is not None else CollectionStats.merge(index.stats for index in shards)
+    first_pass = [
+        search_lexical(index, query_terms, scorer=scorer, k=params.rm3_fb_docs, params=params, stats=stats)
+        for index in shards
+    ]
+    feedback = merge_shard_results(first_pass, k=params.rm3_fb_docs)
     counts = Counter(query_terms)
     total = sum(counts.values())
     mle = {term: c / total for term, c in counts.items()}
     if not feedback:
         return mle
 
-    doc_weights = _softmax([score for _, _, score in feedback])
     relevance: dict[str, float] = {}
-    for (index, doc_id, _), dw in zip(feedback, doc_weights):
+    for (doc_id, _), dw in zip(feedback, _softmax([score for _, score in feedback])):
+        index = next(index for index in shards if doc_id in index)
         dl = float(index.doc_lengths[index.ordinal(doc_id)])
         for term, w in index.doc_bag(doc_id).items():
             relevance[term] = relevance.get(term, 0.0) + dw * (w / dl)
@@ -428,7 +429,8 @@ def search_lexical(
     if not query_terms:
         raise ValidationError("empty query")
     if rm3:
-        weights: Mapping[str, float] = rm3_expand(index, query_terms, params, scorer, stats)
+        stats = stats if stats is not None else index.stats
+        weights: Mapping[str, float] = rm3_expand([index], query_terms, params, scorer, stats)
     else:
         weights = Counter(query_terms)
     return search_weighted(index, weights, scorer=scorer, k=k, params=params, stats=stats)

@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_lines
 
 # A weighted bag maps each term to a positive expected count.
 WeightedBag = dict[str, float]
@@ -61,21 +61,18 @@ class TranslationTable:
 def load_table(path: str | Path) -> TranslationTable:
     """Load a TSV translation table, validating probabilities row by row."""
     rows: list[tuple[str, str, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            source, target, prob_text = parts
-            try:
-                prob = float(prob_text)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric probability {prob_text!r}") from None
-            if not 0.0 < prob <= 1.0:
-                raise FormatError(f"{path}:{lineno}: probability {prob} outside (0, 1]")
-            rows.append((source, target, prob))
+    for lineno, line in read_lines(path):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        source, target, prob_text = parts
+        try:
+            prob = float(prob_text)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-numeric probability {prob_text!r}") from None
+        if not 0.0 < prob <= 1.0:
+            raise FormatError(f"{path}:{lineno}: probability {prob} outside (0, 1]")
+        rows.append((source, target, prob))
     return TranslationTable.from_rows(rows)
 
 

@@ -88,7 +88,7 @@ class LexicalSearcher(Searcher):
             return []
         selected = self._selected(date_filter)
         if rm3:
-            weights = self._rm3_weights(selected, known, scorer, params or lexical.DEFAULT_PARAMS)
+            weights = lexical.rm3_expand(selected, known, params, scorer, self.stats)
             per_shard = [
                 lexical.search_weighted(index, weights, scorer=scorer, k=k, params=params, stats=self.stats)
                 for index in selected
@@ -99,25 +99,6 @@ class LexicalSearcher(Searcher):
                 for index in selected
             ]
         return shards.merge_shard_results(per_shard, k=k)
-
-    def _rm3_weights(
-        self,
-        selected: list[lexical.InvertedIndex],
-        terms: list[str],
-        scorer: str,
-        params: lexical.LexicalParams,
-    ) -> dict[str, float]:
-        """RM3 weights from the merged first pass, each document's bag read from its shard."""
-        fb_docs = params.rm3_fb_docs
-        first_pass = [
-            lexical.search_lexical(index, terms, scorer=scorer, k=fb_docs, params=params, stats=self.stats)
-            for index in selected
-        ]
-        feedback = [
-            (next(index for index in selected if doc_id in index), doc_id, score)
-            for doc_id, score in shards.merge_shard_results(first_pass, k=fb_docs)
-        ]
-        return lexical.rm3_weights(terms, feedback, params)
 
 
 class DenseSearcher(Searcher):

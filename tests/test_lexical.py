@@ -167,23 +167,23 @@ class TestRM3:
     def test_single_feedback_doc(self):
         # One feedback document makes the relevance model its language model.
         index = build_index([("d1", {"a": 2.0, "b": 1.0})])
-        weights = rm3_expand(index, ["a"])
+        weights = rm3_expand([index], ["a"])
         assert weights["a"] == pytest.approx(0.5 + 0.5 * (2 / 3), abs=1e-9)
         assert weights["b"] == pytest.approx(0.5 * (1 / 3), abs=1e-9)
 
     def test_alpha_one_keeps_original_query(self):
         index = build_index([("d1", {"a": 2.0, "b": 1.0})])
-        weights = rm3_expand(index, ["a"], LexicalParams(rm3_alpha=1.0))
+        weights = rm3_expand([index], ["a"], LexicalParams(rm3_alpha=1.0))
         assert weights == {"a": pytest.approx(1.0)}
 
     def test_fb_terms_one(self):
         index = build_index([("d1", {"a": 2.0, "b": 1.0})])
-        weights = rm3_expand(index, ["a"], LexicalParams(rm3_fb_terms=1))
+        weights = rm3_expand([index], ["a"], LexicalParams(rm3_fb_terms=1))
         assert set(weights) == {"a"}
 
     def test_no_feedback_returns_query_model(self):
         index = build_index([("d1", {"x": 1.0})])
-        weights = rm3_expand(index, ["a", "a", "b"])
+        weights = rm3_expand([index], ["a", "a", "b"])
         assert weights == pytest.approx({"a": 2 / 3, "b": 1 / 3})
 
     def test_weights_sum_to_one(self):
@@ -194,7 +194,7 @@ class TestRM3:
         ]
         index = build_index(bags)
         for scorer in ("bm25", "hmm"):
-            weights = rm3_expand(index, ["t1", "t2"], scorer=scorer)
+            weights = rm3_expand([index], ["t1", "t2"], scorer=scorer)
             assert all(w >= 0 for w in weights.values())
             assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -268,7 +268,7 @@ class TestSearch:
         query = ["t1", "t4"]
         from xlir.lexical import search_weighted
 
-        expanded = rm3_expand(index, query, params, scorer="bm25")
+        expanded = rm3_expand([index], query, params, scorer="bm25")
         manual = search_weighted(index, expanded, scorer="bm25", k=20, params=params)
         assert search_lexical(index, query, scorer="bm25", rm3=True, k=20, params=params) == manual
 
