@@ -80,6 +80,8 @@ class LexicalSearcher(Searcher):
         params: lexical.LexicalParams | None = None,
     ) -> list[tuple[str, float]]:
         """Top-k documents for the query terms; terms absent from the collection are dropped."""
+        if k < 1:
+            raise ValidationError(f"k must be >= 1, got {k}")
         known = [t for t in query if self.stats.doc_freq.get(t, 0) > 0]
         if len(known) < len(query):
             dropped = len(query) - len(known)
@@ -121,6 +123,8 @@ class DenseSearcher(Searcher):
         Each shard searches with the ``nprobe`` and ``candidate_cap`` stored in
         its index unless they are given here.
         """
+        if k < 1:
+            raise ValidationError(f"k must be >= 1, got {k}")
         selected = self._selected(date_filter)
         given = {"nprobe": nprobe, "candidate_cap": candidate_cap}
         overrides = {name: value for name, value in given.items() if value is not None}

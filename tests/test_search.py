@@ -55,7 +55,9 @@ def test_date_filter_restricts_shards(lexical_dirs):
             assert {doc_id for doc_id, _ in ranked} <= allowed
 
 
-def test_unsharded_dense_matches_engine(tmp_path):
+@pytest.fixture(scope="module")
+def dense_dir(tmp_path_factory):
+    """A small unsharded dense index and the embeddings it was built from."""
     rng = np.random.default_rng(5)
     embeddings = {}
     for doc in range(12):
@@ -65,14 +67,38 @@ def test_unsharded_dense_matches_engine(tmp_path):
                 np.float32
             )
     params = dense.DenseIndexParams(num_centroids=8, kmeans_iters=3, candidate_cap=10)
-    dense.save_dense_index(dense.build_dense_index(embeddings, params), tmp_path / "dense")
-    searcher = open_index(tmp_path / "dense")
+    path = tmp_path_factory.mktemp("dense") / "dense"
+    dense.save_dense_index(dense.build_dense_index(embeddings, params), path)
+    return path, embeddings
+
+
+def test_unsharded_dense_matches_engine(dense_dir):
+    path, embeddings = dense_dir
+    searcher = open_index(path)
     assert searcher.kind == "dense"
     query = embeddings["d03#1"][:3]
     passages = dense.search_dense(searcher.indexes[0], query)
     expected = dense.maxp_aggregate((parse_passage_key(key)[0], score) for key, score in passages)
     assert searcher.search(query, DateFilter(), 5) == expected[:5]
     assert searcher.search(query, DateFilter(), 5)[0][0] == "d03"
+
+
+@pytest.mark.parametrize("k", [0, -5])
+def test_lexical_search_rejects_k_below_one(lexical_dirs, k):
+    topics, root = lexical_dirs
+    searcher = open_index(root / "whole")
+    # Known terms, and terms absent from the collection, which once returned [] for any k.
+    for terms in (DEFAULT_TOKENIZER(form_query(topics[0], "TD")), ["zzzqqq"]):
+        for rm3 in (False, True):
+            with pytest.raises(ValidationError, match="k must be >= 1"):
+                searcher.search(terms, DateFilter(), k, rm3=rm3)
+
+
+@pytest.mark.parametrize("k", [0, -5])
+def test_dense_search_rejects_k_below_one(dense_dir, k):
+    path, embeddings = dense_dir
+    with pytest.raises(ValidationError, match="k must be >= 1"):
+        open_index(path).search(embeddings["d03#1"][:3], DateFilter(), k)
 
 
 def test_save_sharded_rejects_unplanned_documents(lexical_dirs, tmp_path):
