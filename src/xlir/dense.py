@@ -116,7 +116,7 @@ def write_embeddings(path: str | Path, embeddings: Mapping[str, np.ndarray]) -> 
 def _read_exact(fh, n: int, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
-        raise FormatError(f"truncated embedding file while reading {what}")
+        raise FormatError(f"{fh.name}: truncated embedding file while reading {what}")
     return data
 
 
@@ -134,7 +134,10 @@ def load_embeddings(path: str | Path) -> TokenEmbeddings:
             raise FormatError(f"{path}: non-positive dimension {dim}")
         for i in range(count):
             (key_len,) = struct.unpack("<H", _read_exact(fh, 2, f"record {i} key length"))
-            key = _read_exact(fh, key_len, f"record {i} key").decode("utf-8")
+            try:
+                key = _read_exact(fh, key_len, f"record {i} key").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: record {i} key is not UTF-8 ({exc.reason})") from None
             (token_count,) = struct.unpack("<I", _read_exact(fh, 4, f"{key!r} token count"))
             if token_count == 0:
                 raise ValidationError(f"{path}: passage {key!r} has no tokens")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dense
-from .errors import FormatError, ValidationError, read_jsonl
+from .errors import RECORD_ERRORS, FormatError, ValidationError, read_jsonl
 
 
 @dataclass
@@ -106,6 +106,6 @@ def read_distill_file(path: str | Path) -> list[DistillPair]:
                     teacher_scores=[float(p["teacher"]) for p in passages],
                 )
             )
-        except (KeyError, TypeError):
-            raise FormatError(f"{path}:{lineno}: missing query_id/passages fields") from None
+        except RECORD_ERRORS:
+            raise FormatError(f"{path}:{lineno}: malformed query_id/passages fields") from None
     return pairs

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from xlir.cli import _CONFIG_SCHEMA, build_parser, load_config, main
+from xlir.dense import EMBEDDING_MAGIC
 from xlir.errors import ValidationError
 from xlir.evaluation import read_run
 from xlir.synthetic import generate, write_corpus
@@ -618,4 +619,94 @@ def test_bad_bag_rejected_before_indexing(tmp_path, capsys, record):
     stderr = capsys.readouterr().err
     assert "Traceback" not in stderr
     assert stderr.strip().splitlines()[-1].startswith(f"error: {bags}:2: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["lexical", "dense"])
+@pytest.mark.parametrize("k", ["0", "-5"])
+def test_search_rejects_k_below_one(workspace, tmp_path, capsys, kind, k):
+    root, paths = workspace
+    out = tmp_path / "never.run"
+    capsys.readouterr()
+    assert main([*_search_argv(root, paths, kind), "--k", k, "--output", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.strip().splitlines()[-1] == f"error: k must be >= 1, got {k}"
+    assert not out.exists()
+
+
+# The first byte of the first passage key: magic, then version, dim and count (16 bytes), then the key length.
+_FIRST_KEY_BYTE = len(EMBEDDING_MAGIC) + 16 + 2
+_GOOD_RUN = "1 Q0 d1 1 2.0 t\n1 Q0 d2 2 1.0 t\n"
+
+# case -> (the valid input as (root, paths, tmp_path) -> path, offset of the byte set to 0xff
+# (None: the middle of the file), argv reading the damaged copy ``bad`` and writing ``out``)
+NON_UTF8_INPUTS = {
+    "docs": (
+        lambda root, paths, tmp: paths["docs"],
+        None,
+        lambda root, paths, bad, out: ["shard-plan", "--docs", bad, "--output", out],
+    ),
+    "topics": (
+        lambda root, paths, tmp: paths["topics"],
+        None,
+        lambda root, paths, bad, out: ["search", "--index", str(root / INDEX_DIRS["lexical"]), "--topics", bad,
+                                       "--output", out],
+    ),
+    "table": (
+        lambda root, paths, tmp: paths["table_fas"],
+        None,
+        lambda root, paths, bad, out: ["psq-translate", "--docs", str(paths["docs"]), "--table", bad,
+                                       "--lang", "fas", "--output", out],
+    ),
+    "bags": (
+        lambda root, paths, tmp: root / "bags/fas.jsonl",
+        None,
+        lambda root, paths, bad, out: ["index-lexical", "--bags", bad, "--output", out],
+    ),
+    "run": (
+        lambda root, paths, tmp: _write(tmp / "good.run", _GOOD_RUN),
+        None,
+        lambda root, paths, bad, out: ["evaluate", "--run", bad, "--qrels", str(paths["qrels"]), "--output", out],
+    ),
+    "qrels": (
+        lambda root, paths, tmp: paths["qrels"],
+        None,
+        lambda root, paths, bad, out: ["evaluate", "--run", str(_write(Path(out).with_name("good.run"), _GOOD_RUN)),
+                                       "--qrels", bad, "--output", out],
+    ),
+    "embeddings": (
+        lambda root, paths, tmp: paths["passage_embeddings"],
+        _FIRST_KEY_BYTE,
+        lambda root, paths, bad, out: ["index-dense", "--embeddings", bad, "--output", out,
+                                       "--num-centroids", "8", "--kmeans-iters", "2"],
+    ),
+    "config": (
+        lambda root, paths, tmp: _write(tmp / "good.ini", "[search]\nk = 5\n"),
+        None,
+        lambda root, paths, bad, out: ["search", "--index", str(root / INDEX_DIRS["lexical"]),
+                                       "--topics", str(paths["topics"]), "--config", bad, "--output", out],
+    ),
+}
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_is_refused(workspace, tmp_path, capsys, case):
+    root, paths = workspace
+    source, at, argv = NON_UTF8_INPUTS[case]
+    data = source(root, paths, tmp_path).read_bytes()
+    at = len(data) // 2 if at is None else at
+    bad = tmp_path / f"bad-{case}"
+    bad.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert main(argv(root, paths, str(bad), str(out))) == 1
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    last = stderr.strip().splitlines()[-1]
+    assert last.startswith("error: ") and str(bad) in last
     assert not out.exists()

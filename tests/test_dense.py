@@ -130,8 +130,9 @@ class TestEmbeddingFile:
         write_embeddings(path, random_embeddings(rng, 2, 4))
         data = path.read_bytes()
         path.write_bytes(data[:-5])
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match="truncated") as caught:
             load_embeddings(path)
+        assert str(caught.value).startswith(f"{path}: ")
 
 
 def test_default_num_centroids_heuristic():

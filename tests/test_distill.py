@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from xlir.distill import (
     read_distill_file,
     write_distill_file,
 )
-from xlir.errors import ValidationError
+from xlir.errors import FormatError, ValidationError
 
 
 def unit_rows(matrix):
@@ -132,6 +133,13 @@ class TestDistillFile:
         assert [(p.query_id, p.passage_ids, p.teacher_scores) for p in loaded] == [
             (p.query_id, p.passage_ids, p.teacher_scores) for p in pairs
         ]
+
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "distill.jsonl"
+        write_distill_file(path, [DistillPair("q1", ["p1", "p2"], [0.5, 0.25])])
+        path.write_bytes(path.read_bytes().replace(b"p2", b"p\xff"))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: not UTF-8")):
+            read_distill_file(path)
 
     def test_pair_validation(self):
         with pytest.raises(ValidationError):
