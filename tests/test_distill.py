@@ -134,11 +134,16 @@ class TestDistillFile:
             (p.query_id, p.passage_ids, p.teacher_scores) for p in pairs
         ]
 
-    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [(b"p2", b"p\xff", ": not UTF-8"), (b"0.25", b'"abc"', ":1: malformed")],
+        ids=["non-utf8", "text-score"],
+    )
+    def test_malformed_file_is_a_format_error(self, tmp_path, old, new, message):
         path = tmp_path / "distill.jsonl"
         write_distill_file(path, [DistillPair("q1", ["p1", "p2"], [0.5, 0.25])])
-        path.write_bytes(path.read_bytes().replace(b"p2", b"p\xff"))
-        with pytest.raises(FormatError, match=re.escape(f"{path}: not UTF-8")):
+        path.write_bytes(path.read_bytes().replace(old, new))
+        with pytest.raises(FormatError, match=re.escape(f"{path}{message}")):
             read_distill_file(path)
 
     def test_pair_validation(self):
