@@ -86,10 +86,8 @@ def load_config(path: str | Path | None) -> dict[str, dict]:
     parser = configparser.ConfigParser()
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     config: dict[str, dict] = {}
     for section in parser.sections():
         if section not in _CONFIG_SCHEMA:
