@@ -2,11 +2,13 @@
 
 Every passage is a matrix of unit-normalized token vectors. Indexing trains a
 centroid codebook with spherical k-means, stores each token as its nearest
-centroid id plus a b-bit-per-dimension quantized residual, and builds an
-inverted map from centroid id to the passages containing it. Search runs in
-three stages: centroid probing per query token to collect candidate passages,
-ranking candidates by a centroid-only approximation of MaxSim, then exact
-MaxSim over decompressed token vectors for the surviving candidates. The last
+centroid id plus a b-bit-per-dimension quantized residual, and builds two maps
+from one sort of the (passage, centroid id) pairs: from each passage to its
+distinct centroid ids, and an inverted map from each centroid id to the
+passages containing it. Search runs in three stages: centroid probing per
+query token to collect candidate passages through the inverted map, ranking
+candidates by a MaxSim over their distinct centroids alone, then exact MaxSim
+over decompressed token vectors for the surviving candidates. The last
 stage decodes survivors in blocks and scores each passage with its own matrix
 product, which keeps scores bit-identical (see ``search_dense``).
 
@@ -25,7 +27,7 @@ Index directory layout: ``meta.json`` (format, version, parameters),
 ``centroid_ids.npy`` (concatenated per passage), ``packed_codes.npy``
 (per-passage bit-packed residual codes, each passage padded to a byte
 boundary and concatenated). A loaded ``DenseIndex`` keeps these arrays as
-they are on disk; only the offsets into them and the inverted map are
+they are on disk; only the offsets into them and the two centroid maps are
 derived, once, when the index is built or loaded.
 """
 
@@ -276,11 +278,14 @@ def train_codebook(
     centroids /= np.where(norms > 0, norms, 1.0)
     for _ in range(params.kmeans_iters):
         assign = _assign_nearest(sample, centroids.T)
-        for c in range(k):
-            members = sample[assign == c]
-            if members.size == 0:
+        # One stable sort lists each cluster's members in sample order, as a boolean
+        # mask per cluster would, so each mean adds them in the same order.
+        order = np.argsort(assign, kind="stable")
+        bounds = np.searchsorted(assign, np.arange(k + 1), sorter=order)
+        for c, (start, end) in enumerate(pairwise(bounds.tolist())):
+            if start == end:
                 continue
-            mean = members.mean(axis=0)
+            mean = sample[order[start:end]].mean(axis=0)
             norm = np.linalg.norm(mean)
             if norm > 0:
                 centroids[c] = mean / norm
@@ -334,10 +339,17 @@ def _decode(codebook: ResidualCodebook, token_counts, centroid_ids, packed_codes
 
 def compress(vectors: np.ndarray, codebook: ResidualCodebook, key: str = "") -> CompressedPassage:
     """Encode token vectors as nearest-centroid ids plus packed residual codes."""
+    return _compress(vectors, codebook, codebook.centroids.astype(np.float64), key)
+
+
+def _compress(
+    vectors: np.ndarray, codebook: ResidualCodebook, centroids: np.ndarray, key: str
+) -> CompressedPassage:
+    """``compress`` given the codebook's centroids already cast to float64, which
+    ``build_dense_index`` does once for the whole collection."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != codebook.dim:
         raise ValidationError(f"expected shape (*, {codebook.dim}), got {vectors.shape}")
-    centroids = codebook.centroids.astype(np.float64)
     ids = np.argmax(vectors @ centroids.T, axis=1).astype(np.int32)
     residuals = vectors - centroids[ids]
     codes = _bucketize(residuals, codebook.boundaries)
@@ -398,7 +410,7 @@ def _segments(offsets: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class DenseIndex:
-    """Compressed passages in the flat layout of the index directory, plus an inverted map.
+    """Compressed passages in the flat layout of the index directory, plus two centroid maps.
 
     Passage ``i`` has key ``keys[i]``, centroid ids
     ``centroid_ids[token_offsets[i]:token_offsets[i + 1]]`` and residual codes
@@ -406,9 +418,13 @@ class DenseIndex:
     ``ceil(tokens * dim * bits / 8)`` bytes, as each passage's codes are
     padded to a byte boundary. Both offset arrays have ``len(keys) + 1``
     entries, start at 0, never decrease, and end at the length of the array
-    they cut. The passages containing centroid ``c`` are
+    they cut. Passage ``i``'s distinct centroid ids are
+    ``distinct_centroids[distinct_offsets[i]:distinct_offsets[i + 1]]``, in
+    increasing order and in ``centroid_ids``' dtype. The passages containing
+    centroid ``c`` are
     ``inverted_passages[inverted_offsets[c]:inverted_offsets[c + 1]]``, in
-    increasing order and each once. No other code computes these offsets.
+    increasing order and each once. Both maps hold the same pairs, and
+    neither is stored on disk. No other code computes these offsets.
     """
 
     def __init__(
@@ -431,12 +447,22 @@ class DenseIndex:
         self.byte_offsets = np.concatenate(([0], np.cumsum(code_bytes)))
         if self.token_offsets[-1] != centroid_ids.size or self.byte_offsets[-1] != packed_codes.size:
             raise FormatError("token counts disagree with the centroid id or code array lengths")
-        # One sort of (centroid id, passage ordinal) pairs, encoded as cid * n + ordinal.
-        n = len(keys)
+        # One sort of (passage ordinal, centroid id) pairs, encoded as ordinal * K + cid,
+        # cut per passage; a stable sort of its centroid column, cut per centroid, keeps
+        # each centroid's passages in increasing order. Repeats are dropped by comparing
+        # neighbours, as np.unique took eight times as long for the same pairs, and the
+        # stable sort runs on the narrowest dtype that holds K - 1, where numpy sorts
+        # 8- and 16-bit keys by radix.
+        n, k = len(keys), codebook.num_centroids
         ordinals = np.repeat(np.arange(n, dtype=np.int64), token_counts)
-        pairs = np.unique(centroid_ids.astype(np.int64) * n + ordinals)
-        self.inverted_passages = pairs % n
-        self.inverted_offsets = np.searchsorted(pairs // n, np.arange(codebook.num_centroids + 1))
+        pairs = np.sort(ordinals * k + centroid_ids.astype(np.int64))
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        passages = pairs // k
+        self.distinct_centroids = (pairs % k).astype(centroid_ids.dtype)
+        self.distinct_offsets = np.searchsorted(passages, np.arange(n + 1))
+        by_centroid = np.argsort(self.distinct_centroids.astype(np.min_scalar_type(k - 1)), kind="stable")
+        self.inverted_passages = passages[by_centroid]
+        self.inverted_offsets = np.searchsorted(self.distinct_centroids, np.arange(k + 1), sorter=by_centroid)
         # Rank of each key in string order, for ties broken by passage key.
         self._key_rank = np.empty(n, dtype=np.int64)
         self._key_rank[np.argsort(np.array(keys, dtype=object), kind="stable")] = np.arange(n)
@@ -475,7 +501,8 @@ def build_dense_index(
     codebook = train_codebook(embeddings, params)
     trained = time.perf_counter()
     keys = list(embeddings.keys())
-    passages = [compress(np.asarray(embeddings[key]), codebook, key=key) for key in keys]
+    centroids = codebook.centroids.astype(np.float64)
+    passages = [_compress(embeddings[key], codebook, centroids, key) for key in keys]
     done = time.perf_counter()
     logger.info(
         "event=dense_index_build passages=%d tokens=%d centroids=%d bits=%d "
@@ -502,8 +529,8 @@ def search_dense(
 
     Stage 1 probes the ``nprobe`` nearest centroids per query token and
     collects passages containing any probed centroid. Stage 2 ranks the
-    candidates by MaxSim computed on centroids alone and keeps the top
-    ``candidate_cap``. Stage 3 scores the survivors exactly on decompressed
+    candidates by MaxSim computed on their distinct centroids alone and keeps
+    the top ``candidate_cap``. Stage 3 scores the survivors exactly on decompressed
     vectors; results are sorted by descending score, ties by passage key.
 
     Stage 3 decodes survivors ``_DECODE_BLOCK`` at a time, which bounds peak
@@ -533,12 +560,14 @@ def search_dense(
     candidates = np.unique(index.inverted_passages[positions])
     t1 = time.perf_counter()
 
-    # Row j holds the query tokens' similarities to the centroid of candidate
-    # token j. A segmented max leaves one row per candidate, and each row sums
-    # as one contiguous vector, the same summation as per-passage MaxSim.
-    positions, starts = _segments(index.token_offsets, candidates)
-    token_sims = np.ascontiguousarray(centroid_sims.T)[index.centroid_ids[positions]]
-    approx = np.maximum.reduceat(token_sims, starts, axis=0).sum(axis=1)
+    # Row j holds the query tokens' similarities to the j-th distinct centroid
+    # of the candidates, passage by passage. A max ignores repeats and order, so
+    # the segmented max over each passage's distinct centroids equals the one over
+    # its tokens. It leaves one row per candidate, and each row sums as one
+    # contiguous vector, the same summation as per-passage MaxSim.
+    positions, starts = _segments(index.distinct_offsets, candidates)
+    centroid_rows = np.ascontiguousarray(centroid_sims.T)[index.distinct_centroids[positions]]
+    approx = np.maximum.reduceat(centroid_rows, starts, axis=0).sum(axis=1)
     order = np.lexsort((index._key_rank[candidates], -approx))
     survivors = candidates[order[: params.candidate_cap]]
     t2 = time.perf_counter()

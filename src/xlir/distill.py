@@ -98,14 +98,22 @@ def read_distill_file(path: str | Path) -> list[DistillPair]:
     pairs: list[DistillPair] = []
     for lineno, record in read_jsonl(path):
         try:
-            passages = record["passages"]
-            pairs.append(
-                DistillPair(
-                    query_id=record["query_id"],
-                    passage_ids=[p["pid"] for p in passages],
-                    teacher_scores=[float(p["teacher"]) for p in passages],
-                )
+            query_id, passages = record["query_id"], record["passages"]
+            pids = [p["pid"] for p in passages]
+            scores = [p["teacher"] for p in passages]
+            # A score must be a JSON number: float() would also take numeric text, and true is an int.
+            valid = (
+                isinstance(query_id, str)
+                and all(isinstance(pid, str) for pid in pids)
+                and all(type(score) in (int, float) for score in scores)
             )
-        except RECORD_ERRORS:
-            raise FormatError(f"{path}:{lineno}: malformed query_id/passages fields") from None
+            teacher = [float(score) for score in scores]
+        except (*RECORD_ERRORS, OverflowError):  # OverflowError: an integer too large for a float
+            valid = False
+        if not valid:
+            raise FormatError(
+                f"{path}:{lineno}: malformed query_id/passages fields, expected "
+                "{'query_id': string, 'passages': [{'pid': string, 'teacher': number}, ...]}"
+            )
+        pairs.append(DistillPair(query_id, pids, teacher))
     return pairs

@@ -48,6 +48,11 @@ def _validate_run(entries: Sequence[RunEntry], where: str) -> None:
     for topic_id, ranked in entries_by_topic(entries).items():
         if [entry.rank for entry in ranked] != list(range(1, len(ranked) + 1)):
             raise ValidationError(f"{where}: topic {topic_id}: ranks are not 1..{len(ranked)} without gaps")
+        seen: set[str] = set()
+        for entry in ranked:
+            if entry.doc_id in seen:
+                raise ValidationError(f"{where}: topic {topic_id}: document {entry.doc_id} is listed twice")
+            seen.add(entry.doc_id)
         for prev, cur in pairwise(ranked):
             if cur.score > prev.score:
                 raise ValidationError(

@@ -147,7 +147,62 @@ def test_write_embeddings_rejects_empty(tmp_path):
         write_embeddings(tmp_path / "e.bin", {})
 
 
+def reference_kmeans(embeddings, params):
+    """``train_codebook``'s seeded sample and spherical k-means, with one boolean mask per
+    centroid in each iteration. Returns the float64 centroids each iteration assigns to,
+    and how many times a cluster was empty."""
+    tokens = np.vstack([np.asarray(m, dtype=np.float64) for m in embeddings.values()])
+    k = params.num_centroids
+    rng = np.random.default_rng(params.seed)
+    sample = tokens[rng.permutation(len(tokens))[: min(len(tokens), params.sample_per_centroid * k)]]
+    centroids = sample[rng.choice(len(sample), size=k, replace=False)].copy()
+    norms = np.linalg.norm(centroids, axis=1, keepdims=True)
+    centroids /= np.where(norms > 0, norms, 1.0)
+    assigned_to, empty = [], 0
+    for _ in range(params.kmeans_iters):
+        assigned_to.append(centroids.copy())
+        assign = np.argmax(sample @ centroids.T, axis=1)
+        for c in range(k):
+            members = sample[assign == c]
+            if members.size == 0:
+                empty += 1
+                continue
+            mean = members.mean(axis=0)
+            norm = np.linalg.norm(mean)
+            if norm > 0:
+                centroids[c] = mean / norm
+    assigned_to.append(centroids.astype(np.float32).astype(np.float64))  # the residual fit assigns last
+    return assigned_to, empty
+
+
 class TestTrainCodebook:
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+    def test_centroids_equal_mask_per_centroid_kmeans(self, duplicated, monkeypatch):
+        # float64 vectors: float32 ones sum exactly in float64, so a mean would not
+        # show the order of its members.
+        rng = np.random.default_rng(12)
+        embeddings = {key: unit_rows(rng.standard_normal(m.shape)) for key, m in random_embeddings(rng, 60, 8).items()}
+        if duplicated:
+            # Five distinct vectors for 12 centroids: the initial centroids repeat, and
+            # a repeated centroid loses every tie, so its cluster stays empty.
+            distinct = unit_rows(rng.standard_normal((5, 8)))
+            embeddings = {key: distinct[rng.integers(0, 5, len(m))] for key, m in embeddings.items()}
+        params = DenseIndexParams(num_centroids=12, kmeans_iters=6, sample_per_centroid=20, seed=13)
+        expected, empty = reference_kmeans(embeddings, params)
+        assert (empty > 0) == duplicated
+        # Compare the float64 centroids of every iteration, before rounding to float32
+        # can hide a last-bit difference in a mean.
+        assigned_to = []
+        assign_nearest = dense._assign_nearest
+        monkeypatch.setattr(
+            dense, "_assign_nearest", lambda v, c_t: assigned_to.append(c_t.T.copy()) or assign_nearest(v, c_t)
+        )
+        codebook = train_codebook(embeddings, params)
+        assert len(assigned_to) == len(expected)
+        for got, want in zip(assigned_to, expected):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(codebook.centroids, expected[-1].astype(np.float32))
+
     def test_single_centroid_is_normalized_mean(self):
         rng = np.random.default_rng(1)
         embeddings = random_embeddings(rng, 5, 8)
@@ -479,6 +534,21 @@ class TestFlatLayout:
             if offsets[cid + 1] > offsets[cid]
         }
         assert got == {cid: sorted(ordinals) for cid, ordinals in expected.items()}
+
+    def test_distinct_map_lists_centroids_per_passage(self, built, tmp_path):
+        index, embeddings = built
+        save_dense_index(index, tmp_path / "idx")
+        loaded = load_dense_index(tmp_path / "idx")
+        repeats = 0
+        for ordinal, key in enumerate(index.keys):
+            ids = compress(embeddings[key], index.codebook).centroid_ids
+            repeats += len(np.unique(ids)) < len(ids)
+            for idx in (index, loaded):
+                start, end = idx.distinct_offsets[ordinal : ordinal + 2]
+                assert idx.distinct_centroids[start:end].tolist() == sorted(set(ids.tolist()))
+        assert repeats > 0
+        assert index.distinct_offsets[-1] == index.distinct_centroids.size == index.inverted_passages.size
+        assert index.distinct_centroids.dtype == index.centroid_ids.dtype
 
     def test_staged_search_equals_per_passage_reference(self, built, tmp_path):
         assert_staged_search_equals_reference(*built, tmp_path)

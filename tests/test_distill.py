@@ -146,6 +146,29 @@ class TestDistillFile:
         with pytest.raises(FormatError, match=re.escape(f"{path}{message}")):
             read_distill_file(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"query_id": 7, "passages": [{"pid": 1, "teacher": true}, {"pid": 2, "teacher": "0.5"}]}',
+            '{"query_id": 7, "passages": [{"pid": "p1", "teacher": 1.0}, {"pid": "p2", "teacher": 0.5}]}',
+            '{"query_id": "q", "passages": [{"pid": 1, "teacher": 1.0}, {"pid": "p2", "teacher": 0.5}]}',
+            '{"query_id": "q", "passages": [{"pid": "p1", "teacher": true}, {"pid": "p2", "teacher": 0.5}]}',
+            '{"query_id": "q", "passages": [{"pid": "p1", "teacher": "1.0"}, {"pid": "p2", "teacher": 0.5}]}',
+            '{"query_id": "q", "passages": [{"pid": "p1", "teacher": null}, {"pid": "p2", "teacher": 0.5}]}',
+            '{"query_id": "q", "passages": {"pid": "p1", "teacher": 1.0}}',
+            '{"query_id": "q", "passages": [{"pid": "p1", "teacher": 1%s}, {"pid": "p2", "teacher": 0.5}]}'
+            % ("0" * 400),
+        ],
+        ids=["all-mistyped", "numeric-query-id", "numeric-pid", "boolean-teacher", "text-teacher", "null-teacher",
+             "passages-not-a-list", "integer-beyond-float"],
+    )
+    def test_mistyped_record_is_a_format_error(self, tmp_path, line):
+        path = tmp_path / "distill.jsonl"
+        path.write_text('{"query_id": "q0", "passages": [{"pid": "a", "teacher": 1}, {"pid": "b", "teacher": 0}]}\n'
+                        + line + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: malformed")):
+            read_distill_file(path)
+
     def test_pair_validation(self):
         with pytest.raises(ValidationError):
             DistillPair("q", ["only"], [1.0])

@@ -124,6 +124,17 @@ class TestRunIO:
         with pytest.raises(ValidationError, match="gaps"):
             read_run(path)
 
+    def test_document_listed_twice_rejected(self, tmp_path):
+        # Counted twice, d1's gain gave this run an nDCG@20 of 1.6309 against a grade-1 d1.
+        path = tmp_path / "bad.run"
+        path.write_text("1 Q0 d1 1 2.0 t\n1 Q0 d1 2 1.0 t\n")
+        with pytest.raises(ValidationError, match="topic 1: document d1 is listed twice"):
+            read_run(path)
+        never = tmp_path / "never.run"
+        with pytest.raises(ValidationError, match="topic 1: document d1 is listed twice"):
+            write_run(never, [RunEntry("1", "d1", 1, 2.0, "t"), RunEntry("1", "d1", 2, 1.0, "t")])
+        assert not never.exists()
+
     def test_write_validates_before_writing(self, tmp_path):
         path = tmp_path / "never.run"
         bad = [RunEntry("t1", "d1", 2, 0.5, "tag")]
