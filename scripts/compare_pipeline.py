@@ -7,7 +7,9 @@ Prints the manifest entries added, removed and changed from OLD/manifest.json
 to NEW/manifest.json. Then, for each run file under runs/ in both trees, it
 prints how many topics changed their ranking (the ordered doc ids differ) and
 the largest absolute score difference of a document retrieved for the same
-topic in both runs. A change that moves golden bytes records this report.
+topic in both runs, followed by the run's mean nDCG and recall from
+metrics/<run>.json in each tree where that file exists. A change that moves
+golden bytes records this report.
 """
 
 import argparse
@@ -39,6 +41,15 @@ def compare_runs(old: Path, new: Path) -> tuple[int, int, float]:
     return changed, len(topics), largest
 
 
+def _means(path: Path) -> str:
+    """The mean nDCG and recall of a metrics file written by ``xlir evaluate``, or ``absent``."""
+    if not path.exists():
+        return "absent"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    mean = record["mean"]
+    return f"ndcg@{record['ndcg_k']}={mean['ndcg']!r} recall@{record['recall_k']}={mean['recall']!r}"
+
+
 def report(old: Path, new: Path) -> list[str]:
     before = json.loads((old / "manifest.json").read_text(encoding="utf-8"))
     after = json.loads((new / "manifest.json").read_text(encoding="utf-8"))
@@ -55,9 +66,14 @@ def report(old: Path, new: Path) -> list[str]:
     for name in sorted(old_runs | new_runs):
         if name not in old_runs or name not in new_runs:
             lines.append(f"run {name}: only in {'NEW' if name in new_runs else 'OLD'}")
-            continue
-        changed, topics, largest = compare_runs(old / "runs" / name, new / "runs" / name)
-        lines.append(f"run {name}: {changed} of {topics} topics changed ranking, largest score difference {largest!r}")
+        else:
+            changed, topics, largest = compare_runs(old / "runs" / name, new / "runs" / name)
+            lines.append(
+                f"run {name}: {changed} of {topics} topics changed ranking, largest score difference {largest!r}"
+            )
+        metrics = [tree / "metrics" / f"{Path(name).stem}.json" for tree in (old, new)]
+        if any(path.exists() for path in metrics):
+            lines.append(f"  mean: OLD {_means(metrics[0])}, NEW {_means(metrics[1])}")
     return lines
 
 

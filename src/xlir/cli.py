@@ -145,12 +145,12 @@ def _read_bags(path: Path) -> list[tuple[str, dict[str, float]]]:
         try:
             doc_id, weights = record["id"], record["weights"]
             # A weight must be a JSON number: float() would also take numeric text, and true is an int.
-            valid = isinstance(doc_id, str) and all(type(w) in (int, float) for w in weights.values())
-        except (KeyError, AttributeError):
-            valid = False
-        if not valid:
-            raise FormatError(f"{path}:{lineno}: expected an {{'id': string, 'weights': {{term: number}}}} record")
-        bags.append((doc_id, {t: float(w) for t, w in weights.items()}))
+            if isinstance(doc_id, str) and all(type(w) in (int, float) for w in weights.values()):
+                bags.append((doc_id, {t: float(w) for t, w in weights.items()}))
+                continue
+        except (KeyError, AttributeError, OverflowError):  # OverflowError: an integer too large for a float
+            pass
+        raise FormatError(f"{path}:{lineno}: expected an {{'id': string, 'weights': {{term: number}}}} record")
     return bags
 
 

@@ -557,7 +557,8 @@ def search_dense(
     nprobe = min(params.nprobe, index.codebook.num_centroids)
     probed = np.unique(np.argsort(-centroid_sims, axis=1, kind="stable")[:, :nprobe])
     positions, _ = _segments(index.inverted_offsets, probed)
-    candidates = np.unique(index.inverted_passages[positions])
+    candidates = np.sort(index.inverted_passages[positions])
+    candidates = candidates[np.diff(candidates, prepend=-1) != 0]
     t1 = time.perf_counter()
 
     # Row j holds the query tokens' similarities to the j-th distinct centroid

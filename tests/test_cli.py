@@ -608,8 +608,9 @@ def test_out_of_range_shard_plan_rejected_before_indexing(workspace, tmp_path, c
         '{"id": "d2", "weights": {"a": "abc"}}',
         '{"id": "d2", "weights": {"a": true}}',
         '{"id": 5, "weights": {"a": 1.0}}',
+        '{"id": "d2", "weights": {"a": 1' + "0" * 400 + "}}",
     ],
-    ids=["text-weight", "boolean-weight", "numeric-id"],
+    ids=["text-weight", "boolean-weight", "numeric-id", "weight-too-large-for-a-float"],
 )
 def test_bad_bag_rejected_before_indexing(tmp_path, capsys, record):
     bags = tmp_path / "bags.jsonl"

@@ -6,12 +6,16 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_pipeline.py"
 
 
-def _tree(root, manifest, runs):
+def _tree(root, manifest, runs, metrics):
     (root / "runs").mkdir(parents=True)
+    (root / "metrics").mkdir()
     (root / "manifest.json").write_text(json.dumps(manifest))
     for name, rows in runs.items():
         lines = [f"{topic} Q0 {doc} {rank} {score} tag" for topic, doc, rank, score in rows]
         (root / "runs" / name).write_text("\n".join(lines) + "\n")
+    for name, (ndcg, recall) in metrics.items():
+        record = {"ndcg_k": 20, "recall_k": 1000, "mean": {"ndcg": ndcg, "recall": recall}, "per_topic": {}}
+        (root / "metrics" / name).write_text(json.dumps(record))
 
 
 def test_reports_manifest_entries_and_run_differences(tmp_path):
@@ -24,6 +28,7 @@ def test_reports_manifest_entries_and_run_differences(tmp_path):
             "same.run": same,
             "old-only.run": same,
         },
+        {"a.json": (0.5, 1.0), "old-only.json": (0.25, 0.5)},
     )
     _tree(
         tmp_path / "new",
@@ -33,6 +38,8 @@ def test_reports_manifest_entries_and_run_differences(tmp_path):
             "a.run": [("1", "d1", 1, 2.0), ("1", "d2", 2, 0.75), ("2", "d4", 1, 3.0), ("2", "d3", 2, 2.5)],
             "same.run": same,
         },
+        # same.run has no metrics file in either tree, so it gets no mean line.
+        {"a.json": (0.75, 1.0)},
     )
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), str(tmp_path / "old"), str(tmp_path / "new")],
@@ -50,6 +57,8 @@ def test_reports_manifest_entries_and_run_differences(tmp_path):
         "changed: 1",
         "  edited",
         "run a.run: 1 of 2 topics changed ranking, largest score difference 2.0",
+        "  mean: OLD ndcg@20=0.5 recall@1000=1.0, NEW ndcg@20=0.75 recall@1000=1.0",
         "run old-only.run: only in OLD",
+        "  mean: OLD ndcg@20=0.25 recall@1000=0.5, NEW absent",
         "run same.run: 0 of 1 topics changed ranking, largest score difference 0.0",
     ]
