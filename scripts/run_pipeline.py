@@ -7,8 +7,10 @@ then drives the CLI through every retrieval route:
 * per-language PSQ document translation, lexical indexing, and HMM search;
 * multilingual fusion of the per-language runs;
 * BM25+RM3 search on one language;
-* a date-sharded lexical index searched with topic date filters;
-* unsharded and date-sharded dense indexes searched with query embeddings;
+* a date-window plan, with which one language's lexical index is searched
+  under the topics' date filters;
+* a dense index searched with query embeddings, once without and once with
+  the plan and the topics' date filters;
 * hard-passage mining for distillation;
 * evaluation of every run against the synthetic qrels.
 
@@ -79,13 +81,10 @@ def main() -> int:
          "--variant", "TD", "--scorer", "bm25", "--rm3", "--k", args.k,
          "--run-tag", "bm25_rm3_td_fas", "--output", runs / "bm25_rm3_td_fas.run"])
 
-    # Date-sharded lexical route with topic date filters.
-    run(["shard-plan", "--docs", paths["docs"], "--window-months", "3",
-         "--output", out / "shards" / "plan.json"])
-    run(["index-lexical", "--bags", out / "bags" / "fas.jsonl",
-         "--shard-plan", out / "shards" / "plan.json",
-         "--output", out / "idx" / "lex-fas-sharded"])
-    run(["search", "--index", out / "idx" / "lex-fas-sharded", "--topics", paths["topics"],
+    # Topic date filters over the same lexical index, through the date-window plan.
+    plan = out / "shards" / "plan.json"
+    run(["shard-plan", "--docs", paths["docs"], "--window-months", "3", "--output", plan])
+    run(["search", "--index", out / "idx" / "lex-fas", "--shard-plan", plan, "--topics", paths["topics"],
          "--variant", "TD", "--scorer", "hmm", "--k", args.k,
          "--run-tag", "psq_hmm_td_fas_sharded",
          "--output", runs / "psq_hmm_td_fas_sharded.run"])
@@ -98,11 +97,7 @@ def main() -> int:
          "--query-embeddings", paths["query_embeddings"], "--k", args.k,
          "--run-tag", "dense_td", "--output", runs / "dense_td.run"])
 
-    run(["index-dense", "--embeddings", paths["passage_embeddings"],
-         "--shard-plan", out / "shards" / "plan.json",
-         "--output", out / "idx" / "dense-sharded", "--num-centroids", "128",
-         "--kmeans-iters", "8", "--seed", args.seed])
-    run(["search", "--index", out / "idx" / "dense-sharded", "--topics", paths["topics"],
+    run(["search", "--index", out / "idx" / "dense", "--shard-plan", plan, "--topics", paths["topics"],
          "--query-embeddings", paths["query_embeddings"], "--k", args.k,
          "--run-tag", "dense_td_sharded", "--output", runs / "dense_td_sharded.run"])
 

@@ -2,8 +2,8 @@
 
 Late-interaction dense search over compressed token embeddings, probabilistic
 document translation feeding BM25/HMM sparse retrieval with RM3 feedback,
-date-sharded indexing with multilingual score fusion, distillation support
-operations, and TREC-style evaluation.
+topic date filters applied as document masks, multilingual score fusion,
+distillation support operations, and TREC-style evaluation.
 """
 
 from .corpus import (

@@ -202,20 +202,13 @@ def cmd_psq_translate(args: argparse.Namespace) -> int:
 
 def cmd_index_lexical(args: argparse.Namespace) -> int:
     bags = _read_bags(_require_path(args.bags, "weighted bag file"))
-    out_dir = Path(args.output)
     start = time.perf_counter()
-    if args.shard_plan is None:
-        index = lexical_mod.build_index(bags)
-        lexical_mod.save_index(index, out_dir)
-        detail = f"terms={len(index.terms)}"
-    else:
-        plan = shards_mod.ShardPlan.load(_require_path(args.shard_plan, "shard plan"))
-        ordinals = search_mod.save_sharded(out_dir, plan, "lexical", bags, lexical_mod.build_index)
-        detail = f"shards={len(ordinals)}"
+    index = lexical_mod.build_index(bags)
+    lexical_mod.save_index(index, Path(args.output))
     logger.info(
-        "event=index_lexical docs=%d %s elapsed_ms=%.1f",
+        "event=index_lexical docs=%d terms=%d elapsed_ms=%.1f",
         len(bags),
-        detail,
+        len(index.terms),
         (time.perf_counter() - start) * 1e3,
     )
     return 0
@@ -223,19 +216,8 @@ def cmd_index_lexical(args: argparse.Namespace) -> int:
 
 def cmd_index_dense(args: argparse.Namespace) -> int:
     params = _params(dense_mod.DenseIndexParams, args)
-    emb_path = _resolve_path(args.embeddings, "embeddings", "embedding file")
-    embeddings = dense_mod.load_embeddings(emb_path)
-    out_dir = Path(args.output)
-    if args.shard_plan is None:
-        index = dense_mod.build_dense_index(embeddings, params)
-        dense_mod.save_dense_index(index, out_dir)
-        return 0
-    plan = shards_mod.ShardPlan.load(_require_path(args.shard_plan, "shard plan"))
-    # Shard-local codebooks: scores are not guaranteed comparable across
-    # shards; the raw-score merge mirrors that limitation deliberately.
-    search_mod.save_sharded(
-        out_dir, plan, "dense", embeddings.items(), lambda group: dense_mod.build_dense_index(dict(group), params)
-    )
+    embeddings = dense_mod.load_embeddings(_resolve_path(args.embeddings, "embeddings", "embedding file"))
+    dense_mod.save_dense_index(dense_mod.build_dense_index(embeddings, params), Path(args.output))
     return 0
 
 
@@ -251,7 +233,10 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     index_dir = _require_path(args.index, "index directory")
     start = time.perf_counter()
-    searcher = search_mod.open_index(index_dir)
+    plan = None
+    if args.shard_plan is not None:
+        plan = shards_mod.ShardPlan.load(_require_path(args.shard_plan, "shard plan"))
+    searcher = search_mod.open_index(index_dir, plan)
     lexical = searcher.engine == "lexical"
     topics: list[corpus_mod.Topic] = []
     if lexical or args.topics is not None:
@@ -278,7 +263,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     logger.info(
         "event=search kind=%s topics=%d entries=%d elapsed_ms=%.1f",
-        searcher.kind,
+        searcher.engine,
         len({e.topic_id for e in entries}),
         len(entries),
         (time.perf_counter() - start) * 1e3,
@@ -305,10 +290,10 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 def cmd_mine_distill(args: argparse.Namespace) -> int:
     searcher = search_mod.open_index(_require_path(args.index, "index directory"))
-    if searcher.kind != "dense":
-        raise ValidationError("mine-distill requires an unsharded dense index")
+    if searcher.engine != "dense":
+        raise ValidationError("mine-distill requires a dense index")
     queries = dense_mod.load_embeddings(_require_path(args.query_embeddings, "query embeddings"))
-    (index,) = searcher.indexes.values()
+    index = searcher.index
     pairs = []
     for query_id, vectors in queries.items():
         # The mining engine's own scores stand in for teacher scores; an
@@ -370,13 +355,11 @@ def build_parser(config: dict[str, dict] | None = None) -> argparse.ArgumentPars
     p = sub.add_parser("index-lexical", help="build an inverted index from weighted bags")
     p.add_argument("--bags", required=True)
     p.add_argument("--output", required=True, help="index directory")
-    p.add_argument("--shard-plan", help="build one index per date shard")
     p.set_defaults(func=cmd_index_lexical)
 
     p = sub.add_parser("index-dense", help="build a compressed late-interaction index")
     p.add_argument("--embeddings", help="embedding file (or collection.embeddings in the config)")
     p.add_argument("--output", required=True, help="index directory")
-    p.add_argument("--shard-plan", help="build one index per date shard")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bits", type=int, default=None)
     p.add_argument("--num-centroids", type=int, default=None)
@@ -397,6 +380,7 @@ def build_parser(config: dict[str, dict] | None = None) -> argparse.ArgumentPars
     p.add_argument("--index", required=True)
     p.add_argument("--output", required=True, help="TREC run file")
     p.add_argument("--topics")
+    p.add_argument("--shard-plan", help="date the indexed documents, so topic date filters restrict the search")
     p.add_argument("--variant", choices=corpus_mod.QUERY_VARIANTS, default="TD")
     p.add_argument("--scorer", choices=lexical_mod.SCORERS, default="bm25")
     p.add_argument("--rm3", action="store_true")

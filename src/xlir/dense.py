@@ -524,11 +524,14 @@ def search_dense(
     index: DenseIndex,
     query_vectors: np.ndarray,
     params: DenseIndexParams | None = None,
+    allowed: np.ndarray | None = None,
 ) -> list[tuple[str, float]]:
     """Staged late-interaction search returning every fully scored passage.
 
     Stage 1 probes the ``nprobe`` nearest centroids per query token and
-    collects passages containing any probed centroid. Stage 2 ranks the
+    collects passages containing any probed centroid, keeping only those the
+    boolean mask ``allowed`` over passage ordinals admits when one is given
+    (``candidates=`` in the log counts what is kept). Stage 2 ranks the
     candidates by MaxSim computed on their distinct centroids alone and keeps
     the top ``candidate_cap``. Stage 3 scores the survivors exactly on decompressed
     vectors; results are sorted by descending score, ties by passage key.
@@ -549,6 +552,8 @@ def search_dense(
         raise ValidationError(
             f"query dimension {query.shape[1]} does not match index dimension {index.codebook.dim}"
         )
+    if allowed is not None and (allowed.dtype != bool or allowed.shape != (len(index),)):
+        raise ValidationError(f"allowed must be a boolean mask over the index's {len(index)} passages")
     if len(index) == 0:
         return []
 
@@ -559,6 +564,8 @@ def search_dense(
     positions, _ = _segments(index.inverted_offsets, probed)
     candidates = np.sort(index.inverted_passages[positions])
     candidates = candidates[np.diff(candidates, prepend=-1) != 0]
+    if allowed is not None:
+        candidates = candidates[allowed[candidates]]
     t1 = time.perf_counter()
 
     # Row j holds the query tokens' similarities to the j-th distinct centroid

@@ -21,12 +21,12 @@ directory holds these arrays as ``.npy`` files (offsets, document ordinals
 and float32 weights) beside JSON lists of doc ids and terms (see
 ``save_index``), and ``load_index`` checks them with array operations.
 
-Feedback: ``rm3_expand`` is the one RM3, for an unsharded index (one shard)
-and a date-sharded one alike. Its feedback documents are the top
-``rm3_fb_docs`` of a first pass over every given shard, scored with the whole
-collection's statistics and merged by raw score with
-``shards.merge_shard_results``; each document's bag is read back from the
-arrays of the shard that holds it.
+Date filters: search and RM3 take an optional ``allowed`` mask over document
+ordinals. It removes documents before the top-k cut and never changes the
+collection statistics, so a masked search ranks exactly as an unmasked one
+over an index of the admitted documents scored with the whole index's
+statistics. ``rm3_expand``'s feedback documents are the top ``rm3_fb_docs``
+of the masked first pass, and their bags are read back from the index arrays.
 
 Summation order: search scores term at a time, adding each query term's
 contributions to one float64 accumulator per document. Every document
@@ -51,7 +51,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError, load_array, malformed
-from .shards import merge_shard_results
 
 INDEX_FORMAT = "xlir-lexical-index"
 INDEX_VERSION = 2
@@ -97,7 +96,7 @@ DEFAULT_PARAMS = LexicalParams()
 
 @dataclass
 class CollectionStats:
-    """Global term statistics; can be shared by several shard indexes."""
+    """Term statistics of a collection."""
 
     num_docs: int
     total_weight: float
@@ -107,22 +106,6 @@ class CollectionStats:
     @property
     def avg_doc_length(self) -> float:
         return self.total_weight / self.num_docs if self.num_docs else 0.0
-
-    @classmethod
-    def merge(cls, parts: Iterable["CollectionStats"]) -> "CollectionStats":
-        """Statistics of the union of disjoint collections, summed in the given order."""
-        doc_freq: dict[str, int] = {}
-        coll_freq: dict[str, float] = {}
-        num_docs = 0
-        total_weight = 0.0
-        for part in parts:
-            num_docs += part.num_docs
-            total_weight += part.total_weight
-            for term, df in part.doc_freq.items():
-                doc_freq[term] = doc_freq.get(term, 0) + df
-            for term, cf in part.coll_freq.items():
-                coll_freq[term] = coll_freq.get(term, 0.0) + cf
-        return cls(num_docs=num_docs, total_weight=total_weight, doc_freq=doc_freq, coll_freq=coll_freq)
 
 
 @dataclass(eq=False, frozen=True)
@@ -312,19 +295,19 @@ def _softmax(scores: Sequence[float]) -> list[float]:
 
 
 def rm3_expand(
-    shards: Sequence[InvertedIndex],
+    index: InvertedIndex,
     query_terms: Sequence[str],
     params: LexicalParams | None = None,
     scorer: str = "bm25",
     stats: CollectionStats | None = None,
+    allowed: np.ndarray | None = None,
 ) -> dict[str, float]:
-    """RM3 weighted-query expansion from a first pass over the disjoint ``shards`` of one collection.
+    """RM3 weighted-query expansion from a first pass over the documents ``allowed`` admits.
 
-    Each shard is searched for its top ``rm3_fb_docs`` with ``stats`` (the
-    shards' merged statistics when not given). The merged top ``rm3_fb_docs``
-    are the feedback documents, each read from the shard that holds it. The
-    relevance model is estimated over them in rank order (weighted by softmax
-    of their first-pass scores), truncated to the top ``rm3_fb_terms`` terms,
+    The feedback documents are the top ``rm3_fb_docs`` of that first pass,
+    scored with ``stats`` (the index's own when not given). The relevance
+    model is estimated over them in rank order (weighted by softmax of their
+    first-pass scores), truncated to the top ``rm3_fb_terms`` terms,
     interpolated with the original maximum-likelihood query model at weight
     ``rm3_alpha``, and renormalized to sum to 1. With no feedback documents
     the original query weights are returned unchanged.
@@ -333,12 +316,9 @@ def rm3_expand(
         raise ValidationError("empty query")
     params = params if params is not None else DEFAULT_PARAMS
     params.validate()
-    stats = stats if stats is not None else CollectionStats.merge(index.stats for index in shards)
-    first_pass = [
-        search_lexical(index, query_terms, scorer=scorer, k=params.rm3_fb_docs, params=params, stats=stats)
-        for index in shards
-    ]
-    feedback = merge_shard_results(first_pass, k=params.rm3_fb_docs)
+    feedback = search_lexical(
+        index, query_terms, scorer=scorer, k=params.rm3_fb_docs, params=params, stats=stats, allowed=allowed
+    )
     counts = Counter(query_terms)
     total = sum(counts.values())
     mle = {term: c / total for term, c in counts.items()}
@@ -347,7 +327,6 @@ def rm3_expand(
 
     relevance: dict[str, float] = {}
     for (doc_id, _), dw in zip(feedback, _softmax([score for _, score in feedback])):
-        index = next(index for index in shards if doc_id in index)
         dl = float(index.doc_lengths[index.ordinal(doc_id)])
         for term, w in index.doc_bag(doc_id).items():
             relevance[term] = relevance.get(term, 0.0) + dw * (w / dl)
@@ -371,6 +350,7 @@ def search_weighted(
     k: int = 1000,
     params: LexicalParams | None = None,
     stats: CollectionStats | None = None,
+    allowed: np.ndarray | None = None,
 ) -> list[tuple[str, float]]:
     """Rank documents matching at least one positively weighted query term.
 
@@ -378,8 +358,10 @@ def search_weighted(
     order, adds its contribution to every document's float64 accumulator
     (for HMM, documents without the term add the collection-model log), so
     each score equals the doc-at-a-time sum of ``bm25_score``/``hmm_score``.
-    Only documents in a query term's postings are returned, in descending
-    score order (ties broken by ascending doc id); ``-inf`` scores are dropped.
+    Only documents in a query term's postings, and admitted by the boolean
+    mask ``allowed`` over document ordinals when one is given, are returned,
+    in descending score order (ties broken by ascending doc id); ``-inf``
+    scores are dropped.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -388,6 +370,8 @@ def search_weighted(
     params, stats = _resolve(params, stats, index)
     if scorer not in SCORERS:
         raise ValidationError(f"unknown scorer {scorer!r}; expected one of {SCORERS}")
+    if allowed is not None and (allowed.dtype != bool or allowed.shape != (index.num_docs,)):
+        raise ValidationError(f"allowed must be a boolean mask over the index's {index.num_docs} documents")
 
     lengths, lam, avgdl = index.doc_lengths, params.lambda_, stats.avg_doc_length
     length_norm = 1.0 - params.b + params.b * (lengths / avgdl) if avgdl > 0 else np.ones(len(lengths))
@@ -411,6 +395,8 @@ def search_weighted(
         contribution[docs] = logs[1:]
         scores += contribution
 
+    if allowed is not None:
+        matched &= allowed
     hits = np.flatnonzero(matched & np.isfinite(scores))
     top = hits[np.lexsort((hits, -scores[hits]))[:k]]
     return list(zip([index.doc_ids[i] for i in top.tolist()], scores[top].tolist()))
@@ -424,16 +410,17 @@ def search_lexical(
     k: int = 1000,
     params: LexicalParams | None = None,
     stats: CollectionStats | None = None,
+    allowed: np.ndarray | None = None,
 ) -> list[tuple[str, float]]:
-    """Top-k search; with ``rm3`` the second pass scores the expanded weighted query."""
+    """Top-k search among the documents ``allowed`` admits (all when ``None``);
+    with ``rm3`` the second pass scores the expanded weighted query."""
     if not query_terms:
         raise ValidationError("empty query")
     if rm3:
-        stats = stats if stats is not None else index.stats
-        weights: Mapping[str, float] = rm3_expand([index], query_terms, params, scorer, stats)
+        weights: Mapping[str, float] = rm3_expand(index, query_terms, params, scorer, stats, allowed)
     else:
         weights = Counter(query_terms)
-    return search_weighted(index, weights, scorer=scorer, k=k, params=params, stats=stats)
+    return search_weighted(index, weights, scorer=scorer, k=k, params=params, stats=stats, allowed=allowed)
 
 
 def save_index(index: InvertedIndex, dirpath: str | Path) -> None:

@@ -1,9 +1,11 @@
-"""Date-window shard planning, topic date filtering, and result merging.
+"""Date-window planning, topic date filtering, and result merging.
 
 A shard plan partitions a dated collection into contiguous calendar windows
 (three months by default) aligned to the month of the earliest document.
-Topic date filters select the windows they intersect; per-shard result lists
-merge by raw score. Multilingual fusion merges per-language runs over
+Topic date filters select the windows they intersect; ``xlir.search`` turns
+that selection into a mask over one index's documents, so a plan is a search
+input and never splits an index. Ranked lists over disjoint document sets
+merge by raw score, and multilingual fusion merges per-language runs over
 disjoint subcollections the same way.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -46,11 +48,15 @@ class DateFilter:
 
 @dataclass
 class ShardPlan:
-    """Ordered ``[start, end)`` windows plus a document-to-window assignment."""
+    """Ordered ``[start, end)`` windows plus a document-to-window assignment.
+
+    ``source`` names the plan in error messages: its file, once loaded.
+    """
 
     windows: list[tuple[dt.date, dt.date]]
     assignment: dict[str, int]
     window_months: int
+    source: str = field(default="shard plan", compare=False)
 
     @property
     def num_shards(self) -> int:
@@ -87,7 +93,7 @@ class ShardPlan:
                 raise FormatError(
                     f"{path}: document {doc_id!r} assigned to shard {ordinal}, outside [0, {len(windows)})"
                 )
-        return cls(windows=windows, assignment=assignment, window_months=window_months)
+        return cls(windows=windows, assignment=assignment, window_months=window_months, source=str(path))
 
 
 def plan_shards(docs: Sequence[Document], window_months: int = 3) -> ShardPlan:
@@ -142,7 +148,7 @@ def select_shards(plan: ShardPlan, date_filter: DateFilter) -> set[int]:
 def merge_shard_results(
     per_shard: Iterable[Sequence[tuple[str, float]]], k: int
 ) -> list[tuple[str, float]]:
-    """Merge per-shard ranked lists by raw score, keeping the max for duplicates."""
+    """Merge ranked lists by raw score, keeping the max for duplicates."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     return _best_per_id(chain.from_iterable(per_shard))[:k]

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from xlir.cli import _CONFIG_SCHEMA, build_parser, load_config, main
+from xlir.corpus import ingest_topics
 from xlir.dense import EMBEDDING_MAGIC
 from xlir.errors import ValidationError
-from xlir.evaluation import read_run
+from xlir.evaluation import entries_by_topic, read_run
+from xlir.shards import DateFilter, ShardPlan, select_shards
 from xlir.synthetic import generate, write_corpus
 
 
@@ -45,36 +47,22 @@ def workspace(tmp_path_factory):
         "--seed", "7",
     ]) == 0
 
-    plan = root / "shards/plan.json"
-    assert main(["shard-plan", "--docs", str(paths["docs"]), "--output", str(plan)]) == 0
-    assert main([
-        "index-lexical",
-        "--bags", str(root / "bags/rus.jsonl"),
-        "--shard-plan", str(plan),
-        "--output", str(root / "idx/sharded-lexical"),
-    ]) == 0
-    assert main([
-        "index-dense",
-        "--embeddings", str(paths["passage_embeddings"]),
-        "--shard-plan", str(plan),
-        "--output", str(root / "idx/sharded-dense"),
-        "--num-centroids", "8",
-        "--kmeans-iters", "3",
-        "--seed", "7",
-    ]) == 0
+    assert main(["shard-plan", "--docs", str(paths["docs"]), "--output", str(root / "shards/plan.json")]) == 0
     return root, paths
 
 
+# search kind -> index directory; a dated search also passes the workspace's shard plan.
 INDEX_DIRS = {
     "lexical": "idx/lex-rus",
     "dense": "idx/dense",
-    "sharded-lexical": "idx/sharded-lexical",
-    "sharded-dense": "idx/sharded-dense",
+    "dated-lexical": "idx/lex-rus",
+    "dated-dense": "idx/dense",
 }
 
 
-def _search_argv(root, paths, kind, index_dir=None):
-    """``search`` arguments for one of the workspace's four index kinds."""
+def _search_argv(root, paths, kind, index_dir=None, plan=None):
+    """``search`` arguments for one of the workspace's four search kinds; ``plan`` replaces the
+    workspace's shard plan in a dated search."""
     argv = [
         "search",
         "--index", str(index_dir or root / INDEX_DIRS[kind]),
@@ -84,6 +72,8 @@ def _search_argv(root, paths, kind, index_dir=None):
     ]
     if kind.endswith("dense"):
         argv += ["--query-embeddings", str(paths["query_embeddings"])]
+    if kind.startswith("dated-"):
+        argv += ["--shard-plan", str(plan or root / "shards/plan.json")]
     return argv
 
 
@@ -164,6 +154,15 @@ def test_dense_search_and_mine(workspace):
     assert all(len(record["passages"]) >= 2 for record in lines)
 
 
+def test_mine_distill_refuses_a_lexical_index(workspace, tmp_path, capsys):
+    root, paths = workspace
+    out = tmp_path / "pairs.jsonl"
+    assert main(["mine-distill", "--index", str(root / "idx/lex-fas"),
+                 "--query-embeddings", str(paths["query_embeddings"]), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: mine-distill requires a dense index"
+    assert not out.exists()
+
+
 def test_evaluate_prints_means(workspace, capsys):
     root, paths = workspace
     run = root / "runs/for_eval.run"
@@ -188,53 +187,29 @@ def test_evaluate_prints_means(workspace, capsys):
     assert 0.0 <= report["mean"]["ndcg"] <= 1.0
 
 
-def test_sharded_lexical_pipeline(workspace):
+@pytest.mark.parametrize("engine", ["lexical", "dense"])
+def test_dated_search_returns_documents_of_the_admitted_windows(workspace, tmp_path, engine):
+    """``search --shard-plan`` keeps each topic to the windows its date filter selects, and leaves
+    a topic without a filter as the undated search ranks it."""
     root, paths = workspace
-    plan = root / "plan.json"
-    assert main(["shard-plan", "--docs", str(paths["docs"]), "--output", str(plan)]) == 0
-    assert main([
-        "index-lexical",
-        "--bags", str(root / "bags/fas.jsonl"),
-        "--shard-plan", str(plan),
-        "--output", str(root / "idx/lex-fas-sharded"),
-    ]) == 0
-    out = root / "runs/fas_sharded.run"
-    assert main([
-        "search",
-        "--index", str(root / "idx/lex-fas-sharded"),
-        "--topics", str(paths["topics"]),
-        "--scorer", "bm25",
-        "--k", "100",
-        "--output", str(out),
-    ]) == 0
-    assert read_run(out)
-
-
-def test_sharded_dense_pipeline(workspace):
-    root, paths = workspace
-    plan = root / "plan_dense.json"
-    assert main(["shard-plan", "--docs", str(paths["docs"]), "--output", str(plan)]) == 0
-    assert main([
-        "index-dense",
-        "--embeddings", str(paths["passage_embeddings"]),
-        "--shard-plan", str(plan),
-        "--output", str(root / "idx/dense-sharded"),
-        "--num-centroids", "8",
-        "--kmeans-iters", "3",
-        "--seed", "7",
-    ]) == 0
-    out = root / "runs/dense_sharded.run"
-    assert main([
-        "search",
-        "--index", str(root / "idx/dense-sharded"),
-        "--topics", str(paths["topics"]),
-        "--query-embeddings", str(paths["query_embeddings"]),
-        "--k", "50",
-        "--output", str(out),
-    ]) == 0
-    entries = read_run(out)
-    assert entries
-    assert all("#" not in entry.doc_id for entry in entries)
+    plan = ShardPlan.load(root / "shards/plan.json")
+    runs = {}
+    for kind in (engine, f"dated-{engine}"):
+        out = tmp_path / f"{kind}.run"
+        assert main([*_search_argv(root, paths, kind), "--output", str(out)]) == 0
+        runs[kind] = entries_by_topic(read_run(out))
+    filtered = 0
+    for topic in ingest_topics(paths["topics"]):
+        date_filter = DateFilter(topic.start_date, topic.end_date)
+        dated, undated = runs[f"dated-{engine}"].get(topic.topic_id, []), runs[engine].get(topic.topic_id, [])
+        selected = select_shards(plan, date_filter)
+        assert all(plan.assignment[entry.doc_id] in selected for entry in dated)
+        if len(selected) == plan.num_shards:
+            assert dated == undated
+        else:
+            filtered += 1
+            assert dated and len(dated) < len(undated)
+    assert filtered
 
 
 @pytest.mark.parametrize("kind", sorted(INDEX_DIRS))
@@ -538,11 +513,6 @@ def _assign_first_doc(shard):
 
 # case -> (index kind, file inside the index directory, corruption)
 CORRUPTIONS = {
-    "sharded-meta-truncated": ("sharded-lexical", "meta.json", _truncate),
-    "sharded-meta-no-shards": ("sharded-dense", "meta.json", _edit_json(lambda meta: meta.pop("shards"))),
-    "plan-truncated": ("sharded-lexical", "plan.json", _truncate),
-    "plan-no-windows": ("sharded-dense", "plan.json", _edit_json(lambda plan: plan.pop("windows"))),
-    "plan-shard-out-of-range": ("sharded-lexical", "plan.json", _assign_first_doc(99)),
     "dense-meta-truncated": ("dense", "meta.json", _truncate),
     "dense-meta-no-nprobe": ("dense", "meta.json", _edit_json(lambda meta: meta.pop("nprobe"))),
     "dense-meta-dim": ("dense", "meta.json", _edit_json(lambda meta: meta.update(dim=99))),
@@ -590,14 +560,43 @@ def test_corrupt_index_is_a_typed_error(workspace, tmp_path, capsys, case):
     assert not out.exists()
 
 
-def test_out_of_range_shard_plan_rejected_before_indexing(workspace, tmp_path, capsys):
-    root, _ = workspace
+def _drop_first_doc(plan):
+    record = json.loads(plan.read_text())
+    del record["assignment"][min(record["assignment"])]
+    plan.write_text(json.dumps(record))
+
+
+# case -> (search kind, corruption of a copy of the workspace's shard plan)
+PLAN_CORRUPTIONS = {
+    "plan-truncated": ("dated-lexical", _truncate),
+    "plan-no-windows": ("dated-dense", _edit_json(lambda plan: plan.pop("windows"))),
+    "plan-shard-out-of-range": ("dated-lexical", _assign_first_doc(99)),
+    "plan-missing-document": ("dated-dense", _drop_first_doc),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CORRUPTIONS))
+def test_bad_shard_plan_refused_at_search(workspace, tmp_path, capsys, case):
+    root, paths = workspace
+    kind, corrupt = PLAN_CORRUPTIONS[case]
+    plan = tmp_path / "plan.json"
+    shutil.copy(root / "shards/plan.json", plan)
+    corrupt(plan)
+    out = tmp_path / "never.run"
+    capsys.readouterr()
+    assert main([*_search_argv(root, paths, kind, plan=plan), "--output", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {plan}"), lines
+    assert not out.exists()
+
+
+def test_out_of_range_shard_plan_rejected_before_searching(workspace, tmp_path, capsys):
+    root, paths = workspace
     plan = tmp_path / "plan.json"
     shutil.copy(root / "shards/plan.json", plan)
     _assign_first_doc(99)(plan)
-    out = tmp_path / "idx"
-    assert main(["index-lexical", "--bags", str(root / "bags/fas.jsonl"), "--shard-plan", str(plan),
-                 "--output", str(out)]) == 1
+    out = tmp_path / "never.run"
+    assert main([*_search_argv(root, paths, "dated-lexical", plan=plan), "--output", str(out)]) == 1
     assert "outside [0," in capsys.readouterr().err
     assert not out.exists()
 

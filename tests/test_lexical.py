@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from xlir.errors import FormatError, ValidationError
 from xlir.lexical import (
-    CollectionStats,
     LexicalParams,
     bm25_score,
     build_index,
@@ -167,23 +166,23 @@ class TestRM3:
     def test_single_feedback_doc(self):
         # One feedback document makes the relevance model its language model.
         index = build_index([("d1", {"a": 2.0, "b": 1.0})])
-        weights = rm3_expand([index], ["a"])
+        weights = rm3_expand(index, ["a"])
         assert weights["a"] == pytest.approx(0.5 + 0.5 * (2 / 3), abs=1e-9)
         assert weights["b"] == pytest.approx(0.5 * (1 / 3), abs=1e-9)
 
     def test_alpha_one_keeps_original_query(self):
         index = build_index([("d1", {"a": 2.0, "b": 1.0})])
-        weights = rm3_expand([index], ["a"], LexicalParams(rm3_alpha=1.0))
+        weights = rm3_expand(index, ["a"], LexicalParams(rm3_alpha=1.0))
         assert weights == {"a": pytest.approx(1.0)}
 
     def test_fb_terms_one(self):
         index = build_index([("d1", {"a": 2.0, "b": 1.0})])
-        weights = rm3_expand([index], ["a"], LexicalParams(rm3_fb_terms=1))
+        weights = rm3_expand(index, ["a"], LexicalParams(rm3_fb_terms=1))
         assert set(weights) == {"a"}
 
     def test_no_feedback_returns_query_model(self):
         index = build_index([("d1", {"x": 1.0})])
-        weights = rm3_expand([index], ["a", "a", "b"])
+        weights = rm3_expand(index, ["a", "a", "b"])
         assert weights == pytest.approx({"a": 2 / 3, "b": 1 / 3})
 
     def test_weights_sum_to_one(self):
@@ -194,7 +193,7 @@ class TestRM3:
         ]
         index = build_index(bags)
         for scorer in ("bm25", "hmm"):
-            weights = rm3_expand([index], ["t1", "t2"], scorer=scorer)
+            weights = rm3_expand(index, ["t1", "t2"], scorer=scorer)
             assert all(w >= 0 for w in weights.values())
             assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -268,7 +267,7 @@ class TestSearch:
         query = ["t1", "t4"]
         from xlir.lexical import search_weighted
 
-        expanded = rm3_expand([index], query, params, scorer="bm25")
+        expanded = rm3_expand(index, query, params, scorer="bm25")
         manual = search_weighted(index, expanded, scorer="bm25", k=20, params=params)
         assert search_lexical(index, query, scorer="bm25", rm3=True, k=20, params=params) == manual
 
@@ -362,19 +361,19 @@ class TestTermAtATime:
             bags = random_weighted_bags(rng)
             whole = build_index(bags)
             shards = [build_index(bags[i::3]) for i in range(3)]
-            merged = CollectionStats.merge(shard.stats for shard in shards)
             for _ in range(12):
                 query = random_query_weights(rng)
                 k = int(rng.choice([5, 50, 1000]))
-                for index, stats in [(whole, whole.stats), *((shard, merged) for shard in shards)]:
-                    expected = doc_at_a_time_search(index, query, scorer, k, params, stats)
-                    assert search_weighted(index, query, scorer, k, params, stats) == expected
+                for index in [whole, *shards]:
+                    expected = doc_at_a_time_search(index, query, scorer, k, params, whole.stats)
+                    assert search_weighted(index, query, scorer, k, params, whole.stats) == expected
                     compared += len(expected)
                     shard_misses += any(
-                        qw > 0 and t not in index.terms and merged.doc_freq.get(t, 0) > 0 for t, qw in query.items()
+                        qw > 0 and t not in index.terms and whole.stats.doc_freq.get(t, 0) > 0
+                        for t, qw in query.items()
                     )
         # Enough ranked documents to catch a last-bit change, and shards that lack a query term
-        # the merged statistics know.
+        # the whole collection's statistics know.
         assert compared > 2_000
         assert shard_misses > 20
 

@@ -1,6 +1,9 @@
-import json
+import datetime as dt
+import logging
+import re
 import shutil
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,55 +12,68 @@ from xlir import dense, lexical
 from xlir.corpus import DEFAULT_TOKENIZER, document_tokens, form_query, parse_passage_key
 from xlir.errors import FormatError, ValidationError
 from xlir.psq import TranslationTable, translate_doc
-from xlir.search import open_index, save_sharded
-from xlir.shards import DateFilter, plan_shards
+from xlir.search import open_index
+from xlir.shards import DateFilter, ShardPlan, plan_shards, select_shards
 from xlir.synthetic import generate
 
 
 @pytest.fixture(scope="module")
-def lexical_dirs(tmp_path_factory):
-    """One language's PSQ bags as a single index and as date shards."""
+def lexical_dir(tmp_path_factory):
+    """One language's PSQ bags as one index, and a plan dating every language's documents."""
     root = tmp_path_factory.mktemp("search")
     corpus = generate(seed=7, num_docs=240, num_topics=8)
-    docs = [doc for doc in corpus.docs if doc.lang == "fas"]
     table = TranslationTable.from_rows(corpus.tables["fas"])
-    bags = [(doc.doc_id, translate_doc(Counter(document_tokens(doc)), table)) for doc in docs]
+    bags = [
+        (doc.doc_id, translate_doc(Counter(document_tokens(doc)), table)) for doc in corpus.docs if doc.lang == "fas"
+    ]
     lexical.save_index(lexical.build_index(bags), root / "whole")
-    plan = plan_shards(docs, window_months=3)
-    save_sharded(root / "sharded", plan, "lexical", bags, lexical.build_index)
-    return corpus.topics, root
+    return corpus.topics, root / "whole", plan_shards(corpus.docs, window_months=3)
+
+
+def _window_filters(plan):
+    """One filter per plan window, admitting that window alone."""
+    return [DateFilter(start, end - dt.timedelta(days=1)) for start, end in plan.windows]
 
 
 @pytest.mark.parametrize("scorer,rm3", [("bm25", False), ("bm25", True), ("hmm", False), ("hmm", True)])
-def test_sharded_lexical_equals_unsharded(lexical_dirs, scorer, rm3):
-    topics, root = lexical_dirs
-    whole, sharded = open_index(root / "whole"), open_index(root / "sharded")
-    assert (whole.kind, sharded.kind) == ("lexical", "sharded-lexical")
-    assert len(sharded.indexes) > 1
-    compared = 0
+def test_dated_lexical_search_equals_search_over_admitted_documents(lexical_dir, scorer, rm3):
+    """A date filter is a mask: the dated ranking equals an unfiltered search over an index of the
+    admitted documents alone, scored with the whole index's statistics."""
+    topics, path, plan = lexical_dir
+    searcher = open_index(path, plan)
+    whole = searcher.index
+    compared = restricted = 0
     for topic in topics:
-        terms = DEFAULT_TOKENIZER(form_query(topic, "TD"))
-        expected = whole.search(terms, DateFilter(), 1000, scorer=scorer, rm3=rm3)
-        assert sharded.search(terms, DateFilter(), 1000, scorer=scorer, rm3=rm3) == expected
-        compared += bool(expected)
-    assert compared >= len(topics) // 2
+        terms = [t for t in DEFAULT_TOKENIZER(form_query(topic, "TD")) if whole.stats.doc_freq.get(t, 0) > 0]
+        own = DateFilter(topic.start_date, topic.end_date)
+        for date_filter in ([] if own.empty else [own]) + _window_filters(plan):
+            selected = select_shards(plan, date_filter)
+            admitted = [doc_id for doc_id in whole.doc_ids if plan.assignment[doc_id] in selected]
+            subset = lexical.build_index((doc_id, whole.doc_bag(doc_id)) for doc_id in admitted)
+            for k in (5, 1000):  # a cut that bites, and one that keeps every match
+                expected = (
+                    lexical.search_lexical(subset, terms, scorer=scorer, rm3=rm3, k=k, stats=whole.stats)
+                    if terms
+                    else []
+                )
+                assert searcher.search(terms, date_filter, k, scorer=scorer, rm3=rm3) == expected
+                compared += len(expected)
+                restricted += len(admitted) < whole.num_docs and bool(expected)
+    assert compared > 500
+    assert restricted >= len(topics)
 
 
-def test_date_filter_restricts_shards(lexical_dirs):
-    topics, root = lexical_dirs
-    sharded = open_index(root / "sharded")
-    first_window = DateFilter(start=sharded.plan.windows[0][0], end=sharded.plan.windows[0][0])
-    allowed = set(sharded.indexes[0].doc_ids) if 0 in sharded.indexes else set()
-    for topic in topics:
-        terms = DEFAULT_TOKENIZER(form_query(topic, "TD"))
-        for rm3 in (False, True):
-            ranked = sharded.search(terms, first_window, 1000, rm3=rm3)
-            assert {doc_id for doc_id, _ in ranked} <= allowed
+def test_plan_missing_an_indexed_document_is_refused(lexical_dir):
+    _, path, plan = lexical_dir
+    first = open_index(path).index.doc_ids[0]
+    partial = ShardPlan(plan.windows, {d: w for d, w in plan.assignment.items() if d != first}, plan.window_months)
+    with pytest.raises(ValidationError, match=f"indexed document '{first}' missing from shard plan"):
+        open_index(path, partial)
 
 
 @pytest.fixture(scope="module")
 def dense_dir(tmp_path_factory):
-    """A small unsharded dense index and the embeddings it was built from."""
+    """A small dense index and the embeddings it was built from."""
     rng = np.random.default_rng(5)
     embeddings = {}
     for doc in range(12):
@@ -72,21 +88,50 @@ def dense_dir(tmp_path_factory):
     return path, embeddings
 
 
-def test_unsharded_dense_matches_engine(dense_dir):
+def test_dense_searcher_matches_engine(dense_dir):
     path, embeddings = dense_dir
     searcher = open_index(path)
-    assert searcher.kind == "dense"
+    assert searcher.engine == "dense"
     query = embeddings["d03#1"][:3]
-    passages = dense.search_dense(searcher.indexes[0], query)
+    passages = dense.search_dense(searcher.index, query)
     expected = dense.maxp_aggregate((parse_passage_key(key)[0], score) for key, score in passages)
     assert searcher.search(query, DateFilter(), 5) == expected[:5]
     assert searcher.search(query, DateFilter(), 5)[0][0] == "d03"
 
 
+def test_dated_dense_search_equals_exhaustive_search_over_admitted_passages(dense_dir, caplog):
+    """With every centroid probed and no candidate cut, a dated search scores exactly the admitted
+    passages, each equal to ``maxsim`` over its decompressed vectors, ties by key."""
+    path, embeddings = dense_dir
+    windows = [(dt.date(2020, month, 1), dt.date(2020, month + 3, 1)) for month in (1, 4, 7)]
+    plan = ShardPlan(windows, {f"d{doc:02d}": doc % 3 for doc in range(12)}, 3)
+    searcher = open_index(path, plan)
+    index = searcher.index
+    exhaustive = {"nprobe": index.codebook.num_centroids, "candidate_cap": len(index)}
+    params = replace(index.params, **exhaustive)
+    filters = [*_window_filters(plan), DateFilter(windows[1][0], None), DateFilter(None, dt.date(2019, 1, 1))]
+    for date_filter in filters:
+        selected = select_shards(plan, date_filter)
+        allowed = np.array([plan.assignment[parse_passage_key(key)[0]] in selected for key in index.keys])
+        for key in ("d03#1", "d08#0"):
+            query = embeddings[key][:3].astype(np.float64)
+            expected = sorted(
+                ((k, dense.maxsim(query, index.decompress_passage(i))) for i, k in enumerate(index.keys) if allowed[i]),
+                key=lambda entry: (-entry[1], entry[0]),
+            )
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="xlir"):
+                assert dense.search_dense(index, query, params, allowed=allowed) == expected
+            candidates = [re.search(r"candidates=(\d+)", m).group(1) for m in caplog.messages]
+            assert candidates == [str(allowed.sum())]
+            docs = dense.maxp_aggregate((parse_passage_key(k)[0], score) for k, score in expected)
+            assert searcher.search(query, date_filter, 5, **exhaustive) == docs[:5]
+
+
 @pytest.mark.parametrize("k", [0, -5])
-def test_lexical_search_rejects_k_below_one(lexical_dirs, k):
-    topics, root = lexical_dirs
-    searcher = open_index(root / "whole")
+def test_lexical_search_rejects_k_below_one(lexical_dir, k):
+    topics, path, _ = lexical_dir
+    searcher = open_index(path)
     # Known terms, and terms absent from the collection, which once returned [] for any k.
     for terms in (DEFAULT_TOKENIZER(form_query(topics[0], "TD")), ["zzzqqq"]):
         for rm3 in (False, True):
@@ -101,39 +146,24 @@ def test_dense_search_rejects_k_below_one(dense_dir, k):
         open_index(path).search(embeddings["d03#1"][:3], DateFilter(), k)
 
 
-def test_save_sharded_rejects_unplanned_documents(lexical_dirs, tmp_path):
-    topics, root = lexical_dirs
-    plan = open_index(root / "sharded").plan
-    with pytest.raises(ValidationError, match="missing from shard plan"):
-        save_sharded(tmp_path / "out", plan, "lexical", [("nowhere-1", {"t": 1.0})], lexical.build_index)
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("engine", ["lexical", "dense"])
+@pytest.mark.parametrize("change", ["shorter", "integer"])
+def test_allowed_must_be_a_boolean_mask_over_the_index(lexical_dir, dense_dir, engine, change):
+    if engine == "lexical":
+        index = open_index(lexical_dir[1]).index
+        size, search = index.num_docs, lambda allowed: lexical.search_lexical(index, ["a"], allowed=allowed)
+    else:
+        path, embeddings = dense_dir
+        index = open_index(path).index
+        size, search = len(index), lambda allowed: dense.search_dense(index, embeddings["d03#1"], allowed=allowed)
+    allowed = np.ones(size - 1, dtype=bool) if change == "shorter" else np.ones(size, dtype=np.int64)
+    with pytest.raises(ValidationError, match="boolean mask"):
+        search(allowed)
 
 
 def test_open_index_rejects_non_index(tmp_path):
     with pytest.raises(FormatError, match="not an index directory"):
         open_index(tmp_path)
-
-
-@pytest.mark.parametrize(
-    "change,message",
-    [
-        (lambda meta: meta.update(engine="sparse"), "unknown engine"),
-        (lambda meta: meta.update(shards=[0, 99]), "outside the plan"),
-        (lambda meta: meta.update(shards=3), "malformed"),
-        (lambda meta: meta.pop("engine"), "engine"),
-        (lambda meta: meta.update(version=2), "version"),
-    ],
-    ids=["unknown-engine", "ordinal-outside-plan", "shards-not-a-list", "no-engine", "wrong-version"],
-)
-def test_open_index_rejects_bad_sharded_meta(lexical_dirs, tmp_path, change, message):
-    _, root = lexical_dirs
-    shutil.copytree(root / "sharded", tmp_path / "sharded")
-    meta_path = tmp_path / "sharded" / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    change(meta)
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(FormatError, match=message):
-        open_index(tmp_path / "sharded")
 
 
 LEXICAL_FILES = ["stats.json", "docs.json", "terms.json", "offsets.npy", "postings.npy", "weights.npy"]
@@ -152,12 +182,12 @@ DENSE_FILES = [
 @pytest.mark.parametrize(
     "engine,name", [("lexical", name) for name in LEXICAL_FILES] + [("dense", name) for name in DENSE_FILES]
 )
-def test_missing_index_file_is_a_format_error(lexical_dirs, tmp_path, engine, name):
+def test_missing_index_file_is_a_format_error(lexical_dir, tmp_path, engine, name):
     """Each loader names a deleted file in a ``FormatError``, never a raw ``FileNotFoundError``."""
-    _, root = lexical_dirs
+    _, path, _ = lexical_dir
     index_dir = tmp_path / "index"
     if engine == "lexical":
-        shutil.copytree(root / "whole", index_dir)
+        shutil.copytree(path, index_dir)
         load, files = lexical.load_index, LEXICAL_FILES
     else:
         vectors = np.random.default_rng(11).standard_normal((12, 3, 8))
