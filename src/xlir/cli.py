@@ -232,6 +232,9 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     index_dir = _require_path(args.index, "index directory")
+    if args.shard_plan is not None and args.topics is None:
+        # A plan only takes effect through the date filters of topics.
+        raise ValidationError("--shard-plan needs topics to filter by date: pass --topics or set collection.topics")
     start = time.perf_counter()
     plan = None
     if args.shard_plan is not None:

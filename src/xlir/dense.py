@@ -8,9 +8,10 @@ distinct centroid ids, and an inverted map from each centroid id to the
 passages containing it. Search runs in three stages: centroid probing per
 query token to collect candidate passages through the inverted map, ranking
 candidates by a MaxSim over their distinct centroids alone, then exact MaxSim
-over decompressed token vectors for the surviving candidates. The last
-stage decodes survivors in blocks and scores each passage with its own matrix
-product, which keeps scores bit-identical (see ``search_dense``).
+for the surviving candidates. The last stage never decodes a vector: a
+decoded token is its centroid plus one bucket value per dimension, so its dot
+product with a query token is their centroid similarity plus one entry per
+code byte from small per-query tables (see ``search_dense``).
 
 Embedding file format (all integers little-endian):
 
@@ -27,8 +28,9 @@ Index directory layout: ``meta.json`` (format, version, parameters),
 ``centroid_ids.npy`` (concatenated per passage), ``packed_codes.npy``
 (per-passage bit-packed residual codes, each passage padded to a byte
 boundary and concatenated). A loaded ``DenseIndex`` keeps these arrays as
-they are on disk; only the offsets into them and the two centroid maps are
-derived, once, when the index is built or loaded.
+they are on disk; only the offsets into them, the two centroid maps and the
+codes regrouped into whole bytes per token are derived, once, when the index
+is built or loaded.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def _bucketize(residuals: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
 
 
 _ASSIGN_BLOCK = 16384
-_DECODE_BLOCK = 128
+_SCORE_BLOCK = 128
 
 
 def _assign_nearest(vectors: np.ndarray, centroids_t: np.ndarray) -> np.ndarray:
@@ -318,23 +320,67 @@ def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
     return np.packbits(bitstream)
 
 
+def _code_bits(codebook: ResidualCodebook, token_counts: np.ndarray, packed_codes: np.ndarray) -> np.ndarray:
+    """The residual code bits of passages with ``token_counts`` tokens, whose byte-padded
+    codes are concatenated in ``packed_codes``, as a (tokens, dim, bits) array with the
+    pad bits that end each passage dropped and each code's bits most significant first."""
+    dim, bits = codebook.dim, codebook.bits
+    stream = np.unpackbits(packed_codes)
+    if dim * bits % 8:
+        kept = token_counts * (dim * bits)
+        padded = (kept + 7) // 8 * 8
+        within = np.arange(stream.size) - np.repeat(np.cumsum(padded) - padded, padded)
+        stream = stream[within < np.repeat(kept, padded)]
+    return stream.reshape(-1, dim, bits)
+
+
 def _decode(codebook: ResidualCodebook, token_counts, centroid_ids, packed_codes) -> np.ndarray:
     """Token vectors of passages with ``token_counts`` tokens, whose centroid ids and
     byte-padded residual codes are concatenated in ``centroid_ids`` and ``packed_codes``:
     each the float64 sum of its centroid and bucket values, rounded to float32."""
     dim, bits = codebook.dim, codebook.bits
-    stream = np.unpackbits(packed_codes)
-    if dim * bits % 8:  # drop the pad bits that end each passage
-        kept = token_counts * (dim * bits)
-        padded = (kept + 7) // 8 * 8
-        within = np.arange(stream.size) - np.repeat(np.cumsum(padded) - padded, padded)
-        stream = stream[within < np.repeat(kept, padded)]
-    stream = stream.reshape(-1, dim, bits)  # each code's bits, most significant first as packed
+    stream = _code_bits(codebook, token_counts, packed_codes)
     level = stream[:, :, 0]
     for j in range(1, bits):
         level = 2 * level + stream[:, :, j]
     offsets = codebook.values.take(level + np.arange(dim) * 2**bits)
     return np.add(codebook.centroids.take(centroid_ids, axis=0), offsets, dtype=np.float64).astype(np.float32)
+
+
+def _chunk_codes(codebook: ResidualCodebook, token_counts: np.ndarray, packed_codes: np.ndarray) -> np.ndarray:
+    """Each token's residual codes regrouped into whole bytes, one row per token.
+
+    Byte ``b`` of a row holds the levels of dimensions ``b * per`` up to
+    ``(b + 1) * per`` for ``per = 8 // bits``, most significant first, and
+    zero bits after them; so a row has ``ceil(dim / per)`` bytes. Where
+    ``bits`` divides 8 and ``dim * bits`` is a multiple of 8, as for 16
+    dimensions of 1 bit, the rows hold exactly the bytes of ``packed_codes``.
+    """
+    dim, bits = codebook.dim, codebook.bits
+    per = 8 // bits
+    width = -(-dim // per)
+    stream = _code_bits(codebook, token_counts, packed_codes).reshape(-1, dim * bits)
+    tokens = stream.shape[0]
+    stream = np.pad(stream, ((0, 0), (0, (width * per - dim) * bits)))  # whole bytes of dimensions
+    stream = np.pad(stream.reshape(tokens * width, per * bits), ((0, 0), (0, 8 - per * bits)))
+    return np.packbits(stream).reshape(tokens, width)
+
+
+def _code_tables(codebook: ResidualCodebook, query: np.ndarray) -> np.ndarray:
+    """Per-query lookup tables for chunk codes: ``tables[b, q, v]`` is the dot product of
+    query token ``q`` with the bucket values that code byte ``b`` holding ``v`` selects,
+    over the dimensions of that byte (see ``_chunk_codes``)."""
+    dim, bits = codebook.dim, codebook.bits
+    per = 8 // bits
+    width = -(-dim // per)
+    tables = np.zeros((width, query.shape[0], 256))
+    byte_values = np.arange(256)
+    for j in range(per):  # the j-th dimension of every byte
+        dims = np.arange(j, dim, per)
+        levels = (byte_values >> (8 - (j + 1) * bits)) & (2**bits - 1)
+        values = codebook.values[dims][:, levels]  # (bytes holding a j-th dimension, 256)
+        tables[: len(dims)] += query.T[dims][:, :, None] * values[:, None, :]
+    return tables
 
 
 def compress(vectors: np.ndarray, codebook: ResidualCodebook, key: str = "") -> CompressedPassage:
@@ -425,6 +471,9 @@ class DenseIndex:
     ``inverted_passages[inverted_offsets[c]:inverted_offsets[c + 1]]``, in
     increasing order and each once. Both maps hold the same pairs, and
     neither is stored on disk. No other code computes these offsets.
+    ``chunk_codes`` holds the residual codes again, one row of whole bytes per
+    token in ``centroid_ids``' order (see ``_chunk_codes``); stage 3 of
+    ``search_dense`` reads them.
     """
 
     def __init__(
@@ -463,6 +512,7 @@ class DenseIndex:
         by_centroid = np.argsort(self.distinct_centroids.astype(np.min_scalar_type(k - 1)), kind="stable")
         self.inverted_passages = passages[by_centroid]
         self.inverted_offsets = np.searchsorted(self.distinct_centroids, np.arange(k + 1), sorter=by_centroid)
+        self.chunk_codes = _chunk_codes(codebook, token_counts, packed_codes)
         # Rank of each key in string order, for ties broken by passage key.
         self._key_rank = np.empty(n, dtype=np.int64)
         self._key_rank[np.argsort(np.array(keys, dtype=object), kind="stable")] = np.arange(n)
@@ -470,17 +520,11 @@ class DenseIndex:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def decode(self, ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Token vectors of passages ``ordinals``, concatenated, and offsets cutting them
-        per passage (``len(ordinals) + 1`` entries, from 0)."""
-        tokens, starts = _segments(self.token_offsets, ordinals)
-        code_bytes, _ = _segments(self.byte_offsets, ordinals)
-        counts = self.token_offsets[ordinals + 1] - self.token_offsets[ordinals]
-        vectors = _decode(self.codebook, counts, self.centroid_ids[tokens], self.packed_codes[code_bytes])
-        return vectors, np.append(starts, len(tokens))
-
     def decompress_passage(self, ordinal: int) -> np.ndarray:
-        return self.decode(np.array([ordinal]))[0]
+        """Token vectors of passage ``ordinal``, decoded as ``decompress`` does."""
+        t0, t1 = self.token_offsets[ordinal : ordinal + 2]
+        b0, b1 = self.byte_offsets[ordinal : ordinal + 2]
+        return _decode(self.codebook, np.array([t1 - t0]), self.centroid_ids[t0:t1], self.packed_codes[b0:b1])
 
 
 def _check_keys(keys: Iterable[str]) -> None:
@@ -533,15 +577,19 @@ def search_dense(
     boolean mask ``allowed`` over passage ordinals admits when one is given
     (``candidates=`` in the log counts what is kept). Stage 2 ranks the
     candidates by MaxSim computed on their distinct centroids alone and keeps
-    the top ``candidate_cap``. Stage 3 scores the survivors exactly on decompressed
-    vectors; results are sorted by descending score, ties by passage key.
+    the top ``candidate_cap``. Stage 3 scores the survivors by exact MaxSim over
+    their compressed tokens; results are sorted by descending score, ties by
+    passage key.
 
-    Stage 3 decodes survivors ``_DECODE_BLOCK`` at a time, which bounds peak
-    memory, with one bit unpacking and one lookup of bucket values per block.
-    Each passage is then scored with its own matrix product, not one per
-    block, because BLAS sums a dot product in an order that depends on the
-    matrix shape; so every score equals ``maxsim`` on the passage's
-    ``decompress`` output exactly.
+    Stage 3 builds one table per code byte of the index's ``chunk_codes``,
+    holding each query token's dot product with the bucket values every byte
+    value selects. A token's similarity to a query token is then the centroid
+    similarity from stage 1 plus one table entry per byte, all in float64.
+    Survivors are scored ``_SCORE_BLOCK`` at a time, which bounds the
+    (query tokens x tokens) score matrix. ``decompress`` rounds each decoded
+    vector to float32 and stage 3 does not, so a score lies within
+    ``2**-24 * |q| * |x|`` per query token q of ``maxsim`` on the passage's
+    ``decompress`` output, for its longest decoded token x.
     """
     params = params if params is not None else index.params
     params.validate()
@@ -574,18 +622,26 @@ def search_dense(
     # its tokens. It leaves one row per candidate, and each row sums as one
     # contiguous vector, the same summation as per-passage MaxSim.
     positions, starts = _segments(index.distinct_offsets, candidates)
-    centroid_rows = np.ascontiguousarray(centroid_sims.T)[index.distinct_centroids[positions]]
+    centroid_ids = np.take(index.distinct_centroids, positions)
+    centroid_rows = np.take(np.ascontiguousarray(centroid_sims.T), centroid_ids, axis=0)
     approx = np.maximum.reduceat(centroid_rows, starts, axis=0).sum(axis=1)
     order = np.lexsort((index._key_rank[candidates], -approx))
     survivors = candidates[order[: params.candidate_cap]]
     t2 = time.perf_counter()
 
+    # A decoded token is its centroid plus one bucket value per dimension, so its
+    # dot product with a query token is their centroid similarity plus one table
+    # entry per code byte. Scores are (query tokens x tokens), one block at a time.
+    tables = _code_tables(index.codebook, query)
     exact = np.empty(len(survivors))
-    for first in range(0, len(survivors), _DECODE_BLOCK):
-        vectors, offsets = index.decode(survivors[first : first + _DECODE_BLOCK])
-        vectors = vectors.astype(np.float64)
-        for i, (start, end) in enumerate(pairwise(offsets.tolist()), start=first):
-            exact[i] = (query @ vectors[start:end].T).max(axis=1).sum()
+    for first in range(0, len(survivors), _SCORE_BLOCK):
+        tokens, starts = _segments(index.token_offsets, survivors[first : first + _SCORE_BLOCK])
+        # np.take, as fancy indexing gathered these rows several times slower.
+        scores = np.take(centroid_sims, np.take(index.centroid_ids, tokens), axis=1)
+        codes = np.take(index.chunk_codes, tokens, axis=0)
+        for b, table in enumerate(tables):
+            scores += np.take(table, codes[:, b], axis=1)
+        exact[first : first + len(starts)] = np.maximum.reduceat(scores, starts, axis=1).sum(axis=0)
     order = np.lexsort((index._key_rank[survivors], -exact))
     results = [(index.keys[survivors[i]], float(exact[i])) for i in order]
     t3 = time.perf_counter()

@@ -601,6 +601,19 @@ def test_out_of_range_shard_plan_rejected_before_searching(workspace, tmp_path, 
     assert not out.exists()
 
 
+def test_shard_plan_without_topics_refused(workspace, tmp_path, capsys):
+    """A dense search takes its queries from embeddings, so without topics a plan would date nothing."""
+    root, paths = workspace
+    argv = _search_argv(root, paths, "dated-dense")
+    del argv[argv.index("--topics") : argv.index("--topics") + 2]
+    out = tmp_path / "never.run"
+    capsys.readouterr()
+    assert main([*argv, "--output", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: --shard-plan needs topics to filter by date: pass --topics or set collection.topics"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "record",
     [

@@ -24,6 +24,8 @@ from xlir.dense import (
 )
 from xlir.errors import FormatError, ValidationError
 
+from tolerance import assert_ranking_within, maxsim_tolerance
+
 
 def unit_rows(matrix):
     return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -403,7 +405,7 @@ class TestSearch:
         index, _ = self.build(rng, num_passages=20, num_centroids=1)
         query = unit_rows(rng.standard_normal((3, 8)))
         got = search_dense(index, query)
-        assert [key for key, _ in got] == [key for key, _ in exhaustive_search(index, query)]
+        assert_ranking_within(got, exhaustive_search(index, query), maxsim_tolerance(index, query))
 
     def test_oracle_equivalence_full_probe(self):
         rng = np.random.default_rng(16)
@@ -411,10 +413,7 @@ class TestSearch:
         params = DenseIndexParams(num_centroids=8, nprobe=8, candidate_cap=10_000, seed=21)
         query = unit_rows(rng.standard_normal((4, 8)))
         got = search_dense(index, query, params)
-        oracle = exhaustive_search(index, query)
-        assert [key for key, _ in got] == [key for key, _ in oracle]
-        for (_, a), (_, b) in zip(got, oracle):
-            assert a == pytest.approx(b, abs=1e-9)
+        assert_ranking_within(got, exhaustive_search(index, query), maxsim_tolerance(index, query))
 
     def test_probed_centroids_without_passages_score_nothing(self, caplog):
         rng = np.random.default_rng(19)
@@ -436,7 +435,8 @@ class TestSearch:
         query = unit_rows(rng.standard_normal((2, 8)))
         ((key, score),) = search_dense(index, query)
         assert key == "p0000"
-        assert score == pytest.approx(brute_force_maxsim(query, index.decompress_passage(0)), abs=1e-9)
+        tolerance = maxsim_tolerance(index, query)
+        assert score == pytest.approx(brute_force_maxsim(query, index.decompress_passage(0)), abs=tolerance)
 
     def test_empty_query_rejected(self):
         rng = np.random.default_rng(20)
@@ -483,15 +483,34 @@ def reference_decompress(index, ordinal):
     return np.array(rows, dtype=np.float64).reshape(-1, dim).astype(np.float32)
 
 
+def reference_chunk_codes(index):
+    """Each token's code levels, read as ``reference_decompress`` reads them, packed
+    ``8 // bits`` dimensions to a byte, most significant first."""
+    dim, bits = index.codebook.dim, index.codebook.bits
+    per = 8 // bits
+    rows = []
+    for ordinal in range(len(index)):
+        t0, t1 = index.token_offsets[ordinal : ordinal + 2]
+        code_bits = np.unpackbits(index.packed_codes[index.byte_offsets[ordinal] :])
+        for t in range(t1 - t0):
+            row = [0] * -(-dim // per)
+            for d in range(dim):
+                start = (t * dim + d) * bits
+                level = int("".join(str(b) for b in code_bits[start : start + bits]), 2)
+                row[d // per] |= level << (8 - (d % per + 1) * bits)
+            rows.append(row)
+    return np.array(rows, dtype=np.uint8)
+
+
 def flat_layout_index(dim, bits):
-    """More passages than one decoding block, short enough to tie often on centroid
+    """More passages than one scoring block, short enough to tie often on centroid
     scores, with shuffled keys so passage order is not key order."""
     rng = np.random.default_rng(40)
     embeddings = random_embeddings(rng, 150, dim, min_tokens=1, max_tokens=4)
     keys = list(embeddings)
     embeddings = {keys[i]: embeddings[keys[i]] for i in rng.permutation(len(keys))}
     index = build_dense_index(embeddings, DenseIndexParams(bits=bits, num_centroids=16, kmeans_iters=5, seed=41))
-    assert len(index) > dense._DECODE_BLOCK and (np.diff(index.token_offsets) == 1).any()
+    assert len(index) > dense._SCORE_BLOCK and (np.diff(index.token_offsets) == 1).any()
     return index, embeddings
 
 
@@ -506,8 +525,9 @@ def assert_staged_search_equals_reference(index, embeddings, tmp_path):
             query = unit_rows(rng.standard_normal((int(rng.integers(1, 12)), index.codebook.dim)))
             expected, candidates = per_passage_search(index, embeddings, query, params)
             cut += candidates > cap
-            assert search_dense(index, query, params) == expected
-            assert search_dense(loaded, query, params) == expected
+            got = search_dense(index, query, params)
+            assert_ranking_within(got, expected, maxsim_tolerance(index, query))
+            assert search_dense(loaded, query, params) == got
     assert cut >= 16
 
 
@@ -559,15 +579,35 @@ class TestFlatLayout:
     @pytest.mark.parametrize("dim, bits", [(8, 1), (5, 3), (7, 2), (8, 8)])
     def test_block_decoder_equals_per_passage_decoding(self, dim, bits):
         index, _ = flat_layout_index(dim, bits)
-        ordinals = np.random.default_rng(43).permutation(len(index))
-        vectors, offsets = index.decode(ordinals)
-        assert offsets.tolist() == [0, *np.cumsum(np.diff(index.token_offsets)[ordinals]).tolist()]
-        np.testing.assert_array_equal(vectors, np.vstack([reference_decompress(index, i) for i in ordinals]))
-        np.testing.assert_array_equal(vectors, np.vstack([index.decompress_passage(i) for i in ordinals]))
+        for ordinal in np.random.default_rng(43).permutation(len(index)):
+            np.testing.assert_array_equal(index.decompress_passage(ordinal), reference_decompress(index, ordinal))
+        # The decoder drops the pad that ends each passage when given many at once.
+        every = dense._decode(index.codebook, np.diff(index.token_offsets), index.centroid_ids, index.packed_codes)
+        np.testing.assert_array_equal(every, np.vstack([reference_decompress(index, i) for i in range(len(index))]))
 
-    def test_each_passage_scored_by_its_own_product_at_dim_128(self):
-        # At dim 128 one matrix product per decoded block sums most dot products
-        # in a different order than a product per passage, changing the last bit.
+    # Whole-byte codes (16, 1), (8, 1) and (8, 8); padded codes; one dimension per byte (6, 5).
+    @pytest.mark.parametrize("dim, bits", [(16, 1), (8, 1), (5, 3), (7, 2), (6, 5), (8, 8)])
+    def test_stage3_scores_equal_maxsim_on_decompressed_passages(self, dim, bits, tmp_path):
+        index, _ = flat_layout_index(dim, bits)
+        save_dense_index(index, tmp_path / "idx")
+        loaded = load_dense_index(tmp_path / "idx")
+        np.testing.assert_array_equal(index.chunk_codes, reference_chunk_codes(index))
+        np.testing.assert_array_equal(loaded.chunk_codes, index.chunk_codes)
+        if dim * bits % 8 == 0 and 8 % bits == 0:
+            assert index.chunk_codes.tobytes() == index.packed_codes.tobytes()
+        params = DenseIndexParams(nprobe=16, candidate_cap=1000)
+        rng = np.random.default_rng(46)
+        for tokens in (1, 3, 12):
+            query = unit_rows(rng.standard_normal((tokens, dim)))
+            expected = sorted(
+                ((key, maxsim(query, index.decompress_passage(i))) for i, key in enumerate(index.keys)),
+                key=lambda entry: (-entry[1], entry[0]),
+            )
+            got = search_dense(index, query, params)
+            assert_ranking_within(got, expected, maxsim_tolerance(index, query))
+            assert search_dense(loaded, query, params) == got
+
+    def test_stage3_scores_equal_maxsim_on_decompressed_passages_at_dim_128(self):
         rng = np.random.default_rng(44)
         embeddings = random_embeddings(rng, 200, 128, min_tokens=1, max_tokens=12)
         index = build_dense_index(embeddings, DenseIndexParams(num_centroids=16, kmeans_iters=3, seed=45))
@@ -575,8 +615,8 @@ class TestFlatLayout:
         for _ in range(3):
             query = unit_rows(rng.standard_normal((32, 128)))
             expected, _ = per_passage_search(index, embeddings, query, params)
-            assert len(expected) == len(index) > dense._DECODE_BLOCK
-            assert search_dense(index, query, params) == expected
+            assert len(expected) == len(index) > dense._SCORE_BLOCK
+            assert_ranking_within(search_dense(index, query, params), expected, maxsim_tolerance(index, query))
 
 
 class TestMaxP:
