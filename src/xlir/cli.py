@@ -232,6 +232,8 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     index_dir = _require_path(args.index, "index directory")
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     if args.shard_plan is not None and args.topics is None:
         # A plan only takes effect through the date filters of topics.
         raise ValidationError("--shard-plan needs topics to filter by date: pass --topics or set collection.topics")
@@ -261,7 +263,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         ranked = searcher.search(query, date_filter, args.k, query_id=query_id, **options)
         return _entries_for_topic(query_id, ranked, args.run_tag)
 
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         entries = [entry for result in pool.map(run_query, queries) for entry in result]
 
     logger.info(

@@ -25,12 +25,15 @@ Embedding file format (all integers little-endian):
 Index directory layout: ``meta.json`` (format, version, parameters),
 ``centroids.npy``, ``bucket_boundaries.npy``, ``bucket_values.npy``,
 ``keys.txt`` (one passage key per line), ``token_counts.npy``,
-``centroid_ids.npy`` (concatenated per passage), ``packed_codes.npy``
-(per-passage bit-packed residual codes, each passage padded to a byte
-boundary and concatenated). A loaded ``DenseIndex`` keeps these arrays as
-they are on disk; only the offsets into them, the two centroid maps and the
-codes regrouped into whole bytes per token are derived, once, when the index
-is built or loaded.
+``centroid_ids.npy`` (concatenated per passage) and ``codes.npy``, the
+residual codes as one row of bytes per token in ``centroid_ids`` order. A
+byte holds the levels of ``8 // bits`` dimensions, most significant first,
+and zero bits after them, so a row has ``ceil(dim / (8 // bits))`` bytes.
+Where ``bits`` divides 8 and ``dim`` is a multiple of ``8 // bits``, as for
+16 dimensions of 1 bit, no bit is padding; otherwise each row pads its bytes.
+A loaded ``DenseIndex`` keeps these arrays as they are on disk; only the
+offsets into them and the two centroid maps are derived, once, when the
+index is built or loaded.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ EMBEDDING_VERSION = 1
 NORM_TOLERANCE = 1e-4
 
 INDEX_FORMAT = "xlir-dense-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 # Mapping from passage key to (token_count, dim) float32 matrix.
 TokenEmbeddings = dict[str, np.ndarray]
@@ -187,6 +190,9 @@ class ResidualCodebook:
 
     def validate(self) -> None:
         levels = 2**self.bits
+        for name in ("centroids", "boundaries", "values"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"codebook {name} must be finite")
         if self.boundaries.shape != (self.dim, levels - 1):
             raise ValidationError(f"boundaries shape {self.boundaries.shape} != {(self.dim, levels - 1)}")
         if self.values.shape != (self.dim, levels):
@@ -198,9 +204,8 @@ class ResidualCodebook:
 @dataclass
 class CompressedPassage:
     key: str
-    centroid_ids: np.ndarray  # (num_tokens,) int32
-    packed_codes: np.ndarray  # (ceil(num_tokens * dim * bits / 8),) uint8
-    num_tokens: int
+    centroid_ids: np.ndarray  # (tokens,) int32
+    codes: np.ndarray  # (tokens, ceil(dim / (8 // bits))) uint8, one code row per token
 
 
 def _stack_tokens(embeddings: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -314,97 +319,64 @@ def train_codebook(
     return codebook
 
 
-def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint8)
-    bitstream = ((codes[:, :, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    return np.packbits(bitstream)
+def _code_layout(dim: int, bits: int) -> tuple[int, range]:
+    """Bytes per code row, and the right shift that brings each of a byte's
+    ``8 // bits`` dimensions, most significant first, to its low bits."""
+    shifts = range(8 - bits, -1, -bits)
+    return -(-dim // len(shifts)), shifts
 
 
-def _code_bits(codebook: ResidualCodebook, token_counts: np.ndarray, packed_codes: np.ndarray) -> np.ndarray:
-    """The residual code bits of passages with ``token_counts`` tokens, whose byte-padded
-    codes are concatenated in ``packed_codes``, as a (tokens, dim, bits) array with the
-    pad bits that end each passage dropped and each code's bits most significant first."""
+def _pack(levels: np.ndarray, bits: int) -> np.ndarray:
+    """Code rows of a (tokens, dim) array of ``bits``-bit levels: byte ``b`` of a row
+    holds dimensions ``b * per`` up to ``(b + 1) * per`` for ``per = 8 // bits``."""
+    width, shifts = _code_layout(levels.shape[1], bits)
+    codes = np.zeros((len(levels), width), dtype=np.uint8)
+    for j, shift in enumerate(shifts):  # the j-th dimension of every byte
+        held = levels[:, j :: len(shifts)]
+        codes[:, : held.shape[1]] |= held << shift
+    return codes
+
+
+def _decode(codebook: ResidualCodebook, centroid_ids: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Token vectors of the given centroid ids and code rows: each the float64 sum of
+    its centroid and bucket values, rounded to float32."""
     dim, bits = codebook.dim, codebook.bits
-    stream = np.unpackbits(packed_codes)
-    if dim * bits % 8:
-        kept = token_counts * (dim * bits)
-        padded = (kept + 7) // 8 * 8
-        within = np.arange(stream.size) - np.repeat(np.cumsum(padded) - padded, padded)
-        stream = stream[within < np.repeat(kept, padded)]
-    return stream.reshape(-1, dim, bits)
-
-
-def _decode(codebook: ResidualCodebook, token_counts, centroid_ids, packed_codes) -> np.ndarray:
-    """Token vectors of passages with ``token_counts`` tokens, whose centroid ids and
-    byte-padded residual codes are concatenated in ``centroid_ids`` and ``packed_codes``:
-    each the float64 sum of its centroid and bucket values, rounded to float32."""
-    dim, bits = codebook.dim, codebook.bits
-    stream = _code_bits(codebook, token_counts, packed_codes)
-    level = stream[:, :, 0]
-    for j in range(1, bits):
-        level = 2 * level + stream[:, :, j]
-    offsets = codebook.values.take(level + np.arange(dim) * 2**bits)
+    width, shifts = _code_layout(dim, bits)
+    levels = (codes[:, :, None] >> np.array(shifts, dtype=np.uint8)) & (2**bits - 1)
+    levels = levels.reshape(len(codes), width * len(shifts))[:, :dim]
+    offsets = codebook.values.take(levels + np.arange(dim) * 2**bits)
     return np.add(codebook.centroids.take(centroid_ids, axis=0), offsets, dtype=np.float64).astype(np.float32)
 
 
-def _chunk_codes(codebook: ResidualCodebook, token_counts: np.ndarray, packed_codes: np.ndarray) -> np.ndarray:
-    """Each token's residual codes regrouped into whole bytes, one row per token.
-
-    Byte ``b`` of a row holds the levels of dimensions ``b * per`` up to
-    ``(b + 1) * per`` for ``per = 8 // bits``, most significant first, and
-    zero bits after them; so a row has ``ceil(dim / per)`` bytes. Where
-    ``bits`` divides 8 and ``dim * bits`` is a multiple of 8, as for 16
-    dimensions of 1 bit, the rows hold exactly the bytes of ``packed_codes``.
-    """
-    dim, bits = codebook.dim, codebook.bits
-    per = 8 // bits
-    width = -(-dim // per)
-    stream = _code_bits(codebook, token_counts, packed_codes).reshape(-1, dim * bits)
-    tokens = stream.shape[0]
-    stream = np.pad(stream, ((0, 0), (0, (width * per - dim) * bits)))  # whole bytes of dimensions
-    stream = np.pad(stream.reshape(tokens * width, per * bits), ((0, 0), (0, 8 - per * bits)))
-    return np.packbits(stream).reshape(tokens, width)
-
-
 def _code_tables(codebook: ResidualCodebook, query: np.ndarray) -> np.ndarray:
-    """Per-query lookup tables for chunk codes: ``tables[b, q, v]`` is the dot product of
+    """Per-query lookup tables for code rows: ``tables[b, q, v]`` is the dot product of
     query token ``q`` with the bucket values that code byte ``b`` holding ``v`` selects,
-    over the dimensions of that byte (see ``_chunk_codes``)."""
+    over the dimensions of that byte."""
     dim, bits = codebook.dim, codebook.bits
-    per = 8 // bits
-    width = -(-dim // per)
+    width, shifts = _code_layout(dim, bits)
     tables = np.zeros((width, query.shape[0], 256))
     byte_values = np.arange(256)
-    for j in range(per):  # the j-th dimension of every byte
-        dims = np.arange(j, dim, per)
-        levels = (byte_values >> (8 - (j + 1) * bits)) & (2**bits - 1)
-        values = codebook.values[dims][:, levels]  # (bytes holding a j-th dimension, 256)
+    for j, shift in enumerate(shifts):  # the j-th dimension of every byte
+        dims = np.arange(j, dim, len(shifts))
+        values = codebook.values[dims][:, (byte_values >> shift) & (2**bits - 1)]  # (bytes holding one, 256)
         tables[: len(dims)] += query.T[dims][:, :, None] * values[:, None, :]
     return tables
 
 
-def compress(vectors: np.ndarray, codebook: ResidualCodebook, key: str = "") -> CompressedPassage:
-    """Encode token vectors as nearest-centroid ids plus packed residual codes."""
-    return _compress(vectors, codebook, codebook.centroids.astype(np.float64), key)
-
-
-def _compress(
-    vectors: np.ndarray, codebook: ResidualCodebook, centroids: np.ndarray, key: str
-) -> CompressedPassage:
-    """``compress`` given the codebook's centroids already cast to float64, which
-    ``build_dense_index`` does once for the whole collection."""
+def _encode(vectors: np.ndarray, codebook: ResidualCodebook, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid ids and (tokens, dim) residual levels of token vectors, given the
+    codebook's centroids cast to float64."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != codebook.dim:
         raise ValidationError(f"expected shape (*, {codebook.dim}), got {vectors.shape}")
     ids = np.argmax(vectors @ centroids.T, axis=1).astype(np.int32)
-    residuals = vectors - centroids[ids]
-    codes = _bucketize(residuals, codebook.boundaries)
-    return CompressedPassage(
-        key=key,
-        centroid_ids=ids,
-        packed_codes=_pack_codes(codes, codebook.bits),
-        num_tokens=int(vectors.shape[0]),
-    )
+    return ids, _bucketize(vectors - centroids[ids], codebook.boundaries)
+
+
+def compress(vectors: np.ndarray, codebook: ResidualCodebook, key: str = "") -> CompressedPassage:
+    """Encode token vectors as nearest-centroid ids plus one row of residual codes each."""
+    ids, levels = _encode(vectors, codebook, codebook.centroids.astype(np.float64))
+    return CompressedPassage(key=key, centroid_ids=ids, codes=_pack(levels, codebook.bits))
 
 
 def decompress(compressed: CompressedPassage, codebook: ResidualCodebook) -> np.ndarray:
@@ -412,22 +384,15 @@ def decompress(compressed: CompressedPassage, codebook: ResidualCodebook) -> np.
 
     The result is intentionally not renormalized.
     """
-    ids = compressed.centroid_ids
-    if len(ids) != compressed.num_tokens:
-        raise FormatError(
-            f"passage {compressed.key!r}: {len(ids)} centroid ids for {compressed.num_tokens} tokens"
-        )
+    ids, codes = compressed.centroid_ids, compressed.codes
     if ids.size and (ids.min() < 0 or ids.max() >= codebook.num_centroids):
         raise FormatError(
             f"passage {compressed.key!r}: corrupted centroid id outside [0, {codebook.num_centroids})"
         )
-    expected_bytes = (compressed.num_tokens * codebook.dim * codebook.bits + 7) // 8
-    if compressed.packed_codes.size != expected_bytes:
-        raise FormatError(
-            f"passage {compressed.key!r}: expected {expected_bytes} code bytes, "
-            f"got {compressed.packed_codes.size}"
-        )
-    return _decode(codebook, np.array([compressed.num_tokens]), ids, compressed.packed_codes)
+    shape = (len(ids), _code_layout(codebook.dim, codebook.bits)[0])
+    if codes.shape != shape:
+        raise FormatError(f"passage {compressed.key!r}: expected codes of shape {shape}, got {codes.shape}")
+    return _decode(codebook, ids, codes)
 
 
 def maxsim(query_vectors: np.ndarray, doc_vectors: np.ndarray) -> float:
@@ -459,21 +424,19 @@ class DenseIndex:
     """Compressed passages in the flat layout of the index directory, plus two centroid maps.
 
     Passage ``i`` has key ``keys[i]``, centroid ids
-    ``centroid_ids[token_offsets[i]:token_offsets[i + 1]]`` and residual codes
-    ``packed_codes[byte_offsets[i]:byte_offsets[i + 1]]``; the latter are
-    ``ceil(tokens * dim * bits / 8)`` bytes, as each passage's codes are
-    padded to a byte boundary. Both offset arrays have ``len(keys) + 1``
-    entries, start at 0, never decrease, and end at the length of the array
-    they cut. Passage ``i``'s distinct centroid ids are
+    ``centroid_ids[token_offsets[i]:token_offsets[i + 1]]`` and residual code
+    rows ``codes[token_offsets[i]:token_offsets[i + 1]]``, one uint8 row of
+    ``ceil(dim / (8 // bits))`` bytes per token, laid out as in ``codes.npy``
+    (see the module docstring); stage 3 of ``search_dense`` reads them as they
+    are. Keys are distinct. ``token_offsets`` has ``len(keys) + 1`` entries,
+    starts at 0, never decreases, and ends at the number of tokens. Passage
+    ``i``'s distinct centroid ids are
     ``distinct_centroids[distinct_offsets[i]:distinct_offsets[i + 1]]``, in
     increasing order and in ``centroid_ids``' dtype. The passages containing
     centroid ``c`` are
     ``inverted_passages[inverted_offsets[c]:inverted_offsets[c + 1]]``, in
     increasing order and each once. Both maps hold the same pairs, and
     neither is stored on disk. No other code computes these offsets.
-    ``chunk_codes`` holds the residual codes again, one row of whole bytes per
-    token in ``centroid_ids``' order (see ``_chunk_codes``); stage 3 of
-    ``search_dense`` reads them.
     """
 
     def __init__(
@@ -482,20 +445,22 @@ class DenseIndex:
         keys: list[str],
         token_counts: np.ndarray,
         centroid_ids: np.ndarray,
-        packed_codes: np.ndarray,
+        codes: np.ndarray,
         params: DenseIndexParams,
     ):
         self.codebook = codebook
         self.keys = keys
         self.centroid_ids = centroid_ids
-        self.packed_codes = packed_codes
+        self.codes = codes
         self.params = params
         token_counts = np.asarray(token_counts, dtype=np.int64)
-        code_bytes = (token_counts * codebook.dim * codebook.bits + 7) // 8
         self.token_offsets = np.concatenate(([0], np.cumsum(token_counts)))
-        self.byte_offsets = np.concatenate(([0], np.cumsum(code_bytes)))
-        if self.token_offsets[-1] != centroid_ids.size or self.byte_offsets[-1] != packed_codes.size:
-            raise FormatError("token counts disagree with the centroid id or code array lengths")
+        shape = (int(self.token_offsets[-1]), _code_layout(codebook.dim, codebook.bits)[0])
+        if centroid_ids.shape != shape[:1] or codes.shape != shape:
+            raise FormatError(
+                f"token counts add up to {shape[0]} tokens, which need {shape[0]} centroid ids and "
+                f"codes of shape {shape}, got {centroid_ids.size} ids and codes of shape {codes.shape}"
+            )
         # One sort of (passage ordinal, centroid id) pairs, encoded as ordinal * K + cid,
         # cut per passage; a stable sort of its centroid column, cut per centroid, keeps
         # each centroid's passages in increasing order. Repeats are dropped by comparing
@@ -512,10 +477,16 @@ class DenseIndex:
         by_centroid = np.argsort(self.distinct_centroids.astype(np.min_scalar_type(k - 1)), kind="stable")
         self.inverted_passages = passages[by_centroid]
         self.inverted_offsets = np.searchsorted(self.distinct_centroids, np.arange(k + 1), sorter=by_centroid)
-        self.chunk_codes = _chunk_codes(codebook, token_counts, packed_codes)
-        # Rank of each key in string order, for ties broken by passage key.
+        # Rank of each key in string order, for ties broken by passage key; a repeated
+        # key has an equal neighbour in that order.
+        key_array = np.array(keys, dtype=object)
+        by_key = np.argsort(key_array, kind="stable")
+        ordered = key_array[by_key]
+        repeated = ordered[1:] == ordered[:-1]
+        if repeated.any():
+            raise FormatError(f"duplicate passage key {ordered[np.argmax(repeated)]!r}")
         self._key_rank = np.empty(n, dtype=np.int64)
-        self._key_rank[np.argsort(np.array(keys, dtype=object), kind="stable")] = np.arange(n)
+        self._key_rank[by_key] = np.arange(n)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -523,8 +494,7 @@ class DenseIndex:
     def decompress_passage(self, ordinal: int) -> np.ndarray:
         """Token vectors of passage ``ordinal``, decoded as ``decompress`` does."""
         t0, t1 = self.token_offsets[ordinal : ordinal + 2]
-        b0, b1 = self.byte_offsets[ordinal : ordinal + 2]
-        return _decode(self.codebook, np.array([t1 - t0]), self.centroid_ids[t0:t1], self.packed_codes[b0:b1])
+        return _decode(self.codebook, self.centroid_ids[t0:t1], self.codes[t0:t1])
 
 
 def _check_keys(keys: Iterable[str]) -> None:
@@ -546,22 +516,23 @@ def build_dense_index(
     trained = time.perf_counter()
     keys = list(embeddings.keys())
     centroids = codebook.centroids.astype(np.float64)
-    passages = [_compress(embeddings[key], codebook, centroids, key) for key in keys]
+    encoded = [_encode(embeddings[key], codebook, centroids) for key in keys]
+    ids = np.concatenate([passage_ids for passage_ids, _ in encoded])
+    # Code rows are independent, so the levels of all passages pack at once.
+    codes = _pack(np.concatenate([levels for _, levels in encoded]), codebook.bits)
     done = time.perf_counter()
     logger.info(
         "event=dense_index_build passages=%d tokens=%d centroids=%d bits=%d "
         "train_ms=%.1f compress_ms=%.1f",
         len(keys),
-        sum(p.num_tokens for p in passages),
+        len(ids),
         codebook.num_centroids,
         codebook.bits,
         (trained - start) * 1e3,
         (done - trained) * 1e3,
     )
     resolved = replace(params, num_centroids=codebook.num_centroids)
-    ids = np.concatenate([p.centroid_ids for p in passages])
-    codes = np.concatenate([p.packed_codes for p in passages])
-    return DenseIndex(codebook, keys, [p.num_tokens for p in passages], ids, codes, resolved)
+    return DenseIndex(codebook, keys, [len(passage_ids) for passage_ids, _ in encoded], ids, codes, resolved)
 
 
 def search_dense(
@@ -581,7 +552,7 @@ def search_dense(
     their compressed tokens; results are sorted by descending score, ties by
     passage key.
 
-    Stage 3 builds one table per code byte of the index's ``chunk_codes``,
+    Stage 3 builds one table per byte of the index's code rows,
     holding each query token's dot product with the bucket values every byte
     value selects. A token's similarity to a query token is then the centroid
     similarity from stage 1 plus one table entry per byte, all in float64.
@@ -638,7 +609,7 @@ def search_dense(
         tokens, starts = _segments(index.token_offsets, survivors[first : first + _SCORE_BLOCK])
         # np.take, as fancy indexing gathered these rows several times slower.
         scores = np.take(centroid_sims, np.take(index.centroid_ids, tokens), axis=1)
-        codes = np.take(index.chunk_codes, tokens, axis=0)
+        codes = np.take(index.codes, tokens, axis=0)
         for b, table in enumerate(tables):
             scores += np.take(table, codes[:, b], axis=1)
         exact[first : first + len(starts)] = np.maximum.reduceat(scores, starts, axis=1).sum(axis=0)
@@ -688,7 +659,7 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
             fh.write(key + "\n")
     np.save(dirpath / "token_counts.npy", np.diff(index.token_offsets))
     np.save(dirpath / "centroid_ids.npy", index.centroid_ids)
-    np.save(dirpath / "packed_codes.npy", index.packed_codes)
+    np.save(dirpath / "codes.npy", index.codes)
 
 
 def load_dense_index(dirpath: str | Path) -> DenseIndex:
@@ -728,8 +699,8 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
         raise FormatError(
             f"{dirpath}/centroid_ids.npy: centroid ids must be integers in [0, {codebook.num_centroids})"
         )
-    packed = load_array(dirpath / "packed_codes.npy", 1, np.uint8)
+    codes = load_array(dirpath / "codes.npy", 2, np.uint8)
     try:
-        return DenseIndex(codebook, keys, token_counts, centroid_ids, packed, params)
+        return DenseIndex(codebook, keys, token_counts, centroid_ids, codes, params)
     except FormatError as exc:
         raise FormatError(f"{dirpath}: {exc}") from None

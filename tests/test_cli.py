@@ -224,6 +224,16 @@ def test_threads_do_not_change_output(workspace, kind):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_refused(workspace, tmp_path, capsys, threads):
+    root, paths = workspace
+    out = tmp_path / "never.run"
+    capsys.readouterr()
+    assert main([*_search_argv(root, paths, "lexical"), "--threads", threads, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: --threads must be >= 1, got {threads}"]
+    assert not out.exists()
+
+
 def test_dense_search_uses_stored_parameters(workspace, tmp_path, caplog):
     """The candidate cap stored at index time applies unless a flag or [dense] config key overrides it."""
     root, paths = workspace
@@ -522,8 +532,8 @@ CORRUPTIONS = {
     "centroids-truncated": ("dense", "centroids.npy", _truncate),
     "token-counts-truncated": ("dense", "token_counts.npy", _truncate),
     "token-count-negative": ("dense", "token_counts.npy", _negate_first_token_count),
-    "packed-codes-truncated": ("dense", "packed_codes.npy", _truncate),
-    "packed-codes-int16": ("dense", "packed_codes.npy", _retype(np.int16)),
+    "codes-truncated": ("dense", "codes.npy", _truncate),
+    "codes-int16": ("dense", "codes.npy", _retype(np.int16)),
     "stats-truncated": ("lexical", "stats.json", _truncate),
     "stats-no-num-docs": ("lexical", "stats.json", _edit_json(lambda stats: stats.pop("num_docs"))),
     "offsets-truncated": ("lexical", "offsets.npy", _truncate),

@@ -1,4 +1,6 @@
+import json
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -298,7 +300,8 @@ class TestCompression:
         )
         vec = np.array([[1.0, 0.3]], dtype=np.float32)  # residual (0.0, 0.3)
         cp = compress(vec, codebook)
-        codes = np.unpackbits(cp.packed_codes, count=2)
+        assert cp.codes.shape == (1, 1)
+        codes = np.unpackbits(cp.codes[0], count=2)
         assert codes.tolist() == [1, 1]  # 0.0 >= 0 and 0.3 >= 0
 
     def test_round_trip_error_bounded_by_training_residuals(self):
@@ -344,14 +347,23 @@ class TestCompression:
     def test_corrupted_centroid_id(self, codebook):
         vec = unit_rows(np.random.default_rng(0).standard_normal((1, 8))).astype(np.float32)
         cp = compress(vec, codebook)
-        bad = CompressedPassage(
-            key=cp.key,
-            centroid_ids=np.array([99], dtype=np.int32),
-            packed_codes=cp.packed_codes,
-            num_tokens=1,
-        )
+        bad = CompressedPassage(key=cp.key, centroid_ids=np.array([99], dtype=np.int32), codes=cp.codes)
         with pytest.raises(FormatError, match="corrupted"):
             decompress(bad, codebook)
+
+    @pytest.mark.parametrize("change", ["one-dimensional", "wider", "extra-row", "missing-row"])
+    def test_codes_of_wrong_shape(self, codebook, change):
+        vectors = unit_rows(np.random.default_rng(1).standard_normal((3, 8))).astype(np.float32)
+        cp = compress(vectors, codebook, key="p")
+        assert cp.codes.shape == (3, 1)
+        codes = {
+            "one-dimensional": cp.codes.reshape(-1),
+            "wider": np.hstack([cp.codes, cp.codes]),
+            "extra-row": np.vstack([cp.codes, cp.codes[:1]]),
+            "missing-row": cp.codes[:2],
+        }[change]
+        with pytest.raises(FormatError, match=r"passage 'p': expected codes of shape \(3, 1\)"):
+            decompress(replace(cp, codes=codes), codebook)
 
     def test_multi_bit_round_trip(self):
         rng = np.random.default_rng(10)
@@ -421,7 +433,7 @@ class TestSearch:
         unused = unit_rows(rng.standard_normal((1, 8))).astype(np.float32)
         codebook = replace(index.codebook, centroids=np.vstack([index.codebook.centroids, unused]))
         widened = DenseIndex(
-            codebook, index.keys, np.diff(index.token_offsets), index.centroid_ids, index.packed_codes, index.params
+            codebook, index.keys, np.diff(index.token_offsets), index.centroid_ids, index.codes, index.params
         )
         assert widened.inverted_offsets[-1] == widened.inverted_offsets[-2]
         with caplog.at_level(logging.INFO, logger="xlir"):
@@ -467,39 +479,52 @@ class TestSearch:
         assert search_dense(one, query) == search_dense(two, query)
 
 
+def reference_levels(row, dim, bits):
+    """The levels a code row holds, read bit by bit: ``8 // bits`` dimensions to a byte,
+    each level's bits most significant first."""
+    row_bits = [(int(byte) >> (7 - i)) & 1 for byte in row for i in range(8)]
+    per = 8 // bits
+    levels = []
+    for d in range(dim):
+        start = 8 * (d // per) + bits * (d % per)
+        levels.append(int("".join(str(b) for b in row_bits[start : start + bits]), 2))
+    return levels
+
+
+def reference_code_row(levels, bits):
+    """A code row written bit by bit: ``8 // bits`` levels to a byte, each level's bits
+    most significant first, and zero bits after them."""
+    per = 8 // bits
+    row = []
+    for first in range(0, len(levels), per):
+        byte_bits = "".join(format(level, f"0{bits}b") for level in levels[first : first + per])
+        row.append(int(byte_bits.ljust(8, "0"), 2))
+    return row
+
+
 def reference_decompress(index, ordinal):
-    """Passage ``ordinal`` decoded token by token from the index arrays, with no shared code."""
-    dim, bits = index.codebook.dim, index.codebook.bits
+    """Passage ``ordinal`` decoded token by token from its code rows, with no shared code."""
+    dim = index.codebook.dim
     t0, t1 = index.token_offsets[ordinal : ordinal + 2]
-    code_bits = np.unpackbits(index.packed_codes[index.byte_offsets[ordinal] :])
     rows = []
-    for t, cid in enumerate(index.centroid_ids[t0:t1]):
-        row = []
-        for d in range(dim):
-            start = (t * dim + d) * bits
-            level = int("".join(str(b) for b in code_bits[start : start + bits]), 2)
-            row.append(float(index.codebook.centroids[cid, d]) + float(index.codebook.values[d, level]))
-        rows.append(row)
+    for cid, row in zip(index.centroid_ids[t0:t1], index.codes[t0:t1]):
+        levels = reference_levels(row, dim, index.codebook.bits)
+        rows.append(
+            [float(index.codebook.centroids[cid, d]) + float(index.codebook.values[d, levels[d]]) for d in range(dim)]
+        )
     return np.array(rows, dtype=np.float64).reshape(-1, dim).astype(np.float32)
 
 
-def reference_chunk_codes(index):
-    """Each token's code levels, read as ``reference_decompress`` reads them, packed
-    ``8 // bits`` dimensions to a byte, most significant first."""
-    dim, bits = index.codebook.dim, index.codebook.bits
-    per = 8 // bits
-    rows = []
-    for ordinal in range(len(index)):
-        t0, t1 = index.token_offsets[ordinal : ordinal + 2]
-        code_bits = np.unpackbits(index.packed_codes[index.byte_offsets[ordinal] :])
-        for t in range(t1 - t0):
-            row = [0] * -(-dim // per)
-            for d in range(dim):
-                start = (t * dim + d) * bits
-                level = int("".join(str(b) for b in code_bits[start : start + bits]), 2)
-                row[d // per] |= level << (8 - (d % per + 1) * bits)
-            rows.append(row)
-    return np.array(rows, dtype=np.uint8)
+def reference_token_levels(index, embeddings):
+    """Each token's residual levels in index order: the number of bucket boundaries at or
+    below each residual component, against the centroid ``compress`` assigns."""
+    levels = []
+    for key in index.keys:
+        ids = compress(embeddings[key], index.codebook).centroid_ids
+        for vector, cid in zip(embeddings[key], ids):
+            residual = [float(v) - float(c) for v, c in zip(vector, index.codebook.centroids[cid])]
+            levels.append([int((index.codebook.boundaries[d] <= r).sum()) for d, r in enumerate(residual)])
+    return levels
 
 
 def flat_layout_index(dim, bits):
@@ -531,12 +556,17 @@ def assert_staged_search_equals_reference(index, embeddings, tmp_path):
     assert cut >= 16
 
 
+# (dim, bits): whole-byte codes (16, 1), (8, 1) and (8, 8); rows that end in pad bits
+# (5, 3) and (7, 2); one dimension per byte (6, 5).
+CODE_GRID = [(16, 1), (8, 1), (5, 3), (7, 2), (6, 5), (8, 8)]
+
+
 class TestFlatLayout:
     @pytest.fixture
     def built(self):
         return flat_layout_index(8, 1)
 
-    # (dim, bits): codes padded at the end of each passage, and whole-byte codes.
+    # (dim, bits): rows that end in pad bits, and whole-byte codes.
     @pytest.fixture(params=[(5, 3), (7, 2), (8, 8)], ids=lambda p: f"dim{p[0]}-bits{p[1]}")
     def coded(self, request):
         return flat_layout_index(*request.param)
@@ -576,25 +606,40 @@ class TestFlatLayout:
     def test_staged_search_equals_per_passage_reference_for_multi_bit_codes(self, coded, tmp_path):
         assert_staged_search_equals_reference(*coded, tmp_path)
 
-    @pytest.mark.parametrize("dim, bits", [(8, 1), (5, 3), (7, 2), (8, 8)])
+    @pytest.mark.parametrize("dim, bits", CODE_GRID)
+    def test_codes_are_rows_of_residual_levels(self, dim, bits, tmp_path):
+        index, embeddings = flat_layout_index(dim, bits)
+        levels = reference_token_levels(index, embeddings)
+        np.testing.assert_array_equal(index.codes, [reference_code_row(row, bits) for row in levels])
+        assert index.codes.dtype == np.uint8 and index.codes.shape == (len(levels), -(-dim // (8 // bits)))
+        save_dense_index(index, tmp_path / "idx")
+        assert sorted(path.name for path in (tmp_path / "idx").iterdir() if path.suffix == ".npy") == [
+            "bucket_boundaries.npy",
+            "bucket_values.npy",
+            "centroid_ids.npy",
+            "centroids.npy",
+            "codes.npy",
+            "token_counts.npy",
+        ]
+        np.testing.assert_array_equal(load_dense_index(tmp_path / "idx").codes, index.codes)
+        if 8 % bits == 0 and dim % (8 // bits) == 0:
+            # No pad bits: the rows hold the one bit stream of every level, in token order.
+            stream = [int(c) for row in levels for level in row for c in format(level, f"0{bits}b")]
+            assert index.codes.tobytes() == np.packbits(stream).tobytes()
+
+    @pytest.mark.parametrize("dim, bits", CODE_GRID)
     def test_block_decoder_equals_per_passage_decoding(self, dim, bits):
         index, _ = flat_layout_index(dim, bits)
         for ordinal in np.random.default_rng(43).permutation(len(index)):
             np.testing.assert_array_equal(index.decompress_passage(ordinal), reference_decompress(index, ordinal))
-        # The decoder drops the pad that ends each passage when given many at once.
-        every = dense._decode(index.codebook, np.diff(index.token_offsets), index.centroid_ids, index.packed_codes)
+        every = dense._decode(index.codebook, index.centroid_ids, index.codes)
         np.testing.assert_array_equal(every, np.vstack([reference_decompress(index, i) for i in range(len(index))]))
 
-    # Whole-byte codes (16, 1), (8, 1) and (8, 8); padded codes; one dimension per byte (6, 5).
-    @pytest.mark.parametrize("dim, bits", [(16, 1), (8, 1), (5, 3), (7, 2), (6, 5), (8, 8)])
+    @pytest.mark.parametrize("dim, bits", CODE_GRID)
     def test_stage3_scores_equal_maxsim_on_decompressed_passages(self, dim, bits, tmp_path):
         index, _ = flat_layout_index(dim, bits)
         save_dense_index(index, tmp_path / "idx")
         loaded = load_dense_index(tmp_path / "idx")
-        np.testing.assert_array_equal(index.chunk_codes, reference_chunk_codes(index))
-        np.testing.assert_array_equal(loaded.chunk_codes, index.chunk_codes)
-        if dim * bits % 8 == 0 and 8 % bits == 0:
-            assert index.chunk_codes.tobytes() == index.packed_codes.tobytes()
         params = DenseIndexParams(nprobe=16, candidate_cap=1000)
         rng = np.random.default_rng(46)
         for tokens in (1, 3, 12):
@@ -698,3 +743,53 @@ class TestPersistence:
         meta.write_text(meta.read_text()[:-10])
         with pytest.raises(FormatError, match="meta.json"):
             load_dense_index(tmp_path / "idx")
+
+    def saved(self, tmp_path, seed=34):
+        rng = np.random.default_rng(seed)
+        index = build_dense_index(random_embeddings(rng, 10, 8), DenseIndexParams(num_centroids=4, seed=3))
+        save_dense_index(index, tmp_path / "idx")
+        return tmp_path / "idx"
+
+    def test_load_rejects_version_1_directory(self, tmp_path):
+        path = self.saved(tmp_path)
+        # Version 1 kept the codes as one bit stream, each passage padded to a byte.
+        np.save(path / "packed_codes.npy", np.load(path / "codes.npy").reshape(-1))
+        (path / "codes.npy").unlink()
+        meta = json.loads((path / "meta.json").read_text())
+        (path / "meta.json").write_text(json.dumps({**meta, "version": 1}))
+        with pytest.raises(FormatError, match="unsupported index format 'xlir-dense-index' v1"):
+            load_dense_index(path)
+
+    @pytest.mark.parametrize("change", ["one-dimensional", "wrong-width", "int16", "short"])
+    def test_load_rejects_malformed_codes(self, tmp_path, change):
+        path = self.saved(tmp_path)
+        codes = np.load(path / "codes.npy")
+        assert codes.shape[1] == 1
+        edited = {
+            "one-dimensional": codes.reshape(-1),
+            "wrong-width": np.hstack([codes, codes]),
+            "int16": codes.astype(np.int16),
+            "short": codes[:-1],
+        }[change]
+        np.save(path / "codes.npy", edited)
+        with pytest.raises(FormatError, match="codes"):
+            load_dense_index(path)
+
+    def test_load_rejects_duplicate_keys(self, tmp_path):
+        path = self.saved(tmp_path)
+        keys = (path / "keys.txt").read_text().split("\n")
+        keys[7] = keys[2]
+        (path / "keys.txt").write_text("\n".join(keys))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: duplicate passage key 'p0002'")):
+            load_dense_index(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["centroids", "boundaries", "values"])
+    def test_load_rejects_non_finite_codebook(self, tmp_path, name, value):
+        path = self.saved(tmp_path)
+        array_path = path / {"centroids": "centroids.npy"}.get(name, f"bucket_{name}.npy")
+        array = np.load(array_path)
+        array.flat[3] = value
+        np.save(array_path, array)
+        with pytest.raises(ValidationError, match=f"codebook {name} must be finite"):
+            load_dense_index(path)

@@ -178,7 +178,7 @@ DENSE_FILES = [
     "keys.txt",
     "token_counts.npy",
     "centroid_ids.npy",
-    "packed_codes.npy",
+    "codes.npy",
 ]
 
 
