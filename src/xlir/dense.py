@@ -358,7 +358,8 @@ def _code_tables(codebook: ResidualCodebook, query: np.ndarray) -> np.ndarray:
     byte_values = np.arange(256)
     for j, shift in enumerate(shifts):  # the j-th dimension of every byte
         dims = np.arange(j, dim, len(shifts))
-        values = codebook.values[dims][:, (byte_values >> shift) & (2**bits - 1)]  # (bytes holding one, 256)
+        levels = (byte_values >> shift) & (2**bits - 1)
+        values = codebook.values[dims][:, levels]  # (bytes holding a j-th dimension, 256)
         tables[: len(dims)] += query.T[dims][:, :, None] * values[:, None, :]
     return tables
 
