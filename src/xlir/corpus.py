@@ -110,7 +110,9 @@ def passage_key(doc_id: str, index: int) -> str:
 
 def parse_passage_key(key: str) -> tuple[str, int]:
     doc_id, _, index = key.rpartition("#")
-    if not doc_id or not index.isdigit():
+    # ASCII digits only: str.isdigit() admits "²", which int() refuses, and "٣", which
+    # int() reads as 3 although passage_key never writes it.
+    if not doc_id or not (index.isascii() and index.isdigit()):
         raise FormatError(f"malformed passage key {key!r}")
     return doc_id, int(index)
 

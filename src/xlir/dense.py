@@ -165,6 +165,10 @@ def load_embeddings(path: str | Path) -> TokenEmbeddings:
     return embeddings
 
 
+# Each codebook field and the index file that stores it.
+_CODEBOOK_FILES = {"centroids": "centroids.npy", "boundaries": "bucket_boundaries.npy", "values": "bucket_values.npy"}
+
+
 @dataclass
 class ResidualCodebook:
     """Centroids plus per-dimension residual quantization buckets.
@@ -189,16 +193,23 @@ class ResidualCodebook:
         return int(self.centroids.shape[1])
 
     def validate(self) -> None:
+        fault = self._fault()
+        if fault is not None:
+            raise ValidationError(fault[1])
+
+    def _fault(self) -> tuple[str, str] | None:
+        """The first array that breaks an invariant, by field name, and how; ``None`` if none does."""
         levels = 2**self.bits
-        for name in ("centroids", "boundaries", "values"):
+        for name in _CODEBOOK_FILES:
             if not np.isfinite(getattr(self, name)).all():
-                raise ValidationError(f"codebook {name} must be finite")
+                return name, f"codebook {name} must be finite"
         if self.boundaries.shape != (self.dim, levels - 1):
-            raise ValidationError(f"boundaries shape {self.boundaries.shape} != {(self.dim, levels - 1)}")
+            return "boundaries", f"boundaries shape {self.boundaries.shape} != {(self.dim, levels - 1)}"
         if self.values.shape != (self.dim, levels):
-            raise ValidationError(f"values shape {self.values.shape} != {(self.dim, levels)}")
+            return "values", f"values shape {self.values.shape} != {(self.dim, levels)}"
         if not (np.diff(self.values, axis=1) > 0).all():
-            raise ValidationError("bucket reconstruction values must be strictly increasing per dimension")
+            return "values", "bucket reconstruction values must be strictly increasing per dimension"
+        return None
 
 
 @dataclass
@@ -349,18 +360,18 @@ def _decode(codebook: ResidualCodebook, centroid_ids: np.ndarray, codes: np.ndar
 
 
 def _code_tables(codebook: ResidualCodebook, query: np.ndarray) -> np.ndarray:
-    """Per-query lookup tables for code rows: ``tables[b, q, v]`` is the dot product of
+    """Per-query lookup tables for code rows: ``tables[b, v, q]`` is the dot product of
     query token ``q`` with the bucket values that code byte ``b`` holding ``v`` selects,
-    over the dimensions of that byte."""
+    over the dimensions of that byte, summed in dimension order."""
     dim, bits = codebook.dim, codebook.bits
     width, shifts = _code_layout(dim, bits)
-    tables = np.zeros((width, query.shape[0], 256))
+    tables = np.zeros((width, 256, query.shape[0]))
     byte_values = np.arange(256)
     for j, shift in enumerate(shifts):  # the j-th dimension of every byte
         dims = np.arange(j, dim, len(shifts))
         levels = (byte_values >> shift) & (2**bits - 1)
         values = codebook.values[dims][:, levels]  # (bytes holding a j-th dimension, 256)
-        tables[: len(dims)] += query.T[dims][:, :, None] * values[:, None, :]
+        tables[: len(dims)] += values[:, :, None] * query.T[dims][:, None, :]
     return tables
 
 
@@ -512,6 +523,9 @@ def build_dense_index(
     params = params if params is not None else DenseIndexParams()
     params.validate()
     _check_keys(embeddings)
+    for key, matrix in embeddings.items():
+        if len(matrix) == 0:
+            raise ValidationError(f"passage {key!r} has no tokens")
     start = time.perf_counter()
     codebook = train_codebook(embeddings, params)
     trained = time.perf_counter()
@@ -553,15 +567,22 @@ def search_dense(
     their compressed tokens; results are sorted by descending score, ties by
     passage key.
 
-    Stage 3 builds one table per byte of the index's code rows,
-    holding each query token's dot product with the bucket values every byte
-    value selects. A token's similarity to a query token is then the centroid
-    similarity from stage 1 plus one table entry per byte, all in float64.
-    Survivors are scored ``_SCORE_BLOCK`` at a time, which bounds the
-    (query tokens x tokens) score matrix. ``decompress`` rounds each decoded
-    vector to float32 and stage 3 does not, so a score lies within
-    ``2**-24 * |q| * |x|`` per query token q of ``maxsim`` on the passage's
-    ``decompress`` output, for its longest decoded token x.
+    Stage 2 gathers one column of query-token similarities per distinct
+    centroid of each candidate, takes the max along each candidate's columns,
+    and sums a candidate's maxima as one contiguous vector, the summation
+    ``maxsim`` uses.
+
+    Stage 3 builds one table per byte of the index's code rows, holding each
+    query token's dot product with the bucket values every byte value
+    selects. A token's similarity to a query token is then the centroid
+    similarity from stage 1 plus one table entry per byte, added left to right
+    in float64; a passage's score is the max of that over its tokens, summed
+    over query tokens one after another in query order. Survivors are scored
+    ``_SCORE_BLOCK`` at a time, which bounds the (tokens x query tokens) score
+    matrix. ``decompress`` rounds each decoded vector to float32 and stage 3
+    does not, so a score lies within ``2**-24 * |q| * |x|`` per query token q
+    of ``maxsim`` on the passage's ``decompress`` output, for its longest
+    decoded token x.
     """
     params = params if params is not None else index.params
     params.validate()
@@ -588,34 +609,42 @@ def search_dense(
         candidates = candidates[allowed[candidates]]
     t1 = time.perf_counter()
 
-    # Row j holds the query tokens' similarities to the j-th distinct centroid
+    # Column j holds the query tokens' similarities to the j-th distinct centroid
     # of the candidates, passage by passage. A max ignores repeats and order, so
     # the segmented max over each passage's distinct centroids equals the one over
-    # its tokens. It leaves one row per candidate, and each row sums as one
-    # contiguous vector, the same summation as per-passage MaxSim.
+    # its tokens. Gathering and reducing along rows is the fast orientation for
+    # numpy; the transposed copy then gives each candidate's maxima as one
+    # contiguous row, which sums as per-passage MaxSim does.
     positions, starts = _segments(index.distinct_offsets, candidates)
-    centroid_ids = np.take(index.distinct_centroids, positions)
-    centroid_rows = np.take(np.ascontiguousarray(centroid_sims.T), centroid_ids, axis=0)
-    approx = np.maximum.reduceat(centroid_rows, starts, axis=0).sum(axis=1)
+    columns = np.take(centroid_sims, np.take(index.distinct_centroids, positions), axis=1)
+    maxima = np.maximum.reduceat(columns, starts, axis=1)  # (query tokens, candidates)
+    approx = np.ascontiguousarray(maxima.T).sum(axis=1)
     order = np.lexsort((index._key_rank[candidates], -approx))
     survivors = candidates[order[: params.candidate_cap]]
     t2 = time.perf_counter()
 
     # A decoded token is its centroid plus one bucket value per dimension, so its
     # dot product with a query token is their centroid similarity plus one table
-    # entry per code byte. Scores are (query tokens x tokens), one block at a time.
-    tables = _code_tables(index.codebook, query)
-    exact = np.empty(len(survivors))
+    # entry per code byte. Scores are (tokens x query tokens), one block at a time,
+    # each token's row gathered whole from contiguous (rows x query tokens) tables.
+    sims_by_centroid = np.ascontiguousarray(centroid_sims.T)  # (K, query tokens)
+    tables = _code_tables(index.codebook, query)  # (code bytes, 256, query tokens)
+    maxima = np.empty((query.shape[0], len(survivors)))
     for first in range(0, len(survivors), _SCORE_BLOCK):
         tokens, starts = _segments(index.token_offsets, survivors[first : first + _SCORE_BLOCK])
         # np.take, as fancy indexing gathered these rows several times slower.
-        scores = np.take(centroid_sims, np.take(index.centroid_ids, tokens), axis=1)
+        scores = np.take(sims_by_centroid, np.take(index.centroid_ids, tokens), axis=0)
         codes = np.take(index.codes, tokens, axis=0)
         for b, table in enumerate(tables):
-            scores += np.take(table, codes[:, b], axis=1)
-        exact[first : first + len(starts)] = np.maximum.reduceat(scores, starts, axis=1).sum(axis=0)
+            scores += np.take(table, codes[:, b], axis=0)
+        maxima[:, first : first + len(starts)] = np.maximum.reduceat(scores, starts, axis=0).T
+    # A running sum down the (query tokens x survivors) maxima adds each survivor's
+    # maxima in query order. A sum would too, except over a single column, which
+    # numpy sums pairwise like any contiguous vector.
+    exact = np.add.accumulate(maxima, axis=0)[-1]
     order = np.lexsort((index._key_rank[survivors], -exact))
-    results = [(index.keys[survivors[i]], float(exact[i])) for i in order]
+    keys = index.keys
+    results = list(zip([keys[i] for i in survivors[order].tolist()], exact[order].tolist()))
     t3 = time.perf_counter()
     logger.info(
         "event=dense_search query_tokens=%d probed_centroids=%d candidates=%d scored=%d "
@@ -652,9 +681,8 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
     (dirpath / "meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    np.save(dirpath / "centroids.npy", index.codebook.centroids)
-    np.save(dirpath / "bucket_boundaries.npy", index.codebook.boundaries)
-    np.save(dirpath / "bucket_values.npy", index.codebook.values)
+    for name, filename in _CODEBOOK_FILES.items():
+        np.save(dirpath / filename, getattr(index.codebook, name))
     with open(dirpath / "keys.txt", "w", encoding="utf-8", newline="\n") as fh:
         for key in index.keys:
             fh.write(key + "\n")
@@ -675,9 +703,7 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
         num_passages, dim = int(meta["num_passages"]), int(meta["dim"])
         params = DenseIndexParams(**{f.name: int(meta[f.name]) for f in fields(DenseIndexParams)})
     codebook = ResidualCodebook(
-        centroids=load_array(dirpath / "centroids.npy", 2, np.floating),
-        boundaries=load_array(dirpath / "bucket_boundaries.npy", 2, np.floating),
-        values=load_array(dirpath / "bucket_values.npy", 2, np.floating),
+        **{name: load_array(dirpath / filename, 2, np.floating) for name, filename in _CODEBOOK_FILES.items()},
         bits=params.bits,
     )
     if (dim, params.num_centroids) != (codebook.dim, codebook.num_centroids):
@@ -685,14 +711,19 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
             f"{meta_path}: dim {dim} and num_centroids {params.num_centroids} disagree with "
             f"centroids.npy, which holds {codebook.num_centroids} centroids of dim {codebook.dim}"
         )
-    codebook.validate()
+    fault = codebook._fault()
+    if fault is not None:
+        name, problem = fault
+        raise FormatError(f"{dirpath}/{_CODEBOOK_FILES[name]}: {problem}")
     # Split on line feeds only: a key may contain any other line break.
     keys_path = dirpath / "keys.txt"
     with malformed(keys_path, "passage key list"), open(keys_path, encoding="utf-8", newline="") as fh:
         keys = fh.read().split("\n")[:-1]
     token_counts = load_array(dirpath / "token_counts.npy", 1, np.integer)
-    if (token_counts < 0).any():
-        raise FormatError(f"{dirpath}/token_counts.npy: negative token count")
+    # A built passage has a token; a zero count is what moving one passage's tokens onto
+    # its neighbour leaves behind.
+    if (token_counts < 1).any():
+        raise FormatError(f"{dirpath}/token_counts.npy: token counts must be positive")
     if len(keys) != len(token_counts) or len(keys) != num_passages:
         raise FormatError(f"{dirpath}: passage table sizes disagree with meta.json")
     centroid_ids = load_array(dirpath / "centroid_ids.npy", 1, np.integer)

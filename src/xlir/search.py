@@ -94,12 +94,21 @@ class LexicalSearcher(Searcher):
 
 
 class DenseSearcher(Searcher):
-    """Late-interaction passage search, aggregated to documents by MaxP."""
+    """Late-interaction passage search, aggregated to documents by MaxP.
+
+    Every passage key is parsed once, when the searcher opens, into a map from
+    passage key to document id; a malformed key is refused then.
+    """
 
     engine = "dense"
 
+    def __init__(self, index: dense.DenseIndex, plan: shards.ShardPlan | None = None):
+        self._doc_of = {key: corpus.parse_passage_key(key)[0] for key in index.keys}
+        super().__init__(index, plan)
+
     def _doc_ids(self) -> Sequence[str]:
-        return [corpus.parse_passage_key(key)[0] for key in self.index.keys]
+        # Keys are distinct, so the map lists one document per passage, in ordinal order.
+        return list(self._doc_of.values())
 
     def search(
         self,
@@ -121,7 +130,7 @@ class DenseSearcher(Searcher):
         given = {"nprobe": nprobe, "candidate_cap": candidate_cap}
         params = replace(self.index.params, **{name: value for name, value in given.items() if value is not None})
         passages = dense.search_dense(self.index, query, params, allowed=self._allowed(date_filter))
-        docs = dense.maxp_aggregate((corpus.parse_passage_key(key)[0], score) for key, score in passages)
+        docs = dense.maxp_aggregate((self._doc_of[key], score) for key, score in passages)
         return docs[:k]
 
 

@@ -527,6 +527,29 @@ def reference_token_levels(index, embeddings):
     return levels
 
 
+def reference_stage3_score(index, query, centroid_sims, ordinal):
+    """Passage ``ordinal``'s score in the float order ``search_dense`` documents, token by
+    token: the centroid similarity plus each code byte's entry (its dimensions' products
+    in order) left to right, the max over tokens, then a sum over query tokens in order."""
+    dim, bits = index.codebook.dim, index.codebook.bits
+    per = 8 // bits
+    t0, t1 = index.token_offsets[ordinal : ordinal + 2]
+    tokens = [(int(cid), reference_levels(row, dim, bits)) for cid, row in zip(index.centroid_ids[t0:t1], index.codes[t0:t1])]
+    total = 0.0
+    for q, vector in enumerate(query.tolist()):
+        best = -np.inf
+        for cid, levels in tokens:
+            score = float(centroid_sims[q, cid])
+            for first in range(0, dim, per):
+                entry = 0.0
+                for d in range(first, min(first + per, dim)):
+                    entry += vector[d] * float(index.codebook.values[d, levels[d]])
+                score += entry
+            best = max(best, score)
+        total += best
+    return total
+
+
 def flat_layout_index(dim, bits):
     """More passages than one scoring block, short enough to tie often on centroid
     scores, with shuffled keys so passage order is not key order."""
@@ -651,6 +674,37 @@ class TestFlatLayout:
             got = search_dense(index, query, params)
             assert_ranking_within(got, expected, maxsim_tolerance(index, query))
             assert search_dense(loaded, query, params) == got
+
+    @pytest.mark.parametrize("dim, bits", CODE_GRID)
+    def test_staged_search_equals_reference_in_documented_float_order(self, dim, bits):
+        """Bit for bit: stage 2 keeps the ``candidate_cap`` best candidates by their centroid
+        maxima summed as ``maxsim`` sums, ties by key, and stage 3 scores the survivors in the
+        order of ``reference_stage3_score``. From 8 query tokens numpy sums a contiguous vector
+        pairwise, which parts from a sum in query order; a single survivor is such a vector.
+        Random queries almost never bring two candidates within a rounding of each other, so
+        stage 2's own summation order is left to the golden pipeline manifest."""
+        index, _ = flat_layout_index(dim, bits)
+        rng = np.random.default_rng(47)
+        tie_cuts = 0
+        for tokens, nprobe in [(1, 2), (5, 1), (8, 16), (13, 3)]:
+            query = unit_rows(rng.standard_normal((tokens, dim)))
+            centroid_sims = query @ index.codebook.centroids.astype(np.float64).T
+            probed = np.argsort(-centroid_sims, axis=1, kind="stable")[:, :nprobe]
+            approx = []
+            for ordinal, key in enumerate(index.keys):
+                ids = index.centroid_ids[index.token_offsets[ordinal] : index.token_offsets[ordinal + 1]]
+                if np.isin(ids, probed).any():
+                    approx.append((-float(centroid_sims[:, ids].max(axis=1).sum()), key, ordinal))
+            approx.sort()
+            exact = {ordinal: reference_stage3_score(index, query, centroid_sims, ordinal) for _, _, ordinal in approx}
+            # Every cap that falls inside a run of equal centroid scores, one survivor, and no cap.
+            caps = [cap for cap in range(1, len(approx)) if approx[cap - 1][0] == approx[cap][0]]
+            tie_cuts += len(caps)
+            for cap in [*caps, 1, len(index)]:
+                expected = sorted((-exact[ordinal], key) for _, key, ordinal in approx[:cap])
+                got = search_dense(index, query, DenseIndexParams(nprobe=nprobe, candidate_cap=cap))
+                assert got == [(key, -score) for score, key in expected]
+        assert tie_cuts >= 3
 
     def test_stage3_scores_equal_maxsim_on_decompressed_passages_at_dim_128(self):
         rng = np.random.default_rng(44)
@@ -791,5 +845,28 @@ class TestPersistence:
         array = np.load(array_path)
         array.flat[3] = value
         np.save(array_path, array)
-        with pytest.raises(ValidationError, match=f"codebook {name} must be finite"):
+        with pytest.raises(FormatError, match=re.escape(f"{array_path}: codebook {name} must be finite")):
             load_dense_index(path)
+
+    def test_load_rejects_decreasing_bucket_values(self, tmp_path):
+        path = self.saved(tmp_path)
+        values = np.load(path / "bucket_values.npy")
+        np.save(path / "bucket_values.npy", values[:, ::-1])
+        with pytest.raises(FormatError, match=re.escape(f"{path}/bucket_values.npy: bucket reconstruction values")):
+            load_dense_index(path)
+
+    def test_load_rejects_zero_token_count(self, tmp_path):
+        # Passage 0's tokens counted with passage 1's: every array keeps its size.
+        path = self.saved(tmp_path)
+        counts = np.load(path / "token_counts.npy")
+        counts[1] += counts[0]
+        counts[0] = 0
+        np.save(path / "token_counts.npy", counts)
+        with pytest.raises(FormatError, match=re.escape(f"{path}/token_counts.npy: token counts must be positive")):
+            load_dense_index(path)
+
+    def test_build_rejects_passage_without_tokens(self):
+        embeddings = random_embeddings(np.random.default_rng(35), 10, 8)
+        embeddings["p0003"] = np.zeros((0, 8), dtype=np.float32)
+        with pytest.raises(ValidationError, match="passage 'p0003' has no tokens"):
+            build_dense_index(embeddings, DenseIndexParams(num_centroids=4, seed=3))

@@ -101,6 +101,28 @@ def test_dense_searcher_matches_engine(dense_dir):
     assert searcher.search(query, DateFilter(), 5)[0][0] == "d03"
 
 
+def test_dense_searcher_equals_maxp_over_search_dense(dense_dir):
+    """Every result, at every cut and override, is MaxP over the engine's passages."""
+    path, embeddings = dense_dir
+    searcher = open_index(path)
+    for key, settings in [("d03#1", {}), ("d07#0", {"nprobe": 1}), ("d10#1", {"candidate_cap": 3}), ("d00#0", {"nprobe": 8})]:
+        query = embeddings[key]
+        params = replace(searcher.index.params, **settings)
+        expected = dense.maxp_aggregate((parse_passage_key(k)[0], score) for k, score in dense.search_dense(searcher.index, query, params))
+        for k in (1, 4, 1000):
+            assert searcher.search(query, DateFilter(), k, **settings) == expected[:k]
+
+
+def test_malformed_passage_key_is_refused_at_open(tmp_path):
+    vectors = np.random.default_rng(12).standard_normal((6, 3, 8))
+    vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
+    embeddings = {f"d{i}#0": v.astype(np.float32) for i, v in enumerate(vectors)}
+    embeddings["d6#\u0663"] = embeddings.pop("d5#0")
+    dense.save_dense_index(dense.build_dense_index(embeddings, dense.DenseIndexParams(num_centroids=4)), tmp_path / "idx")
+    with pytest.raises(FormatError, match="malformed passage key 'd6#\u0663'"):
+        open_index(tmp_path / "idx")
+
+
 def test_dated_dense_search_equals_exhaustive_search_over_admitted_passages(dense_dir, caplog):
     """With every centroid probed and no candidate cut, a dated search scores exactly the admitted
     passages, each within float32 rounding of ``maxsim`` over its decompressed vectors, ties by key."""
