@@ -563,14 +563,15 @@ def search_dense(
     boolean mask ``allowed`` over passage ordinals admits when one is given
     (``candidates=`` in the log counts what is kept). Stage 2 ranks the
     candidates by MaxSim computed on their distinct centroids alone and keeps
-    the top ``candidate_cap``. Stage 3 scores the survivors by exact MaxSim over
-    their compressed tokens; results are sorted by descending score, ties by
-    passage key.
+    the top ``candidate_cap``; when there are no more candidates than that, it
+    keeps them all without ranking them. Stage 3 scores the survivors by exact
+    MaxSim over their compressed tokens; results are sorted by descending
+    score, ties by passage key.
 
     Stage 2 gathers one column of query-token similarities per distinct
     centroid of each candidate, takes the max along each candidate's columns,
     and sums a candidate's maxima as one contiguous vector, the summation
-    ``maxsim`` uses.
+    ``maxsim`` uses. Ties in that sum break by passage key.
 
     Stage 3 builds one table per byte of the index's code rows, holding each
     query token's dot product with the bucket values every byte value
@@ -609,18 +610,23 @@ def search_dense(
         candidates = candidates[allowed[candidates]]
     t1 = time.perf_counter()
 
-    # Column j holds the query tokens' similarities to the j-th distinct centroid
-    # of the candidates, passage by passage. A max ignores repeats and order, so
-    # the segmented max over each passage's distinct centroids equals the one over
-    # its tokens. Gathering and reducing along rows is the fast orientation for
-    # numpy; the transposed copy then gives each candidate's maxima as one
-    # contiguous row, which sums as per-passage MaxSim does.
-    positions, starts = _segments(index.distinct_offsets, candidates)
-    columns = np.take(centroid_sims, np.take(index.distinct_centroids, positions), axis=1)
-    maxima = np.maximum.reduceat(columns, starts, axis=1)  # (query tokens, candidates)
-    approx = np.ascontiguousarray(maxima.T).sum(axis=1)
-    order = np.lexsort((index._key_rank[candidates], -approx))
-    survivors = candidates[order[: params.candidate_cap]]
+    # Stage 2 only chooses the candidates the cap keeps, and a passage's exact score
+    # does not depend on which others are scored. Survivors stay in ordinal order,
+    # so stage 3 reads the token arrays front to back.
+    survivors = candidates
+    if len(candidates) > params.candidate_cap:
+        # Column j holds the query tokens' similarities to the j-th distinct centroid
+        # of the candidates, passage by passage. A max ignores repeats and order, so
+        # the segmented max over each passage's distinct centroids equals the one over
+        # its tokens. Gathering and reducing along rows is the fast orientation for
+        # numpy; the transposed copy then gives each candidate's maxima as one
+        # contiguous row, which sums as per-passage MaxSim does.
+        positions, starts = _segments(index.distinct_offsets, candidates)
+        columns = np.take(centroid_sims, np.take(index.distinct_centroids, positions), axis=1)
+        maxima = np.maximum.reduceat(columns, starts, axis=1)  # (query tokens, candidates)
+        approx = np.ascontiguousarray(maxima.T).sum(axis=1)
+        order = np.lexsort((index._key_rank[candidates], -approx))
+        survivors = np.sort(candidates[order[: params.candidate_cap]])
     t2 = time.perf_counter()
 
     # A decoded token is its centroid plus one bucket value per dimension, so its
