@@ -649,8 +649,7 @@ def search_dense(
     # numpy sums pairwise like any contiguous vector.
     exact = np.add.accumulate(maxima, axis=0)[-1]
     order = np.lexsort((index._key_rank[survivors], -exact))
-    keys = index.keys
-    results = list(zip([keys[i] for i in survivors[order].tolist()], exact[order].tolist()))
+    results = list(zip([index.keys[i] for i in survivors[order].tolist()], exact[order].tolist()))
     t3 = time.perf_counter()
     logger.info(
         "event=dense_search query_tokens=%d probed_centroids=%d candidates=%d scored=%d "

@@ -469,6 +469,21 @@ class TestSearch:
         assert recalls == sorted(recalls)
         assert recalls[-1] == 1.0
 
+    def test_stage2_sums_centroid_maxima_as_maxsim_does(self):
+        """Basis-vector query tokens read centroid coordinates as similarities. Passage a's 8
+        maxima make 1.0 in numpy's pairwise sum, as ``maxsim`` adds them, and 0.0 in query
+        order, below passage b's 0.5, so a cap of one keeps a only under the former."""
+        centroids = np.zeros((2, 8), dtype=np.float32)
+        centroids[0, :4] = [2.0**53, 1.0, 1.0, -(2.0**53)]
+        centroids[1, 0] = 0.5
+        codebook = ResidualCodebook(centroids, np.zeros((8, 1)), np.tile([-0.1, 0.1], (8, 1)), bits=1)
+        ids, codes = np.array([0, 1], dtype=np.int32), np.zeros((2, 1), dtype=np.uint8)
+        index = DenseIndex(codebook, ["a#0", "b#0"], [1, 1], ids, codes, DenseIndexParams(num_centroids=2))
+        query = np.eye(8)
+        assert maxsim(query, centroids[:1]) == 1.0 and maxsim(query, centroids[1:]) == 0.5
+        ((key, _),) = search_dense(index, query, DenseIndexParams(nprobe=2, candidate_cap=1))
+        assert key == "a#0"
+
     def test_deterministic_rankings(self):
         rng = np.random.default_rng(24)
         embeddings = random_embeddings(rng, 40, 8)
@@ -534,7 +549,8 @@ def reference_stage3_score(index, query, centroid_sims, ordinal):
     dim, bits = index.codebook.dim, index.codebook.bits
     per = 8 // bits
     t0, t1 = index.token_offsets[ordinal : ordinal + 2]
-    tokens = [(int(cid), reference_levels(row, dim, bits)) for cid, row in zip(index.centroid_ids[t0:t1], index.codes[t0:t1])]
+    rows = zip(index.centroid_ids[t0:t1], index.codes[t0:t1])
+    tokens = [(int(cid), reference_levels(row, dim, bits)) for cid, row in rows]
     total = 0.0
     for q, vector in enumerate(query.tolist()):
         best = -np.inf
@@ -682,7 +698,7 @@ class TestFlatLayout:
         order of ``reference_stage3_score``. From 8 query tokens numpy sums a contiguous vector
         pairwise, which parts from a sum in query order; a single survivor is such a vector.
         Random queries almost never bring two candidates within a rounding of each other, so
-        stage 2's own summation order is left to the golden pipeline manifest."""
+        ``TestSearch.test_stage2_sums_centroid_maxima_as_maxsim_does`` pins stage 2's sum."""
         index, _ = flat_layout_index(dim, bits)
         rng = np.random.default_rng(47)
         tie_cuts = 0

@@ -91,26 +91,18 @@ def dense_dir(tmp_path_factory):
 
 
 def test_dense_searcher_matches_engine(dense_dir):
-    path, embeddings = dense_dir
-    searcher = open_index(path)
-    assert searcher.engine == "dense"
-    query = embeddings["d03#1"][:3]
-    passages = dense.search_dense(searcher.index, query)
-    expected = dense.maxp_aggregate((parse_passage_key(key)[0], score) for key, score in passages)
-    assert searcher.search(query, DateFilter(), 5) == expected[:5]
-    assert searcher.search(query, DateFilter(), 5)[0][0] == "d03"
-
-
-def test_dense_searcher_equals_maxp_over_search_dense(dense_dir):
     """Every result, at every cut and override, is MaxP over the engine's passages."""
     path, embeddings = dense_dir
     searcher = open_index(path)
-    for key, settings in [("d03#1", {}), ("d07#0", {"nprobe": 1}), ("d10#1", {"candidate_cap": 3}), ("d00#0", {"nprobe": 8})]:
-        query = embeddings[key]
-        params = replace(searcher.index.params, **settings)
-        expected = dense.maxp_aggregate((parse_passage_key(k)[0], score) for k, score in dense.search_dense(searcher.index, query, params))
-        for k in (1, 4, 1000):
-            assert searcher.search(query, DateFilter(), k, **settings) == expected[:k]
+    assert searcher.engine == "dense"
+    assert searcher.search(embeddings["d03#1"][:3], DateFilter(), 5)[0][0] == "d03"
+    settings = [{}, {"nprobe": 1}, {"candidate_cap": 3}, {"nprobe": 8, "candidate_cap": 30}]
+    for key, given in zip(["d03#1", "d07#0", "d10#1", "d00#0"], settings):
+        query = embeddings[key][:3]
+        passages = dense.search_dense(searcher.index, query, replace(searcher.index.params, **given))
+        expected = dense.maxp_aggregate((parse_passage_key(k)[0], score) for k, score in passages)
+        for k in (1, 5, 1000):
+            assert searcher.search(query, DateFilter(), k, **given) == expected[:k]
 
 
 def test_malformed_passage_key_is_refused_at_open(tmp_path):
@@ -118,7 +110,8 @@ def test_malformed_passage_key_is_refused_at_open(tmp_path):
     vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
     embeddings = {f"d{i}#0": v.astype(np.float32) for i, v in enumerate(vectors)}
     embeddings["d6#\u0663"] = embeddings.pop("d5#0")
-    dense.save_dense_index(dense.build_dense_index(embeddings, dense.DenseIndexParams(num_centroids=4)), tmp_path / "idx")
+    index = dense.build_dense_index(embeddings, dense.DenseIndexParams(num_centroids=4))
+    dense.save_dense_index(index, tmp_path / "idx")
     with pytest.raises(FormatError, match="malformed passage key 'd6#\u0663'"):
         open_index(tmp_path / "idx")
 
