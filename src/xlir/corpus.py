@@ -126,15 +126,8 @@ def _require(record: dict, key: str, path: str | Path, lineno: int) -> str:
     return value
 
 
-def ingest_collection(
-    path: str | Path, languages: Iterable[str] | None = None
-) -> list[Document]:
-    """Read a JSON-lines document file, rejecting duplicate ids.
-
-    When ``languages`` is given, documents outside the declared set are
-    rejected.
-    """
-    allowed = set(languages) if languages is not None else None
+def ingest_collection(path: str | Path) -> list[Document]:
+    """Read a JSON-lines document file, rejecting duplicate ids."""
     docs: list[Document] = []
     seen: set[str] = set()
     for lineno, record in read_jsonl(path):
@@ -143,11 +136,6 @@ def ingest_collection(
             raise ValidationError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
         seen.add(doc_id)
         lang = _require(record, "lang", path, lineno)
-        if allowed is not None and lang not in allowed:
-            raise ValidationError(
-                f"{path}:{lineno}: document {doc_id!r} has language {lang!r}, "
-                f"expected one of {sorted(allowed)}"
-            )
         date = None
         if record.get("date") is not None:
             date = parse_date(_require(record, "date", path, lineno))

@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, load_array, malformed
+from .errors import FormatError, ValidationError, json_int, load_array, malformed
 from .shards import _best_per_id
 
 logger = logging.getLogger(__name__)
@@ -705,8 +705,13 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
             raise FormatError(
                 f"{dirpath}: unsupported index format {meta.get('format')!r} v{meta.get('version')!r}"
             )
-        num_passages, dim = int(meta["num_passages"]), int(meta["dim"])
-        params = DenseIndexParams(**{f.name: int(meta[f.name]) for f in fields(DenseIndexParams)})
+        num_passages, dim = (json_int(meta[name], meta_path, name) for name in ("num_passages", "dim"))
+        names = [f.name for f in fields(DenseIndexParams)]
+        params = DenseIndexParams(**{name: json_int(meta[name], meta_path, name) for name in names})
+    try:
+        params.validate()
+    except ValidationError as exc:
+        raise FormatError(f"{meta_path}: {exc}") from None
     codebook = ResidualCodebook(
         **{name: load_array(dirpath / filename, 2, np.floating) for name, filename in _CODEBOOK_FILES.items()},
         bits=params.bits,

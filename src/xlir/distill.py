@@ -27,15 +27,12 @@ class DistillPair:
     query_id: str
     passage_ids: list[str]
     teacher_scores: list[float]
-    student_scores: list[float] | None = None
 
     def __post_init__(self) -> None:
         if len(self.passage_ids) < 2:
             raise ValidationError(f"query {self.query_id!r}: need at least 2 passages")
         if len(self.teacher_scores) != len(self.passage_ids):
             raise ValidationError(f"query {self.query_id!r}: teacher scores misaligned")
-        if self.student_scores is not None and len(self.student_scores) != len(self.passage_ids):
-            raise ValidationError(f"query {self.query_id!r}: student scores misaligned")
 
 
 def mine_hard_passages(

@@ -42,6 +42,14 @@ def malformed(path: str | Path, what: str) -> Iterator[None]:
         raise FormatError(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from None
 
 
+def json_int(value: object, path: str | Path, what: str) -> int:
+    """``value`` if it is a JSON integer, else a ``FormatError`` naming ``path``: unlike ``int()``, it
+    refuses ``2.7``, ``"3"`` and ``true`` (a bool is an ``int`` to Python, so the type is compared exactly)."""
+    if type(value) is not int:
+        raise FormatError(f"{path}: {what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def load_array(path: Path, ndim: int, dtype: type[np.generic]) -> np.ndarray:
     """A ``.npy`` array; a ``FormatError`` naming ``path`` if it is missing, unreadable, pickled,
     or not ``ndim``-D ``dtype``."""

@@ -16,17 +16,18 @@ Scoring formulas:
   dropped from search results.
 
 Layout: an index keeps each posting once, in compressed sparse rows (see
-``InvertedIndex``); search and RM3 read the same arrays. On disk an index
-directory holds these arrays as ``.npy`` files (offsets, document ordinals
-and float32 weights) beside JSON lists of doc ids and terms (see
-``save_index``), and ``load_index`` checks them with array operations.
+``InvertedIndex``); search, RM3 and the collection statistics read the
+same arrays. On disk an index directory holds these arrays as ``.npy``
+files (offsets, document ordinals and float32 weights) beside JSON lists of
+doc ids and terms (see ``save_index``), and ``load_index`` checks them with
+array operations.
 
 Date filters: search and RM3 take an optional ``allowed`` mask over document
 ordinals. It removes documents before the top-k cut and never changes the
-collection statistics, so a masked search ranks exactly as an unmasked one
-over an index of the admitted documents scored with the whole index's
-statistics. ``rm3_expand``'s feedback documents are the top ``rm3_fb_docs``
-of the masked first pass, and their bags are read back from the index arrays.
+collection statistics, so every masked score equals ``bm25_score`` or
+``hmm_score`` on that document of the whole index. ``rm3_expand``'s feedback
+documents are the top ``rm3_fb_docs`` of the masked first pass, and their
+bags are read back from the index arrays.
 
 Summation order: search scores term at a time, adding each query term's
 contributions to one float64 accumulator per document. Every document
@@ -50,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, load_array, malformed
+from .errors import FormatError, ValidationError, json_int, load_array, malformed
 
 INDEX_FORMAT = "xlir-lexical-index"
 INDEX_VERSION = 2
@@ -94,20 +95,6 @@ class LexicalParams:
 DEFAULT_PARAMS = LexicalParams()
 
 
-@dataclass
-class CollectionStats:
-    """Term statistics of a collection."""
-
-    num_docs: int
-    total_weight: float
-    doc_freq: dict[str, int]
-    coll_freq: dict[str, float]
-
-    @property
-    def avg_doc_length(self) -> float:
-        return self.total_weight / self.num_docs if self.num_docs else 0.0
-
-
 @dataclass(eq=False, frozen=True)
 class InvertedIndex:
     """Immutable index holding each posting once, in compressed sparse rows.
@@ -121,11 +108,13 @@ class InvertedIndex:
     * The postings of ``terms[t]`` are ``docs[offsets[t]:offsets[t + 1]]``
       (int32 ordinals, strictly increasing) with the matching ``weights``
       (float64, positive and finite as float32).
-    * ``doc_lengths[i]`` is the sum of document ``i``'s weights; ``stats``
-      holds this index's own collection statistics.
+    * ``doc_lengths[i]`` is the sum of document ``i``'s weights,
+      ``coll_freq[t]`` (float64) the sum of ``terms[t]``'s weights and
+      ``total_weight`` the sum of every weight; a term's document frequency
+      is ``offsets[t + 1] - offsets[t]``.
 
-    There is no per-document copy of the postings: ``doc_bag`` reads a
-    document's terms back from the arrays.
+    There is no per-document copy of the postings and no per-term table of
+    statistics: ``doc_bag`` reads a document's terms back from the arrays.
     """
 
     doc_ids: list[str]
@@ -134,11 +123,16 @@ class InvertedIndex:
     docs: np.ndarray
     weights: np.ndarray
     doc_lengths: np.ndarray
-    stats: CollectionStats
+    coll_freq: np.ndarray
+    total_weight: float
 
     @property
     def num_docs(self) -> int:
         return len(self.doc_ids)
+
+    @property
+    def avg_doc_length(self) -> float:
+        return self.total_weight / self.num_docs if self.num_docs else 0.0
 
     def __contains__(self, doc_id: str) -> bool:
         i = bisect_left(self.doc_ids, doc_id)
@@ -149,11 +143,20 @@ class InvertedIndex:
             raise ValidationError(f"document {doc_id!r} not in index")
         return bisect_left(self.doc_ids, doc_id)
 
+    def row(self, term: str) -> int | None:
+        """The row of ``term`` in ``terms`` and the CSR arrays; ``None`` when no document holds it."""
+        t = bisect_left(self.terms, term)
+        return t if t < len(self.terms) and self.terms[t] == term else None
+
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """Document ordinals and weights of one term (views of the CSR arrays); empty for an unknown term."""
-        t = bisect_left(self.terms, term)
-        start, end = self.offsets[t : t + 2] if t < len(self.terms) and self.terms[t] == term else (0, 0)
-        return self.docs[start:end], self.weights[start:end]
+        return self._term(term)[:2]
+
+    def _term(self, term: str) -> tuple[np.ndarray, np.ndarray, float]:
+        """``postings(term)`` and the term's collection frequency, from one lookup of its row."""
+        t = self.row(term)
+        start, end, cf = (*self.offsets[t : t + 2], self.coll_freq[t]) if t is not None else (0, 0, 0.0)
+        return self.docs[start:end], self.weights[start:end], float(cf)
 
     def weight(self, term: str, doc_id: str) -> float:
         docs, weights = self.postings(term)
@@ -195,9 +198,7 @@ def _from_postings(
         raise ValidationError("a term has two postings for one document")
     offsets = np.searchsorted(rows, np.arange(len(terms) + 1))
     coll_freq = np.bincount(rows, weights=weights, minlength=len(terms))
-    doc_freq = dict(zip(terms, np.diff(offsets).tolist()))
-    stats = CollectionStats(len(doc_ids), total_weight, doc_freq, dict(zip(terms, coll_freq.tolist())))
-    return InvertedIndex(doc_ids, terms, offsets, docs, weights, lengths[doc_order], stats)
+    return InvertedIndex(doc_ids, terms, offsets, docs, weights, lengths[doc_order], coll_freq, total_weight)
 
 
 def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedIndex:
@@ -231,41 +232,35 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
     return _from_postings(doc_ids, list(vocabulary), columns["term"], columns["doc"], columns["weight"])
 
 
-def _resolve(params: LexicalParams | None, stats: CollectionStats | None, index: InvertedIndex):
+def _resolve(params: LexicalParams | None) -> LexicalParams:
     params = params if params is not None else DEFAULT_PARAMS
     params.validate()
-    return params, (stats if stats is not None else index.stats)
+    return params
 
 
 def bm25_score(
-    index: InvertedIndex,
-    query_terms: Sequence[str],
-    doc_id: str,
-    params: LexicalParams | None = None,
-    stats: CollectionStats | None = None,
+    index: InvertedIndex, query_terms: Sequence[str], doc_id: str, params: LexicalParams | None = None
 ) -> float:
     """BM25 score of one document; repeated query terms count with multiplicity."""
-    params, stats = _resolve(params, stats, index)
-    dl = float(index.doc_lengths[index.ordinal(doc_id)])
-    avgdl = stats.avg_doc_length
+    params = _resolve(params)
+    ordinal = index.ordinal(doc_id)
+    dl = float(index.doc_lengths[ordinal])
+    avgdl = index.avg_doc_length
     length_norm = 1.0 - params.b + params.b * (dl / avgdl) if avgdl > 0 else 1.0
     score = 0.0
     for term, qw in Counter(query_terms).items():
-        tf = index.weight(term, doc_id)
+        docs, weights, _ = index._term(term)
+        tf = float(weights[docs == ordinal].sum())
         if tf <= 0:
             continue
-        df = stats.doc_freq.get(term, 0)
-        idf = math.log(1.0 + (stats.num_docs - df + 0.5) / (df + 0.5))
+        df = len(docs)
+        idf = math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
         score += qw * idf * (tf / (tf + params.k1 * length_norm))
     return score
 
 
 def hmm_score(
-    index: InvertedIndex,
-    query_terms: Sequence[str],
-    doc_id: str,
-    params: LexicalParams | None = None,
-    stats: CollectionStats | None = None,
+    index: InvertedIndex, query_terms: Sequence[str], doc_id: str, params: LexicalParams | None = None
 ) -> float:
     """HMM query-likelihood log-probability of one document.
 
@@ -273,13 +268,15 @@ def hmm_score(
     (``lambda_ == 1`` and the term is missing from the document, or the term
     is absent from the whole collection).
     """
-    params, stats = _resolve(params, stats, index)
-    dl = float(index.doc_lengths[index.ordinal(doc_id)])
-    lam = params.lambda_
+    params = _resolve(params)
+    ordinal = index.ordinal(doc_id)
+    dl = float(index.doc_lengths[ordinal])
+    lam, total = params.lambda_, index.total_weight
     score = 0.0
     for term, qw in Counter(query_terms).items():
-        p_doc = index.weight(term, doc_id) / dl if dl > 0 else 0.0
-        p_coll = stats.coll_freq.get(term, 0.0) / stats.total_weight if stats.total_weight > 0 else 0.0
+        docs, weights, cf = index._term(term)
+        p_doc = float(weights[docs == ordinal].sum()) / dl if dl > 0 else 0.0
+        p_coll = cf / total if total > 0 else 0.0
         p = lam * p_doc + (1.0 - lam) * p_coll
         if p <= 0.0:
             return float("-inf")
@@ -299,26 +296,21 @@ def rm3_expand(
     query_terms: Sequence[str],
     params: LexicalParams | None = None,
     scorer: str = "bm25",
-    stats: CollectionStats | None = None,
     allowed: np.ndarray | None = None,
 ) -> dict[str, float]:
     """RM3 weighted-query expansion from a first pass over the documents ``allowed`` admits.
 
-    The feedback documents are the top ``rm3_fb_docs`` of that first pass,
-    scored with ``stats`` (the index's own when not given). The relevance
-    model is estimated over them in rank order (weighted by softmax of their
-    first-pass scores), truncated to the top ``rm3_fb_terms`` terms,
-    interpolated with the original maximum-likelihood query model at weight
-    ``rm3_alpha``, and renormalized to sum to 1. With no feedback documents
-    the original query weights are returned unchanged.
+    The feedback documents are the top ``rm3_fb_docs`` of that first pass.
+    The relevance model is estimated over them in rank order (weighted by
+    softmax of their first-pass scores), truncated to the top
+    ``rm3_fb_terms`` terms, interpolated with the original maximum-likelihood
+    query model at weight ``rm3_alpha``, and renormalized to sum to 1. With
+    no feedback documents the original query weights are returned unchanged.
     """
     if not query_terms:
         raise ValidationError("empty query")
-    params = params if params is not None else DEFAULT_PARAMS
-    params.validate()
-    feedback = search_lexical(
-        index, query_terms, scorer=scorer, k=params.rm3_fb_docs, params=params, stats=stats, allowed=allowed
-    )
+    params = _resolve(params)
+    feedback = search_lexical(index, query_terms, scorer=scorer, k=params.rm3_fb_docs, params=params, allowed=allowed)
     counts = Counter(query_terms)
     total = sum(counts.values())
     mle = {term: c / total for term, c in counts.items()}
@@ -349,7 +341,6 @@ def search_weighted(
     scorer: str = "bm25",
     k: int = 1000,
     params: LexicalParams | None = None,
-    stats: CollectionStats | None = None,
     allowed: np.ndarray | None = None,
 ) -> list[tuple[str, float]]:
     """Rank documents matching at least one positively weighted query term.
@@ -367,28 +358,28 @@ def search_weighted(
         raise ValidationError(f"k must be >= 1, got {k}")
     if not query_weights:
         raise ValidationError("empty query")
-    params, stats = _resolve(params, stats, index)
+    params = _resolve(params)
     if scorer not in SCORERS:
         raise ValidationError(f"unknown scorer {scorer!r}; expected one of {SCORERS}")
     if allowed is not None and (allowed.dtype != bool or allowed.shape != (index.num_docs,)):
         raise ValidationError(f"allowed must be a boolean mask over the index's {index.num_docs} documents")
 
-    lengths, lam, avgdl = index.doc_lengths, params.lambda_, stats.avg_doc_length
+    lengths, lam, avgdl, total = index.doc_lengths, params.lambda_, index.avg_doc_length, index.total_weight
     length_norm = 1.0 - params.b + params.b * (lengths / avgdl) if avgdl > 0 else np.ones(len(lengths))
     scores = np.zeros(index.num_docs)
     matched = np.zeros(index.num_docs, dtype=bool)
     for term, qw in query_weights.items():
         if qw <= 0:
             continue
-        docs, tf = index.postings(term)
+        docs, tf, cf = index._term(term)
         matched[docs] = True
         if scorer == "bm25":
-            df = stats.doc_freq.get(term, 0)
-            idf = math.log(1.0 + (stats.num_docs - df + 0.5) / (df + 0.5))
+            df = len(docs)
+            idf = math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
             scores[docs] += qw * idf * (tf / (tf + params.k1 * length_norm[docs]))
             continue
         # Documents without the term have P(t|D) = 0. Logs are math.log's, as in hmm_score.
-        p_coll = stats.coll_freq.get(term, 0.0) / stats.total_weight if stats.total_weight > 0 else 0.0
+        p_coll = cf / total if total > 0 else 0.0
         p = [(1.0 - lam) * p_coll, *(lam * (tf / lengths[docs]) + (1.0 - lam) * p_coll).tolist()]
         logs = [qw * math.log(x) if x > 0.0 else -math.inf for x in p]
         contribution = np.full(index.num_docs, logs[0])
@@ -409,7 +400,6 @@ def search_lexical(
     rm3: bool = False,
     k: int = 1000,
     params: LexicalParams | None = None,
-    stats: CollectionStats | None = None,
     allowed: np.ndarray | None = None,
 ) -> list[tuple[str, float]]:
     """Top-k search among the documents ``allowed`` admits (all when ``None``);
@@ -417,10 +407,10 @@ def search_lexical(
     if not query_terms:
         raise ValidationError("empty query")
     if rm3:
-        weights: Mapping[str, float] = rm3_expand(index, query_terms, params, scorer, stats, allowed)
+        weights: Mapping[str, float] = rm3_expand(index, query_terms, params, scorer, allowed)
     else:
         weights = Counter(query_terms)
-    return search_weighted(index, weights, scorer=scorer, k=k, params=params, stats=stats, allowed=allowed)
+    return search_weighted(index, weights, scorer=scorer, k=k, params=params, allowed=allowed)
 
 
 def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
@@ -439,7 +429,7 @@ def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "num_docs": index.num_docs,
-        "total_weight": index.stats.total_weight,
+        "total_weight": index.total_weight,
         "num_terms": len(index.terms),
     }
     (dirpath / "stats.json").write_text(
@@ -467,7 +457,7 @@ def load_index(dirpath: str | Path) -> InvertedIndex:
     with malformed(stats_path, "index statistics"):
         meta = json.loads(stats_path.read_text(encoding="utf-8"))
         fmt, version = meta.get("format"), meta.get("version")
-        num_docs, num_terms = int(meta["num_docs"]), int(meta["num_terms"])
+        num_docs, num_terms = (json_int(meta[name], stats_path, name) for name in ("num_docs", "num_terms"))
     if fmt != INDEX_FORMAT or version != INDEX_VERSION:
         raise FormatError(f"{dirpath}: unsupported index format {fmt!r} v{version!r}, expected v{INDEX_VERSION}")
     doc_ids = _load_strings(dirpath / "docs.json", "document list")

@@ -83,7 +83,7 @@ class LexicalSearcher(Searcher):
         """Top-k documents for the query terms; terms absent from the collection are dropped."""
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        known = [t for t in query if self.index.stats.doc_freq.get(t, 0) > 0]
+        known = [t for t in query if self.index.row(t) is not None]
         if len(known) < len(query):
             dropped = len(query) - len(known)
             logger.info("event=query_vocab topic=%s dropped=%d kept=%d", query_id, dropped, len(known))

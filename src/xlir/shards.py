@@ -19,7 +19,7 @@ from itertools import chain
 from pathlib import Path
 
 from .corpus import Document
-from .errors import FormatError, ValidationError, malformed
+from .errors import FormatError, ValidationError, json_int, malformed
 
 PLAN_FORMAT = "xlir-shard-plan"
 PLAN_VERSION = 1
@@ -82,8 +82,10 @@ class ShardPlan:
                 (dt.date.fromisoformat(start), dt.date.fromisoformat(end))
                 for start, end in record["windows"]
             ]
-            assignment = {doc_id: int(s) for doc_id, s in record["assignment"].items()}
-            window_months = int(record["window_months"])
+            assignment = {d: json_int(w, path, f"window of document {d!r}") for d, w in record["assignment"].items()}
+            window_months = json_int(record["window_months"], path, "window_months")
+        if window_months < 1:
+            raise FormatError(f"{path}: window_months must be >= 1, got {window_months}")
         if any(start >= end for start, end in windows) or any(
             end != following for (_, end), (following, _) in zip(windows, windows[1:])
         ):

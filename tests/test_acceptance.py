@@ -249,27 +249,24 @@ def test_criterion_6_shard_merge_equivalence():
         bags.append((doc.doc_id, translate_doc(counts, tables[doc.lang])))
     full = build_index(bags)
 
+    # One mask of the full index per plan window: the windows split the
+    # collection, and every masked search keeps the full index's statistics.
     plan = plan_shards(corpus.docs, window_months=3)
-    by_shard: dict[int, list] = {}
-    for doc_id, bag in bags:
-        by_shard.setdefault(plan.assignment[doc_id], []).append((doc_id, bag))
-    shard_indexes = {ordinal: build_index(group) for ordinal, group in by_shard.items()}
+    windows = np.array([plan.assignment[doc_id] for doc_id in full.doc_ids])
+    masks = [windows == ordinal for ordinal in range(plan.num_shards)]
+    assert sum(mask.sum() for mask in masks) == full.num_docs and sum(mask.any() for mask in masks) > 1
 
     params = LexicalParams()
     checked = 0
     for topic in corpus.topics:
         tokens = DEFAULT_TOKENIZER(form_query(topic, "TD"))
-        tokens = [t for t in tokens if full.stats.doc_freq.get(t, 0) > 0]
+        tokens = [t for t in tokens if full.row(t) is not None]
         if not tokens:
             continue
         for scorer in ("bm25", "hmm"):
             expected = search_lexical(full, tokens, scorer=scorer, k=500, params=params)
             per_shard = [
-                search_lexical(
-                    shard_indexes[o], tokens, scorer=scorer, k=500, params=params,
-                    stats=full.stats,
-                )
-                for o in sorted(shard_indexes)
+                search_lexical(full, tokens, scorer=scorer, k=500, params=params, allowed=mask) for mask in masks
             ]
             merged = merge_shard_results(per_shard, k=500)
             assert merged == expected, f"topic {topic.topic_id} {scorer}: sharded merge diverges"

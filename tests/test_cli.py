@@ -527,6 +527,12 @@ CORRUPTIONS = {
     "dense-meta-no-nprobe": ("dense", "meta.json", _edit_json(lambda meta: meta.pop("nprobe"))),
     "dense-meta-dim": ("dense", "meta.json", _edit_json(lambda meta: meta.update(dim=99))),
     "dense-meta-num-centroids": ("dense", "meta.json", _edit_json(lambda meta: meta.update(num_centroids=3))),
+    # int() would load these as 2, 1 and 3; a zero nprobe or negative cap would fail only at search.
+    "dense-meta-nprobe-float": ("dense", "meta.json", _edit_json(lambda meta: meta.update(nprobe=2.7))),
+    "dense-meta-nprobe-true": ("dense", "meta.json", _edit_json(lambda meta: meta.update(nprobe=True))),
+    "dense-meta-nprobe-text": ("dense", "meta.json", _edit_json(lambda meta: meta.update(nprobe="3"))),
+    "dense-meta-nprobe-zero": ("dense", "meta.json", _edit_json(lambda meta: meta.update(nprobe=0))),
+    "dense-meta-cap-negative": ("dense", "meta.json", _edit_json(lambda meta: meta.update(candidate_cap=-1))),
     "centroid-id-too-large": ("dense", "centroid_ids.npy", _set_first_centroid_id(16)),
     "centroid-id-negative": ("dense", "centroid_ids.npy", _set_first_centroid_id(-1)),
     "centroids-truncated": ("dense", "centroids.npy", _truncate),

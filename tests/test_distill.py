@@ -174,5 +174,3 @@ class TestDistillFile:
             DistillPair("q", ["only"], [1.0])
         with pytest.raises(ValidationError):
             DistillPair("q", ["a", "b"], [1.0])
-        with pytest.raises(ValidationError):
-            DistillPair("q", ["a", "b"], [1.0, 2.0], student_scores=[1.0])

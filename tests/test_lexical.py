@@ -33,14 +33,19 @@ def hmm_index():
 class TestBuildIndex:
     def test_counting(self):
         index = build_index([("d1", {"a": 2, "b": 2}), ("d2", {"a": 1, "c": 3})])
-        assert index.stats.doc_freq["a"] == 2
-        assert index.stats.doc_freq["b"] == 1
+        doc_freq = np.diff(index.offsets)
+        assert doc_freq[index.row("a")] == 2
+        assert doc_freq[index.row("b")] == 1
+        assert index.row("z") is None
+        assert index.coll_freq[index.row("a")] == 3.0 and index.coll_freq.dtype == np.float64
         assert index.doc_lengths[index.ordinal("d1")] == 4.0
+        assert (index.total_weight, index.avg_doc_length) == (8.0, 4.0)
 
     def test_empty(self):
         index = build_index([])
-        assert index.stats.num_docs == 0
-        assert index.terms == [] and index.docs.size == 0
+        assert index.num_docs == 0
+        assert (index.total_weight, index.avg_doc_length) == (0.0, 0.0)
+        assert index.terms == [] and index.docs.size == 0 and index.coll_freq.size == 0
 
     def test_real_valued_weights(self):
         index = build_index([("d1", {"x": 2.2, "y": 0.8})])
@@ -198,13 +203,10 @@ class TestRM3:
             assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
 
 
-def exhaustive_ranking(index, query, scorer, params=None, stats=None):
+def exhaustive_ranking(index, query, scorer, params=None):
     """Score every document with the public per-document scorer and sort."""
     score_fn = {"bm25": bm25_score, "hmm": hmm_score}[scorer]
-    scored = [
-        (doc_id, score_fn(index, query, doc_id, params, stats))
-        for doc_id in index.doc_ids
-    ]
+    scored = [(doc_id, score_fn(index, query, doc_id, params)) for doc_id in index.doc_ids]
     scored.sort(key=lambda entry: (-entry[1], entry[0]))
     return scored
 
@@ -272,24 +274,30 @@ class TestSearch:
         assert search_lexical(index, query, scorer="bm25", rm3=True, k=20, params=params) == manual
 
 
-def doc_at_a_time_search(index, query_weights, scorer, k, params, stats):
+def doc_at_a_time_search(index, query_weights, scorer, k, params, allowed=None):
     """Reference for ``search_weighted``: the doc-at-a-time loop that term-at-a-time scoring replaced.
 
     Candidates are the documents in the postings of positively weighted query
-    terms; each is scored alone, adding its terms in query order.
+    terms that the mask ``allowed`` admits; each is scored alone, adding its
+    terms in query order, with the statistics of the whole index.
     """
+    doc_freq = np.diff(index.offsets)
+
+    def stats(term):
+        t = index.row(term)
+        return (0, 0.0) if t is None else (int(doc_freq[t]), float(index.coll_freq[t]))
 
     def bm25(doc_id):
         dl = float(index.doc_lengths[index.ordinal(doc_id)])
-        avgdl = stats.avg_doc_length
+        avgdl = index.avg_doc_length
         length_norm = 1.0 - params.b + params.b * (dl / avgdl) if avgdl > 0 else 1.0
         score = 0.0
         for term, qw in query_weights.items():
             tf = index.weight(term, doc_id)
             if qw <= 0 or tf <= 0:
                 continue
-            df = stats.doc_freq.get(term, 0)
-            idf = math.log(1.0 + (stats.num_docs - df + 0.5) / (df + 0.5))
+            df = stats(term)[0]
+            idf = math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
             score += qw * idf * (tf / (tf + params.k1 * length_norm))
         return score
 
@@ -300,7 +308,7 @@ def doc_at_a_time_search(index, query_weights, scorer, k, params, stats):
             if qw <= 0:
                 continue
             p_doc = index.weight(term, doc_id) / dl if dl > 0 else 0.0
-            p_coll = stats.coll_freq.get(term, 0.0) / stats.total_weight if stats.total_weight > 0 else 0.0
+            p_coll = stats(term)[1] / index.total_weight if index.total_weight > 0 else 0.0
             p = params.lambda_ * p_doc + (1.0 - params.lambda_) * p_coll
             if p <= 0.0:
                 return float("-inf")
@@ -309,7 +317,11 @@ def doc_at_a_time_search(index, query_weights, scorer, k, params, stats):
 
     score_fn = {"bm25": bm25, "hmm": hmm}[scorer]
     candidates = {
-        index.doc_ids[i] for term, qw in query_weights.items() if qw > 0 for i in index.postings(term)[0].tolist()
+        index.doc_ids[i]
+        for term, qw in query_weights.items()
+        if qw > 0
+        for i in index.postings(term)[0].tolist()
+        if allowed is None or allowed[i]
     }
     scored = [(doc_id, score_fn(doc_id)) for doc_id in sorted(candidates)]
     scored = [(doc_id, score) for doc_id, score in scored if math.isfinite(score)]
@@ -321,8 +333,8 @@ def random_weighted_bags(rng, num_docs=300):
     """Bags under shuffled, unsorted doc ids, with integer, fractional and zero weights.
 
     Each document has 1-10 of the common terms ``c0``-``c19`` and, one time in
-    ten, one of the rare terms ``r0``-``r9``, which a 3-way split then leaves
-    out of some shards.
+    ten, one of the rare terms ``r0``-``r9``, which a 3-way mask then leaves
+    out of some parts.
     """
     bags = []
     for i in rng.permutation(num_docs):
@@ -356,26 +368,27 @@ class TestTermAtATime:
     def test_equals_doc_at_a_time_reference(self, scorer, lambda_):
         rng = np.random.default_rng(61)
         params = LexicalParams(lambda_=lambda_)
-        compared = shard_misses = 0
+        compared = mask_misses = 0
         for _ in range(12):
             bags = random_weighted_bags(rng)
             whole = build_index(bags)
-            shards = [build_index(bags[i::3]) for i in range(3)]
+            parts = [{doc_id for doc_id, _ in bags[i::3]} for i in range(3)]
+            masks = [np.array([doc_id in part for doc_id in whole.doc_ids]) for part in parts]
             for _ in range(12):
                 query = random_query_weights(rng)
                 k = int(rng.choice([5, 50, 1000]))
-                for index in [whole, *shards]:
-                    expected = doc_at_a_time_search(index, query, scorer, k, params, whole.stats)
-                    assert search_weighted(index, query, scorer, k, params, whole.stats) == expected
+                for allowed in [None, *masks]:
+                    expected = doc_at_a_time_search(whole, query, scorer, k, params, allowed)
+                    assert search_weighted(whole, query, scorer, k, params, allowed=allowed) == expected
                     compared += len(expected)
-                    shard_misses += any(
-                        qw > 0 and t not in index.terms and whole.stats.doc_freq.get(t, 0) > 0
+                    mask_misses += allowed is not None and any(
+                        qw > 0 and whole.row(t) is not None and not allowed[whole.postings(t)[0]].any()
                         for t, qw in query.items()
                     )
-        # Enough ranked documents to catch a last-bit change, and shards that lack a query term
-        # the whole collection's statistics know.
+        # Enough ranked documents to catch a last-bit change, and masks that admit no document
+        # holding a query term the collection knows.
         assert compared > 2_000
-        assert shard_misses > 20
+        assert mask_misses > 20
 
     @pytest.mark.parametrize("lambda_", [0.5, 1.0])
     def test_hmm_scores_each_log_like_math_log(self, lambda_):
@@ -386,7 +399,7 @@ class TestTermAtATime:
         index = build_index(random_weighted_bags(np.random.default_rng(63), num_docs=4000))
         params = LexicalParams(lambda_=lambda_)
         for term in [f"c{i}" for i in range(20)]:
-            expected = doc_at_a_time_search(index, {term: 1}, "hmm", 4000, params, index.stats)
+            expected = doc_at_a_time_search(index, {term: 1}, "hmm", 4000, params)
             assert search_weighted(index, {term: 1}, "hmm", 4000, params) == expected
 
     @pytest.mark.parametrize("scorer", ["bm25", "hmm"])
@@ -394,8 +407,11 @@ class TestTermAtATime:
         index = build_index(random_weighted_bags(np.random.default_rng(62), num_docs=40))
         assert search_weighted(index, {"c1": 0.0, "c2": -1.0, "c3": -0.25}, scorer) == []
         mixed = {"c1": 0.0, "c2": -1.0, "c3": 0.25}
-        expected = doc_at_a_time_search(index, mixed, scorer, 1000, LexicalParams(), index.stats)
+        expected = doc_at_a_time_search(index, mixed, scorer, 1000, LexicalParams())
         assert search_weighted(index, mixed, scorer) == expected != []
+
+
+STATS_JSON = '{"format": "xlir-lexical-index", "version": 2, "num_docs": %s, "num_terms": %s, "total_weight": 5.0}'
 
 
 class TestPersistence:
@@ -477,6 +493,10 @@ class TestPersistence:
             ("docs.json", '["d1", 5]', "docs.json"),
             ("docs.json", '["d1"]', "counts in stats.json"),
             ("terms.json", '["a"]', "counts in stats.json"),
+            # int() would read these as the index's 2 documents and 2 terms.
+            ("stats.json", STATS_JSON % ("2.9", "2"), "stats.json: num_docs must be a JSON integer, got 2.9"),
+            ("stats.json", STATS_JSON % ("true", "2"), "stats.json: num_docs must be a JSON integer, got True"),
+            ("stats.json", STATS_JSON % ("2", '"2"'), "stats.json: num_terms must be a JSON integer, got '2'"),
         ],
     )
     def test_load_rejects_corrupt_index(self, tmp_path, name, content, match):

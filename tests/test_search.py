@@ -1,5 +1,6 @@
 import datetime as dt
 import logging
+import math
 import re
 import shutil
 from collections import Counter
@@ -37,30 +38,65 @@ def _window_filters(plan):
     return [DateFilter(start, end - dt.timedelta(days=1)) for start, end in plan.windows]
 
 
+def _per_document_ranking(index, terms, scorer, allowed):
+    """Every admitted document holding a query term, scored alone by ``bm25_score``/``hmm_score``."""
+    score_fn = {"bm25": lexical.bm25_score, "hmm": lexical.hmm_score}[scorer]
+    held = set(terms)
+    scored = [
+        (doc_id, score_fn(index, terms, doc_id))
+        for i, doc_id in enumerate(index.doc_ids)
+        if allowed[i] and held & set(index.doc_bag(doc_id))
+    ]
+    return sorted(((d, s) for d, s in scored if s != float("-inf")), key=lambda entry: (-entry[1], entry[0]))
+
+
+def _relevance_model(index, terms, feedback, params):
+    """RM3's expanded query, re-derived from its feedback ranking: softmax document weights over
+    the document models, the top ``rm3_fb_terms`` terms, interpolation with the query at ``rm3_alpha``."""
+    counts = Counter(terms)
+    mle = {term: c / sum(counts.values()) for term, c in counts.items()}
+    if not feedback:
+        return mle
+    peak = max(score for _, score in feedback)
+    exps = [math.exp(score - peak) for _, score in feedback]
+    relevance = {}
+    for (doc_id, _), e in zip(feedback, exps):
+        dl = float(index.doc_lengths[index.ordinal(doc_id)])
+        for term, w in index.doc_bag(doc_id).items():
+            relevance[term] = relevance.get(term, 0.0) + e / sum(exps) * (w / dl)
+    kept = dict(sorted(relevance.items(), key=lambda item: (-item[1], item[0]))[: params.rm3_fb_terms])
+    alpha = params.rm3_alpha
+    combined = {t: alpha * mle.get(t, 0.0) + (1.0 - alpha) * kept.get(t, 0.0) for t in sorted(set(mle) | set(kept))}
+    return {t: w / sum(combined.values()) for t, w in combined.items() if w > 0.0}
+
+
 @pytest.mark.parametrize("scorer,rm3", [("bm25", False), ("bm25", True), ("hmm", False), ("hmm", True)])
 def test_dated_lexical_search_equals_search_over_admitted_documents(lexical_dir, scorer, rm3):
-    """A date filter is a mask: the dated ranking equals an unfiltered search over an index of the
-    admitted documents alone, scored with the whole index's statistics."""
+    """A date filter is a mask: the dated ranking is the per-document scores, over the whole
+    index, of the admitted documents alone; with RM3, the masked search of the query that a
+    relevance model expands from the top ``rm3_fb_docs`` of that ranking."""
     topics, path, plan = lexical_dir
     searcher = open_index(path, plan)
     whole = searcher.index
+    params = lexical.LexicalParams()
     compared = restricted = 0
     for topic in topics:
-        terms = [t for t in DEFAULT_TOKENIZER(form_query(topic, "TD")) if whole.stats.doc_freq.get(t, 0) > 0]
+        terms = [t for t in DEFAULT_TOKENIZER(form_query(topic, "TD")) if whole.row(t) is not None]
         own = DateFilter(topic.start_date, topic.end_date)
         for date_filter in ([] if own.empty else [own]) + _window_filters(plan):
             selected = select_shards(plan, date_filter)
-            admitted = [doc_id for doc_id in whole.doc_ids if plan.assignment[doc_id] in selected]
-            subset = lexical.build_index((doc_id, whole.doc_bag(doc_id)) for doc_id in admitted)
+            allowed = np.array([plan.assignment[doc_id] in selected for doc_id in whole.doc_ids])
+            ranking = _per_document_ranking(whole, terms, scorer, allowed) if terms else []
+            if rm3 and terms:
+                expanded = _relevance_model(whole, terms, ranking[: params.rm3_fb_docs], params)
             for k in (5, 1000):  # a cut that bites, and one that keeps every match
-                expected = (
-                    lexical.search_lexical(subset, terms, scorer=scorer, rm3=rm3, k=k, stats=whole.stats)
-                    if terms
-                    else []
-                )
+                if rm3 and terms:
+                    expected = lexical.search_weighted(whole, expanded, scorer, k, allowed=allowed)
+                else:
+                    expected = ranking[:k]
                 assert searcher.search(terms, date_filter, k, scorer=scorer, rm3=rm3) == expected
                 compared += len(expected)
-                restricted += len(admitted) < whole.num_docs and bool(expected)
+                restricted += allowed.sum() < whole.num_docs and bool(expected)
     assert compared > 500
     assert restricted >= len(topics)
 

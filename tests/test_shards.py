@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,30 @@ class TestPlanShards:
         plan.assignment["b"] = shard
         plan.save(tmp_path / "plan.json")
         with pytest.raises(FormatError, match="outside"):
+            ShardPlan.load(tmp_path / "plan.json")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("assignment", 1.7, "window of document 'b' must be a JSON integer, got 1.7"),
+            ("assignment", True, "window of document 'b' must be a JSON integer, got True"),
+            ("assignment", "1", "window of document 'b' must be a JSON integer, got '1'"),
+            ("window_months", 0, "window_months must be >= 1, got 0"),
+            ("window_months", -2, "window_months must be >= 1, got -2"),
+            ("window_months", 2.5, "window_months must be a JSON integer, got 2.5"),
+            ("window_months", True, "window_months must be a JSON integer, got True"),
+        ],
+    )
+    def test_load_rejects_non_integer_or_out_of_range_fields(self, tmp_path, field, value, match):
+        # int() would load 1.7, true and "1" all as window 1, silently re-windowing document b.
+        docs = [dated_doc("a", dt.date(2020, 1, 1)), dated_doc("b", dt.date(2020, 9, 9))]
+        plan = plan_shards(docs)
+        if field == "assignment":
+            plan.assignment["b"] = value
+        else:
+            plan.window_months = value
+        plan.save(tmp_path / "plan.json")
+        with pytest.raises(FormatError, match=f"plan.json: .*{re.escape(match)}"):
             ShardPlan.load(tmp_path / "plan.json")
 
     @pytest.mark.parametrize(
@@ -159,23 +184,21 @@ class TestMergeShardResults:
         assert merged == [("a", 3.0), ("b", 2.0)]
 
     def test_matches_unsharded_search_with_global_stats(self):
-        # Per-shard postings with global statistics reproduce the single-index
-        # run exactly.
+        # Searches of one index masked to disjoint parts, which share the whole
+        # collection's statistics, merge into the unmasked run exactly.
         rng = np.random.default_rng(41)
         bags = []
         for i in range(80):
             terms = rng.choice(25, size=int(rng.integers(2, 8)), replace=False)
             bags.append((f"d{i:03d}", {f"t{int(t)}": float(rng.integers(1, 5)) for t in terms}))
         full = build_index(bags)
-        shard_indexes = [build_index(bags[i::3]) for i in range(3)]
+        parts = [{doc_id for doc_id, _ in bags[i::3]} for i in range(3)]
+        masks = [np.array([doc_id in part for doc_id in full.doc_ids]) for part in parts]
         query = ["t1", "t2", "t3"]
         for scorer in ("bm25", "hmm"):
             expected = search_lexical(full, query, scorer=scorer, k=80)
-            per_shard = [
-                search_lexical(shard, query, scorer=scorer, k=80, stats=full.stats)
-                for shard in shard_indexes
-            ]
-            assert merge_shard_results(per_shard, k=80) == expected
+            per_shard = [search_lexical(full, query, scorer=scorer, k=80, allowed=mask) for mask in masks]
+            assert all(per_shard) and merge_shard_results(per_shard, k=80) == expected
 
 
 class TestFuseMultilingual:
