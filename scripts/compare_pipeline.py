@@ -8,8 +8,11 @@ to NEW/manifest.json. Then, for each run file under runs/ in both trees, it
 prints how many topics changed their ranking (the ordered doc ids differ) and
 the largest absolute score difference of a document retrieved for the same
 topic in both runs, followed by the run's mean nDCG and recall from
-metrics/<run>.json in each tree where that file exists. A change that moves
-golden bytes records this report.
+metrics/<run>.json in each tree where that file exists. Last, for the mined
+distillation pairs (distill/pairs.jsonl), it prints how many queries changed
+their passage list and the largest absolute teacher-score difference of a
+passage mined for the same query in both files. A change that moves golden
+bytes records this report.
 """
 
 import argparse
@@ -17,6 +20,7 @@ import json
 import sys
 from pathlib import Path
 
+from xlir.distill import read_distill_file
 from xlir.evaluation import entries_by_topic, read_run
 
 
@@ -28,17 +32,21 @@ def _by_topic(path: Path) -> dict[str, dict[str, float]]:
     }
 
 
-def compare_runs(old: Path, new: Path) -> tuple[int, int, float]:
-    """(topics whose ranking changed, topics in either run, largest absolute score difference)."""
-    old_topics, new_topics = _by_topic(old), _by_topic(new)
-    topics = sorted(set(old_topics) | set(new_topics))
+def _by_query(path: Path) -> dict[str, dict[str, float]]:
+    """Query id -> passage key -> teacher score, the keys in mined order."""
+    return {pair.query_id: dict(zip(pair.passage_ids, pair.teacher_scores)) for pair in read_distill_file(path)}
+
+
+def compare(old: dict[str, dict[str, float]], new: dict[str, dict[str, float]]) -> tuple[int, int, float]:
+    """(lists whose ids changed or moved, lists in either, largest absolute score difference of an id in both)."""
+    names = old.keys() | new.keys()
     changed, largest = 0, 0.0
-    for topic in topics:
-        before, after = old_topics.get(topic, {}), new_topics.get(topic, {})
+    for name in names:
+        before, after = old.get(name, {}), new.get(name, {})
         changed += list(before) != list(after)
-        for doc_id in before.keys() & after.keys():
-            largest = max(largest, abs(before[doc_id] - after[doc_id]))
-    return changed, len(topics), largest
+        for key in before.keys() & after.keys():
+            largest = max(largest, abs(before[key] - after[key]))
+    return changed, len(names), largest
 
 
 def _means(path: Path) -> str:
@@ -67,13 +75,22 @@ def report(old: Path, new: Path) -> list[str]:
         if name not in old_runs or name not in new_runs:
             lines.append(f"run {name}: only in {'NEW' if name in new_runs else 'OLD'}")
         else:
-            changed, topics, largest = compare_runs(old / "runs" / name, new / "runs" / name)
+            changed, topics, largest = compare(_by_topic(old / "runs" / name), _by_topic(new / "runs" / name))
             lines.append(
                 f"run {name}: {changed} of {topics} topics changed ranking, largest score difference {largest!r}"
             )
         metrics = [tree / "metrics" / f"{Path(name).stem}.json" for tree in (old, new)]
         if any(path.exists() for path in metrics):
             lines.append(f"  mean: OLD {_means(metrics[0])}, NEW {_means(metrics[1])}")
+    pairs = [tree / "distill" / "pairs.jsonl" for tree in (old, new)]
+    if all(path.exists() for path in pairs):
+        changed, queries, largest = compare(*map(_by_query, pairs))
+        lines.append(
+            f"distill pairs.jsonl: {changed} of {queries} queries changed passages, "
+            f"largest teacher score difference {largest!r}"
+        )
+    elif any(path.exists() for path in pairs):
+        lines.append(f"distill pairs.jsonl: only in {'NEW' if pairs[1].exists() else 'OLD'}")
     return lines
 
 

@@ -3,8 +3,8 @@
 Commands map one-to-one onto library operations: ``psq-translate``,
 ``index-lexical``, ``index-dense``, ``shard-plan``, ``search``, ``fuse``,
 ``mine-distill``, and ``evaluate``. Shared parameters can come from an INI
-config file (sections ``collection``, ``tokenizer``, ``psq``, ``lexical``,
-``dense``, ``shards``, ``search``, ``output``), and unknown config keys are
+config file (sections ``collection``, ``psq``, ``lexical``, ``dense``,
+``shards``, ``search``, ``output``), and unknown sections and keys are
 rejected. A setting is taken from its flag, then from the config file, then
 from the built-in default: ``main`` makes the config values the command's
 parser defaults and parses again, so commands read every setting from
@@ -21,7 +21,6 @@ import logging
 import sys
 import time
 from collections import Counter
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -48,7 +47,6 @@ _CONFIG_SCHEMA = {
         "query_embeddings": str,
         "qrels": str,
     },
-    "tokenizer": {"stemmer": str},
     "psq": {"cum_mass": float, "max_alts": int},
     "lexical": {
         "k1": float,
@@ -71,9 +69,6 @@ _CONFIG_SCHEMA = {
     "search": {"variant": str, "scorer": str, "rm3": bool, "k": int},
     "output": {"run_tag": str},
 }
-
-# Stemmer registry for the tokenizer config hook; identity is the default.
-_STEMMERS: dict[str, Callable[[str], str] | None] = {"identity": None}
 
 
 def load_config(path: str | Path | None) -> dict[str, dict]:
@@ -120,13 +115,6 @@ def _resolve_path(value: str | None, key: str, what: str) -> Path:
     if value is None:
         raise ValidationError(f"no {what} given: pass a flag or set collection.{key} in the config")
     return _require_path(value, what)
-
-
-def _tokenizer(args: argparse.Namespace) -> corpus_mod.Tokenizer:
-    name = getattr(args, "stemmer", "identity")
-    if name not in _STEMMERS:
-        raise ValidationError(f"unknown stemmer {name!r}; known: {sorted(_STEMMERS)}")
-    return corpus_mod.Tokenizer(stemmer=_STEMMERS[name])
 
 
 def _params(cls: type, args: argparse.Namespace):
@@ -177,7 +165,6 @@ def _entries_for_topic(
 def cmd_psq_translate(args: argparse.Namespace) -> int:
     docs_path = _resolve_path(args.docs, "docs", "document file")
     table_path = _require_path(args.table, "translation table")
-    tokenizer = _tokenizer(args)
     docs = corpus_mod.ingest_collection(docs_path)
     if args.lang is not None:
         docs = [doc for doc in docs if doc.lang == args.lang]
@@ -187,7 +174,7 @@ def cmd_psq_translate(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     bags = []
     for doc in docs:
-        counts = Counter(corpus_mod.document_tokens(doc, tokenizer))
+        counts = Counter(corpus_mod.document_tokens(doc))
         bags.append((doc.doc_id, psq_mod.translate_doc(counts, table)))
     logger.info(
         "event=psq_translate docs=%d sources=%d elapsed_ms=%.1f",
@@ -247,9 +234,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     if lexical or args.topics is not None:
         topics = corpus_mod.ingest_topics(_resolve_path(args.topics, "topics", "topic file"))
     if lexical:
-        tokenizer = _tokenizer(args)
         options = {"scorer": args.scorer, "rm3": args.rm3, "params": _params(lexical_mod.LexicalParams, args)}
-        queries = [(t.topic_id, tokenizer(corpus_mod.form_query(t, args.variant))) for t in topics]
+        tokenize = corpus_mod.DEFAULT_TOKENIZER
+        queries = [(t.topic_id, tokenize(corpus_mod.form_query(t, args.variant))) for t in topics]
     else:
         # A given nprobe or candidate cap overrides the value stored in the index.
         options = {"nprobe": args.nprobe, "candidate_cap": args.candidate_cap}
@@ -294,11 +281,12 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def cmd_mine_distill(args: argparse.Namespace) -> int:
-    searcher = search_mod.open_index(_require_path(args.index, "index directory"))
-    if searcher.engine != "dense":
+    index_dir = _require_path(args.index, "index directory")
+    if search_mod.index_engine(index_dir) != "dense":
         raise ValidationError("mine-distill requires a dense index")
+    # Mining returns passage keys, so unlike search it never parses them into document ids.
+    index = dense_mod.load_dense_index(index_dir)
     queries = dense_mod.load_embeddings(_require_path(args.query_embeddings, "query embeddings"))
-    index = searcher.index
     pairs = []
     for query_id, vectors in queries.items():
         # The mining engine's own scores stand in for teacher scores; an

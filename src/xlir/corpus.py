@@ -11,7 +11,7 @@ import datetime as dt
 import json
 import re
 import unicodedata
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,23 +44,15 @@ def parse_date(value: str) -> dt.date:
         raise FormatError(f"invalid calendar date {value!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
 class Tokenizer:
     """Deterministic text-to-token function.
 
     NFKC-normalizes, lowercases, and splits on runs of non-letter/digit
-    characters. ``stemmer`` is applied to each token after splitting and
-    defaults to identity; language-specific stemmers plug in here.
+    characters.
     """
 
-    stemmer: Callable[[str], str] | None = None
-
     def __call__(self, text: str) -> list[str]:
-        normalized = unicodedata.normalize("NFKC", text).lower()
-        tokens = _TOKEN_RE.findall(normalized)
-        if self.stemmer is not None:
-            tokens = [self.stemmer(token) for token in tokens]
-        return tokens
+        return _TOKEN_RE.findall(unicodedata.normalize("NFKC", text).lower())
 
 
 DEFAULT_TOKENIZER = Tokenizer()
@@ -202,9 +194,9 @@ def write_topics(path: str | Path, topics: Iterable[Topic]) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def document_tokens(doc: Document, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> list[str]:
+def document_tokens(doc: Document) -> list[str]:
     """Token sequence of a document: title tokens followed by body tokens."""
-    return tokenizer(doc.title) + tokenizer(doc.text)
+    return DEFAULT_TOKENIZER(doc.title) + DEFAULT_TOKENIZER(doc.text)
 
 
 def split_spans(num_tokens: int, max_len: int = 180, stride: int = 90) -> list[tuple[int, int]]:
@@ -229,14 +221,9 @@ def split_spans(num_tokens: int, max_len: int = 180, stride: int = 90) -> list[t
     return spans
 
 
-def split_passages(
-    doc: Document,
-    max_len: int = 180,
-    stride: int = 90,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-) -> list[Passage]:
+def split_passages(doc: Document, max_len: int = 180, stride: int = 90) -> list[Passage]:
     """Split a document into overlapping passages of at most ``max_len`` tokens."""
-    tokens = document_tokens(doc, tokenizer)
+    tokens = document_tokens(doc)
     return [
         Passage(doc_id=doc.doc_id, index=i, start=start, end=end)
         for i, (start, end) in enumerate(split_spans(len(tokens), max_len, stride))

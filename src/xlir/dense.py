@@ -381,7 +381,7 @@ def _encode(vectors: np.ndarray, codebook: ResidualCodebook, centroids: np.ndarr
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != codebook.dim:
         raise ValidationError(f"expected shape (*, {codebook.dim}), got {vectors.shape}")
-    ids = np.argmax(vectors @ centroids.T, axis=1).astype(np.int32)
+    ids = _assign_nearest(vectors, centroids.T).astype(np.int32)
     return ids, _bucketize(vectors - centroids[ids], codebook.boundaries)
 
 

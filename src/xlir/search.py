@@ -134,6 +134,15 @@ class DenseSearcher(Searcher):
         return docs[:k]
 
 
+def index_engine(path: Path) -> str:
+    """``"dense"`` or ``"lexical"``: which engine's index the directory holds."""
+    if (path / "meta.json").exists():
+        return "dense"
+    if (path / "stats.json").exists():
+        return "lexical"
+    raise FormatError(f"{path}: not an index directory")
+
+
 def open_index(path: str | Path, plan: shards.ShardPlan | None = None) -> Searcher:
     """Searcher for a lexical or dense index directory, dated by ``plan`` if one is given.
 
@@ -142,8 +151,6 @@ def open_index(path: str | Path, plan: shards.ShardPlan | None = None) -> Search
     """
     root = Path(path)
     # Engine functions are looked up on their modules when called.
-    if (root / "meta.json").exists():
+    if index_engine(root) == "dense":
         return DenseSearcher(dense.load_dense_index(root), plan)
-    if (root / "stats.json").exists():
-        return LexicalSearcher(lexical.load_index(root), plan)
-    raise FormatError(f"{root}: not an index directory")
+    return LexicalSearcher(lexical.load_index(root), plan)

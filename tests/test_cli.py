@@ -10,7 +10,8 @@ import pytest
 
 from xlir.cli import _CONFIG_SCHEMA, build_parser, load_config, main
 from xlir.corpus import ingest_topics
-from xlir.dense import EMBEDDING_MAGIC
+from xlir.dense import EMBEDDING_MAGIC, load_dense_index, write_embeddings
+from xlir.distill import mine_hard_passages, read_distill_file
 from xlir.errors import ValidationError
 from xlir.evaluation import entries_by_topic, read_run
 from xlir.shards import DateFilter, ShardPlan, select_shards
@@ -163,6 +164,28 @@ def test_mine_distill_refuses_a_lexical_index(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mine_distill_takes_keys_that_name_no_document(tmp_path):
+    # "p0000" has no "#<passage number>", so search could not map it to a document.
+    rng = np.random.default_rng(5)
+
+    def unit(shape):
+        vectors = rng.standard_normal(shape)
+        return (vectors / np.linalg.norm(vectors, axis=1, keepdims=True)).astype(np.float32)
+
+    write_embeddings(tmp_path / "passages.emb", {f"p{i:04d}": unit((int(rng.integers(2, 9)), 8)) for i in range(200)})
+    queries = {f"q{i}": unit((4, 8)) for i in range(3)}
+    write_embeddings(tmp_path / "queries.emb", queries)
+    index_dir, out = tmp_path / "idx", tmp_path / "pairs.jsonl"
+    assert main(["index-dense", "--embeddings", str(tmp_path / "passages.emb"), "--output", str(index_dir),
+                 "--num-centroids", "16", "--kmeans-iters", "5"]) == 0
+    assert main(["mine-distill", "--index", str(index_dir), "--query-embeddings", str(tmp_path / "queries.emb"),
+                 "--k", "10", "--output", str(out)]) == 0
+    index = load_dense_index(index_dir)
+    expected = [(query_id, mine_hard_passages(index, vectors, k=10)) for query_id, vectors in queries.items()]
+    got = [(pair.query_id, list(zip(pair.passage_ids, pair.teacher_scores))) for pair in read_distill_file(out)]
+    assert got == expected
+
+
 def test_evaluate_prints_means(workspace, capsys):
     root, paths = workspace
     run = root / "runs/for_eval.run"
@@ -307,7 +330,6 @@ def test_config_supplies_collection_paths(workspace, tmp_path):
     config = tmp_path / "coll.ini"
     config.write_text(
         f"[collection]\ntopics = {paths['topics']}\nqrels = {paths['qrels']}\n"
-        "\n[tokenizer]\nstemmer = identity\n"
     )
     out = tmp_path / "cfg_paths.run"
     assert main([
@@ -325,7 +347,7 @@ def test_config_supplies_collection_paths(workspace, tmp_path):
     ]) == 0
 
 
-def test_unknown_stemmer_rejected(workspace, tmp_path):
+def test_tokenizer_section_rejected_as_unknown(workspace, tmp_path, capsys):
     root, paths = workspace
     config = tmp_path / "stem.ini"
     config.write_text("[tokenizer]\nstemmer = porter\n")
@@ -337,6 +359,7 @@ def test_unknown_stemmer_rejected(workspace, tmp_path):
         "--config", str(config),
         "--output", str(out),
     ]) == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: {config}: unknown config section [tokenizer]"
     assert not out.exists()
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from xlir.corpus import (
     DEFAULT_TOKENIZER,
     Document,
-    Tokenizer,
     Topic,
     form_query,
     ingest_collection,
@@ -129,10 +128,6 @@ class TestTokenizer:
     def test_nfkc_normalization(self):
         # Fullwidth letters normalize to ASCII.
         assert DEFAULT_TOKENIZER("Ｈｅllo") == ["hello"]
-
-    def test_stemmer_hook(self):
-        tok = Tokenizer(stemmer=lambda t: t[:3])
-        assert tok("testing tokens") == ["tes", "tok"]
 
     @given(st.text(max_size=200))
     def test_deterministic(self, text):
