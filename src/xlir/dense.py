@@ -22,9 +22,10 @@ Embedding file format (all integers little-endian):
     per passage: key_len u16, key bytes (UTF-8), token_count u32,
                  token_count * dim float32 values (row-major)
 
-Index directory layout: ``meta.json`` (format, version, parameters),
-``centroids.npy``, ``bucket_boundaries.npy``, ``bucket_values.npy``,
-``keys.txt`` (one passage key per line), ``token_counts.npy``,
+Index directory layout (version 3): ``meta.json`` (format, version,
+parameters), ``centroids.npy``, ``bucket_boundaries.npy``,
+``bucket_values.npy``, ``keys.txt`` (one passage key per line, in increasing
+code-point order, which every per-passage array follows), ``token_counts.npy``,
 ``centroid_ids.npy`` (concatenated per passage) and ``codes.npy``, the
 residual codes as one row of bytes per token in ``centroid_ids`` order. A
 byte holds the levels of ``8 // bits`` dimensions, most significant first,
@@ -60,7 +61,7 @@ EMBEDDING_VERSION = 1
 NORM_TOLERANCE = 1e-4
 
 INDEX_FORMAT = "xlir-dense-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 # Mapping from passage key to (token_count, dim) float32 matrix.
 TokenEmbeddings = dict[str, np.ndarray]
@@ -440,9 +441,10 @@ class DenseIndex:
     rows ``codes[token_offsets[i]:token_offsets[i + 1]]``, one uint8 row of
     ``ceil(dim / (8 // bits))`` bytes per token, laid out as in ``codes.npy``
     (see the module docstring); stage 3 of ``search_dense`` reads them as they
-    are. Keys are distinct. ``token_offsets`` has ``len(keys) + 1`` entries,
-    starts at 0, never decreases, and ends at the number of tokens. Passage
-    ``i``'s distinct centroid ids are
+    are. Keys strictly increase, so a passage's ordinal is its key's rank and
+    a tie broken by ordinal is broken by key. ``token_offsets`` has
+    ``len(keys) + 1`` entries, starts at 0, never decreases, and ends at the
+    number of tokens. Passage ``i``'s distinct centroid ids are
     ``distinct_centroids[distinct_offsets[i]:distinct_offsets[i + 1]]``, in
     increasing order and in ``centroid_ids``' dtype. The passages containing
     centroid ``c`` are
@@ -460,6 +462,13 @@ class DenseIndex:
         codes: np.ndarray,
         params: DenseIndexParams,
     ):
+        for before, after in pairwise(keys):
+            if before >= after:
+                raise FormatError(
+                    f"duplicate passage key {after!r}"
+                    if before == after
+                    else f"passage key {after!r} out of order after {before!r}"
+                )
         self.codebook = codebook
         self.keys = keys
         self.centroid_ids = centroid_ids
@@ -489,16 +498,6 @@ class DenseIndex:
         by_centroid = np.argsort(self.distinct_centroids.astype(np.min_scalar_type(k - 1)), kind="stable")
         self.inverted_passages = passages[by_centroid]
         self.inverted_offsets = np.searchsorted(self.distinct_centroids, np.arange(k + 1), sorter=by_centroid)
-        # Rank of each key in string order, for ties broken by passage key; a repeated
-        # key has an equal neighbour in that order.
-        key_array = np.array(keys, dtype=object)
-        by_key = np.argsort(key_array, kind="stable")
-        ordered = key_array[by_key]
-        repeated = ordered[1:] == ordered[:-1]
-        if repeated.any():
-            raise FormatError(f"duplicate passage key {ordered[np.argmax(repeated)]!r}")
-        self._key_rank = np.empty(n, dtype=np.int64)
-        self._key_rank[by_key] = np.arange(n)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -519,7 +518,10 @@ def _check_keys(keys: Iterable[str]) -> None:
 def build_dense_index(
     embeddings: Mapping[str, np.ndarray], params: DenseIndexParams | None = None
 ) -> DenseIndex:
-    """Train a codebook on the collection and compress every passage."""
+    """Train a codebook on the collection and compress every passage, laid out in key order.
+
+    The codebook is trained on the embeddings in the caller's order.
+    """
     params = params if params is not None else DenseIndexParams()
     params.validate()
     _check_keys(embeddings)
@@ -529,7 +531,7 @@ def build_dense_index(
     start = time.perf_counter()
     codebook = train_codebook(embeddings, params)
     trained = time.perf_counter()
-    keys = list(embeddings.keys())
+    keys = sorted(embeddings)
     centroids = codebook.centroids.astype(np.float64)
     encoded = [_encode(embeddings[key], codebook, centroids) for key in keys]
     ids = np.concatenate([passage_ids for passage_ids, _ in encoded])
@@ -566,12 +568,12 @@ def search_dense(
     the top ``candidate_cap``; when there are no more candidates than that, it
     keeps them all without ranking them. Stage 3 scores the survivors by exact
     MaxSim over their compressed tokens; results are sorted by descending
-    score, ties by passage key.
+    score, ties by passage ordinal, which is key order.
 
     Stage 2 gathers one column of query-token similarities per distinct
     centroid of each candidate, takes the max along each candidate's columns,
     and sums a candidate's maxima as one contiguous vector, the summation
-    ``maxsim`` uses. Ties in that sum break by passage key.
+    ``maxsim`` uses. Ties in that sum break by passage ordinal.
 
     Stage 3 builds one table per byte of the index's code rows, holding each
     query token's dot product with the bucket values every byte value
@@ -625,7 +627,8 @@ def search_dense(
         columns = np.take(centroid_sims, np.take(index.distinct_centroids, positions), axis=1)
         maxima = np.maximum.reduceat(columns, starts, axis=1)  # (query tokens, candidates)
         approx = np.ascontiguousarray(maxima.T).sum(axis=1)
-        order = np.lexsort((index._key_rank[candidates], -approx))
+        # Candidates are in ordinal order, so a stable sort breaks ties by ordinal.
+        order = np.argsort(-approx, kind="stable")
         survivors = np.sort(candidates[order[: params.candidate_cap]])
     t2 = time.perf_counter()
 
@@ -648,7 +651,7 @@ def search_dense(
     # maxima in query order. A sum would too, except over a single column, which
     # numpy sums pairwise like any contiguous vector.
     exact = np.add.accumulate(maxima, axis=0)[-1]
-    order = np.lexsort((index._key_rank[survivors], -exact))
+    order = np.argsort(-exact, kind="stable")
     results = list(zip([index.keys[i] for i in survivors[order].tolist()], exact[order].tolist()))
     t3 = time.perf_counter()
     logger.info(

@@ -388,8 +388,9 @@ def search_weighted(
 
     if allowed is not None:
         matched &= allowed
+    # Hits come in ordinal order, so a stable sort breaks ties by ordinal, which is doc id order.
     hits = np.flatnonzero(matched & np.isfinite(scores))
-    top = hits[np.lexsort((hits, -scores[hits]))[:k]]
+    top = hits[np.argsort(-scores[hits], kind="stable")[:k]]
     return list(zip([index.doc_ids[i] for i in top.tolist()], scores[top].tolist()))
 
 

@@ -568,7 +568,7 @@ def reference_stage3_score(index, query, centroid_sims, ordinal):
 
 def flat_layout_index(dim, bits):
     """More passages than one scoring block, short enough to tie often on centroid
-    scores, with shuffled keys so passage order is not key order."""
+    scores, with keys inserted in shuffled order, which the build lays out in key order."""
     rng = np.random.default_rng(40)
     embeddings = random_embeddings(rng, 150, dim, min_tokens=1, max_tokens=4)
     keys = list(embeddings)
@@ -845,12 +845,35 @@ class TestPersistence:
         with pytest.raises(FormatError, match="codes"):
             load_dense_index(path)
 
-    def test_load_rejects_duplicate_keys(self, tmp_path):
-        path = self.saved(tmp_path)
+    def move_keys(self, path, moves):
+        """Rewrite keys.txt with ``keys[target] = keys[source]`` for each ``target: source`` of ``moves``."""
         keys = (path / "keys.txt").read_text().split("\n")
-        keys[7] = keys[2]
-        (path / "keys.txt").write_text("\n".join(keys))
-        with pytest.raises(FormatError, match=re.escape(f"{path}: duplicate passage key 'p0002'")):
+        edited = list(keys)
+        for target, source in moves.items():
+            edited[target] = keys[source]
+        (path / "keys.txt").write_text("\n".join(edited))
+
+    def test_load_rejects_duplicate_keys(self, tmp_path):
+        # A key repeated by its neighbour is a duplicate; one repeated further on first
+        # breaks the order, where it follows a greater key.
+        for target, problem in [(3, "duplicate passage key 'p0002'"), (7, "passage key 'p0002' out of order after 'p0006'")]:
+            path = self.saved(tmp_path / str(target))
+            self.move_keys(path, {target: 2})
+            with pytest.raises(FormatError, match=re.escape(f"{path}: {problem}")):
+                load_dense_index(path)
+
+    def test_load_rejects_swapped_keys(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.move_keys(path, {4: 5, 5: 4})
+        with pytest.raises(FormatError, match=re.escape(f"{path}: passage key 'p0004' out of order after 'p0005'")):
+            load_dense_index(path)
+
+    def test_load_rejects_version_2_directory(self, tmp_path):
+        # Version 2 had the same files, with passages in embedding-file order.
+        path = self.saved(tmp_path)
+        meta = json.loads((path / "meta.json").read_text())
+        (path / "meta.json").write_text(json.dumps({**meta, "version": 2}))
+        with pytest.raises(FormatError, match="unsupported index format 'xlir-dense-index' v2"):
             load_dense_index(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -880,6 +903,25 @@ class TestPersistence:
         np.save(path / "token_counts.npy", counts)
         with pytest.raises(FormatError, match=re.escape(f"{path}/token_counts.npy: token counts must be positive")):
             load_dense_index(path)
+
+    def test_build_lays_passages_out_in_key_order(self):
+        rng = np.random.default_rng(36)
+        # Keys whose code-point order is neither insertion nor numeric order.
+        embeddings = {f"{'Zaé'[i % 3]}{i}": m for i, m in enumerate(random_embeddings(rng, 30, 8).values())}
+        keys = list(embeddings)
+        shuffled = {keys[i]: embeddings[keys[i]] for i in rng.permutation(len(keys))}
+        params = DenseIndexParams(num_centroids=8, kmeans_iters=5, seed=3)
+        index = build_dense_index(shuffled, params)
+        assert index.keys == sorted(keys) != list(shuffled)
+        # The codebook is trained on the embeddings in the caller's order.
+        trained = train_codebook(shuffled, params)
+        for name in ("centroids", "boundaries", "values"):
+            np.testing.assert_array_equal(getattr(index.codebook, name), getattr(trained, name))
+        for ordinal, key in enumerate(index.keys):
+            expected = compress(shuffled[key], index.codebook)
+            t0, t1 = index.token_offsets[ordinal : ordinal + 2]
+            np.testing.assert_array_equal(index.centroid_ids[t0:t1], expected.centroid_ids)
+            np.testing.assert_array_equal(index.codes[t0:t1], expected.codes)
 
     def test_build_rejects_passage_without_tokens(self):
         embeddings = random_embeddings(np.random.default_rng(35), 10, 8)
