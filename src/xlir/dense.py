@@ -220,28 +220,28 @@ class CompressedPassage:
     codes: np.ndarray  # (tokens, ceil(dim / (8 // bits))) uint8, one code row per token
 
 
-def _stack_tokens(embeddings: Mapping[str, np.ndarray]) -> np.ndarray:
-    matrices = [np.asarray(m, dtype=np.float64) for m in embeddings.values()]
-    if not matrices:
-        raise ValidationError("no embeddings to train on")
-    return np.vstack(matrices)
-
-
 def _bucketize(residuals: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     # searchsorted(side="right") per dimension: count of boundaries <= r.
     return (residuals[:, :, None] >= boundaries[None, :, :]).sum(axis=2).astype(np.uint8)
 
 
-_ASSIGN_BLOCK = 16384
+# At 256 centroids a block's float64 product is 1 MiB, which stays in a core's L2 cache.
+_ASSIGN_BLOCK = 512
 _SCORE_BLOCK = 128
 
 
 def _assign_nearest(vectors: np.ndarray, centroids_t: np.ndarray) -> np.ndarray:
-    """Argmax dot-product assignment, blocked to bound peak memory."""
-    out = np.empty(vectors.shape[0], dtype=np.int64)
-    for start in range(0, vectors.shape[0], _ASSIGN_BLOCK):
-        block = vectors[start : start + _ASSIGN_BLOCK]
-        out[start : start + _ASSIGN_BLOCK] = np.argmax(block @ centroids_t, axis=1)
+    """Argmax dot-product assignment, ``_ASSIGN_BLOCK`` rows at a time.
+
+    BLAS gives a row the same product bits in any block of two or more rows,
+    but a one-row block goes through a matrix-vector kernel that may round
+    differently. Block starts stop short of the last row, so a one-row tail
+    joins the block before it.
+    """
+    n = vectors.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    for start, end in pairwise([*range(0, max(n - 1, 1), _ASSIGN_BLOCK), n]):
+        out[start:end] = np.argmax(vectors[start:end] @ centroids_t, axis=1)
     return out
 
 
@@ -281,7 +281,11 @@ def train_codebook(
     """
     params = params if params is not None else DenseIndexParams()
     params.validate()
-    tokens = _stack_tokens(embeddings)
+    if not embeddings:
+        raise ValidationError("no embeddings to train on")
+    # Stacked in their own dtype (float32 from load_embeddings); only the sample is
+    # cast to float64, which is exact.
+    tokens = np.vstack(list(embeddings.values()))
     total = tokens.shape[0]
     k = params.num_centroids or DenseIndexParams.default_num_centroids(total)
     if total < k:
@@ -290,7 +294,7 @@ def train_codebook(
         )
     rng = np.random.default_rng(params.seed)
     sample_size = min(total, params.sample_per_centroid * k)
-    sample = tokens[rng.permutation(total)[:sample_size]]
+    sample = tokens[rng.permutation(total)[:sample_size]].astype(np.float64)
 
     centroids = sample[rng.choice(sample_size, size=k, replace=False)].copy()
     norms = np.linalg.norm(centroids, axis=1, keepdims=True)
@@ -298,8 +302,9 @@ def train_codebook(
     for _ in range(params.kmeans_iters):
         assign = _assign_nearest(sample, centroids.T)
         # One stable sort lists each cluster's members in sample order, as a boolean
-        # mask per cluster would, so each mean adds them in the same order.
-        order = np.argsort(assign, kind="stable")
+        # mask per cluster would, so each mean adds them in the same order. It runs on
+        # the narrowest dtype that holds k - 1, which numpy sorts by radix.
+        order = np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
         bounds = np.searchsorted(assign, np.arange(k + 1), sorter=order)
         for c, (start, end) in enumerate(pairwise(bounds.tolist())):
             if start == end:
@@ -315,7 +320,7 @@ def train_codebook(
     residuals = sample - stored.astype(np.float64)[assign]
     levels = 2**params.bits
     if params.bits == 1:
-        boundaries = np.zeros((tokens.shape[1], 1), dtype=np.float64)
+        boundaries = np.zeros((sample.shape[1], 1), dtype=np.float64)
     else:
         quantiles = np.arange(1, levels) / levels
         boundaries = np.quantile(residuals, quantiles, axis=0).T
@@ -462,13 +467,9 @@ class DenseIndex:
         codes: np.ndarray,
         params: DenseIndexParams,
     ):
-        for before, after in pairwise(keys):
-            if before >= after:
-                raise FormatError(
-                    f"duplicate passage key {after!r}"
-                    if before == after
-                    else f"passage key {after!r} out of order after {before!r}"
-                )
+        fault = _key_order_fault(keys)
+        if fault is not None:
+            raise FormatError(fault)
         self.codebook = codebook
         self.keys = keys
         self.centroid_ids = centroid_ids
@@ -506,6 +507,16 @@ class DenseIndex:
         """Token vectors of passage ``ordinal``, decoded as ``decompress`` does."""
         t0, t1 = self.token_offsets[ordinal : ordinal + 2]
         return _decode(self.codebook, self.centroid_ids[t0:t1], self.codes[t0:t1])
+
+
+def _key_order_fault(keys: Iterable[str]) -> str | None:
+    """How passage keys first fail to strictly increase; ``None`` if they do."""
+    for before, after in pairwise(keys):
+        if before >= after:
+            if before == after:
+                return f"duplicate passage key {after!r}"
+            return f"passage key {after!r} out of order after {before!r}"
+    return None
 
 
 def _check_keys(keys: Iterable[str]) -> None:
@@ -674,7 +685,12 @@ def maxp_aggregate(passage_scores: Iterable[tuple[str, float]]) -> list[tuple[st
 
 
 def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
+    """Write ``index`` to ``dirpath``; keys that ``load_dense_index`` would refuse, such as
+    ones edited out of order after the build, are refused before any file is written."""
     _check_keys(index.keys)
+    fault = _key_order_fault(index.keys)
+    if fault is not None:
+        raise ValidationError(fault)
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     meta = {

@@ -180,20 +180,27 @@ def reference_kmeans(embeddings, params):
 
 
 class TestTrainCodebook:
-    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
-    def test_centroids_equal_mask_per_centroid_kmeans(self, duplicated, monkeypatch):
+    @pytest.mark.parametrize("case", ["distinct", "duplicated", "blocked"])
+    def test_centroids_equal_mask_per_centroid_kmeans(self, case, monkeypatch):
         # float64 vectors: float32 ones sum exactly in float64, so a mean would not
         # show the order of its members.
         rng = np.random.default_rng(12)
         embeddings = {key: unit_rows(rng.standard_normal(m.shape)) for key, m in random_embeddings(rng, 60, 8).items()}
-        if duplicated:
+        params = DenseIndexParams(num_centroids=12, kmeans_iters=6, sample_per_centroid=20, seed=13)
+        if case == "duplicated":
             # Five distinct vectors for 12 centroids: the initial centroids repeat, and
             # a repeated centroid loses every tie, so its cluster stays empty.
             distinct = unit_rows(rng.standard_normal((5, 8)))
             embeddings = {key: distinct[rng.integers(0, 5, len(m))] for key, m in embeddings.items()}
-        params = DenseIndexParams(num_centroids=12, kmeans_iters=6, sample_per_centroid=20, seed=13)
+        elif case == "blocked":
+            # The 240-token sample above fits in one assignment block. This one spans
+            # three, the last a one-row tail that joins the block before it.
+            rows = 2 * dense._ASSIGN_BLOCK + 1
+            chunks = np.array_split(unit_rows(rng.standard_normal((rows, 8))), 100)
+            embeddings = {f"p{i:04d}": chunk for i, chunk in enumerate(chunks)}
+            params = replace(params, sample_per_centroid=rows)
         expected, empty = reference_kmeans(embeddings, params)
-        assert (empty > 0) == duplicated
+        assert (empty > 0) == (case == "duplicated")
         # Compare the float64 centroids of every iteration, before rounding to float32
         # can hide a last-bit difference in a mean.
         assigned_to = []
@@ -206,6 +213,15 @@ class TestTrainCodebook:
         for got, want in zip(assigned_to, expected):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(codebook.centroids, expected[-1].astype(np.float32))
+
+    def test_blocked_assignment_equals_one_product(self):
+        block = dense._ASSIGN_BLOCK
+        rng = np.random.default_rng(14)
+        centroids_t = unit_rows(rng.standard_normal((256, 16))).T
+        for n in [1, 2, block - 1, block, block + 1, 2 * block + 1]:
+            vectors = unit_rows(rng.standard_normal((n, 16)))
+            expected = np.argmax(vectors @ centroids_t, axis=1)
+            np.testing.assert_array_equal(dense._assign_nearest(vectors, centroids_t), expected, err_msg=f"n={n}")
 
     def test_single_centroid_is_normalized_mean(self):
         rng = np.random.default_rng(1)
@@ -789,6 +805,21 @@ class TestPersistence:
         with pytest.raises(ValidationError, match="line feed"):
             save_dense_index(index, tmp_path / "idx")
         assert not (tmp_path / "idx").exists()
+
+    @pytest.mark.parametrize(
+        "moves, problem",
+        [({3: 4, 4: 3}, "passage key 'p0003' out of order after 'p0004'"), ({4: 3}, "duplicate passage key 'p0003'")],
+        ids=["swapped", "repeated"],
+    )
+    def test_save_refuses_keys_load_would_refuse(self, tmp_path, moves, problem):
+        rng = np.random.default_rng(32)
+        index = build_dense_index(random_embeddings(rng, 10, 8), DenseIndexParams(num_centroids=4, seed=3))
+        keys = list(index.keys)
+        for target, source in moves.items():
+            index.keys[target] = keys[source]
+        with pytest.raises(ValidationError, match=re.escape(problem)):
+            save_dense_index(index, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_rejects_alien_directory(self, tmp_path):
         with pytest.raises(FormatError):
