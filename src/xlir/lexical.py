@@ -34,9 +34,13 @@ contributions to one float64 accumulator per document. Every document
 therefore adds the same terms in the same order (query order) as
 ``bm25_score``/``hmm_score`` add them for that document alone, and logs are
 taken with ``math.log`` in both (``np.log`` can differ in the last bit), so a
-searched score equals the per-document score exactly. Document lengths,
-collection frequencies and the total weight are likewise summed one element
-after another, never pairwise.
+searched score equals the per-document score exactly. Search reads each
+posting's impact (BM25's ``tf / (tf + k1 * length_norm)``, HMM's
+``ln(lambda * P(t|D) + (1 - lambda) * P(t|C))``) from an array computed once
+per index and parameter set, with the same expression and ``math.log``, and
+scales it by the query weight. Document lengths, collection frequencies and
+the total weight are likewise summed one element after another, never
+pairwise.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +84,16 @@ class LexicalParams:
     rm3_alpha: float = 0.5
 
     def validate(self) -> None:
-        if self.k1 < 0:
-            raise ValidationError(f"k1 must be >= 0, got {self.k1}")
+        if not 0.0 <= self.k1 < math.inf:  # NaN fails both comparisons
+            raise ValidationError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValidationError(f"b must be in [0, 1], got {self.b}")
         if not 0.0 < self.lambda_ <= 1.0:
             raise ValidationError(f"lambda must be in (0, 1], got {self.lambda_}")
-        if self.rm3_fb_docs < 1 or self.rm3_fb_terms < 1:
-            raise ValidationError("rm3_fb_docs and rm3_fb_terms must be >= 1")
+        for name in ("rm3_fb_docs", "rm3_fb_terms"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 <= self.rm3_alpha <= 1.0:
             raise ValidationError(f"rm3_alpha must be in [0, 1], got {self.rm3_alpha}")
 
@@ -115,6 +121,8 @@ class InvertedIndex:
 
     There is no per-document copy of the postings and no per-term table of
     statistics: ``doc_bag`` reads a document's terms back from the arrays.
+    Search keeps one array of per-posting impacts for each scorer, for the
+    parameters it last searched with (see ``_impacts``).
     """
 
     doc_ids: list[str]
@@ -125,6 +133,7 @@ class InvertedIndex:
     doc_lengths: np.ndarray
     coll_freq: np.ndarray
     total_weight: float
+    _impacts: dict[str, tuple[object, np.ndarray]] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def num_docs(self) -> int:
@@ -284,6 +293,34 @@ def hmm_score(
     return score
 
 
+def _impacts(index: InvertedIndex, scorer: str, params: LexicalParams) -> np.ndarray:
+    """Each posting's impact under ``scorer``, aligned with ``index.docs``.
+
+    BM25's is ``tf / (tf + k1 * length_norm)`` and HMM's the log of the
+    smoothed probability, each as ``bm25_score``/``hmm_score`` compute it for
+    one document. The array is cached on the index under the parameters the
+    scorer reads, and replaced when they change. Threads that search at once
+    may both compute it; the arrays are identical.
+    """
+    key = (params.k1, params.b) if scorer == "bm25" else params.lambda_
+    cached = index._impacts.get(scorer)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    tf, lengths, avgdl, total = index.weights, index.doc_lengths, index.avg_doc_length, index.total_weight
+    if scorer == "bm25":
+        length_norm = 1.0 - params.b + params.b * (lengths / avgdl) if avgdl > 0 else np.ones(len(lengths))
+        impacts = tf / (tf + params.k1 * length_norm[index.docs])
+    else:
+        lam = params.lambda_
+        p_coll = index.coll_freq / total if total > 0 else np.zeros(len(index.terms))
+        p = lam * (tf / lengths[index.docs]) + (1.0 - lam) * np.repeat(p_coll, np.diff(index.offsets))
+        values = p.tolist()
+        logs = map(math.log, values) if (p > 0.0).all() else (math.log(x) if x > 0.0 else -math.inf for x in values)
+        impacts = np.fromiter(logs, np.float64, len(values))
+    index._impacts[scorer] = (key, impacts)
+    return impacts
+
+
 def _softmax(scores: Sequence[float]) -> list[float]:
     peak = max(scores)
     exps = [math.exp(s - peak) for s in scores]
@@ -352,38 +389,40 @@ def search_weighted(
     Only documents in a query term's postings, and admitted by the boolean
     mask ``allowed`` over document ordinals when one is given, are returned,
     in descending score order (ties broken by ascending doc id); ``-inf``
-    scores are dropped.
+    scores are dropped. A weight that is not finite is refused.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if not query_weights:
         raise ValidationError("empty query")
+    for term, qw in query_weights.items():
+        if not math.isfinite(qw):
+            raise ValidationError(f"query term {term!r} has weight {qw!r}; weights must be finite")
     params = _resolve(params)
     if scorer not in SCORERS:
         raise ValidationError(f"unknown scorer {scorer!r}; expected one of {SCORERS}")
     if allowed is not None and (allowed.dtype != bool or allowed.shape != (index.num_docs,)):
         raise ValidationError(f"allowed must be a boolean mask over the index's {index.num_docs} documents")
 
-    lengths, lam, avgdl, total = index.doc_lengths, params.lambda_, index.avg_doc_length, index.total_weight
-    length_norm = 1.0 - params.b + params.b * (lengths / avgdl) if avgdl > 0 else np.ones(len(lengths))
+    impacts, total = _impacts(index, scorer, params), index.total_weight
     scores = np.zeros(index.num_docs)
     matched = np.zeros(index.num_docs, dtype=bool)
     for term, qw in query_weights.items():
         if qw <= 0:
             continue
-        docs, tf, cf = index._term(term)
+        t = index.row(term)
+        start, end = (int(index.offsets[t]), int(index.offsets[t + 1])) if t is not None else (0, 0)
+        docs = index.docs[start:end]
         matched[docs] = True
         if scorer == "bm25":
-            df = len(docs)
+            df = end - start
             idf = math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
-            scores[docs] += qw * idf * (tf / (tf + params.k1 * length_norm[docs]))
+            scores[docs] += qw * idf * impacts[start:end]
             continue
         # Documents without the term have P(t|D) = 0. Logs are math.log's, as in hmm_score.
-        p_coll = cf / total if total > 0 else 0.0
-        p = [(1.0 - lam) * p_coll, *(lam * (tf / lengths[docs]) + (1.0 - lam) * p_coll).tolist()]
-        logs = [qw * math.log(x) if x > 0.0 else -math.inf for x in p]
-        contribution = np.full(index.num_docs, logs[0])
-        contribution[docs] = logs[1:]
+        background = (1.0 - params.lambda_) * (float(index.coll_freq[t]) / total if t is not None else 0.0)
+        contribution = np.full(index.num_docs, qw * math.log(background) if background > 0.0 else -math.inf)
+        contribution[docs] = qw * impacts[start:end]
         scores += contribution
 
     if allowed is not None:

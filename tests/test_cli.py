@@ -247,6 +247,30 @@ def test_threads_do_not_change_output(workspace, kind):
     assert outputs[0] == outputs[1]
 
 
+def test_threads_do_not_change_hmm_rm3_output(workspace):
+    # Threads that search one freshly loaded index at once may each compute its impacts.
+    root, paths = workspace
+    argv = [*_search_argv(root, paths, "lexical"), "--scorer", "hmm", "--rm3"]
+    outputs = []
+    for threads in ("1", "4"):
+        out = root / f"runs/threads_hmm_rm3_{threads}.run"
+        assert main([*argv, "--threads", threads, "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_non_finite_k1_refused(workspace, tmp_path, capsys):
+    root, paths = workspace
+    config = tmp_path / "nan.ini"
+    config.write_text("[lexical]\nk1 = nan\n")
+    out = tmp_path / "never.run"
+    capsys.readouterr()
+    assert main([*_search_argv(root, paths, "lexical"), "--config", str(config), "--output", str(out)]) == 1
+    assert "k1 must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_refused(workspace, tmp_path, capsys, threads):
     root, paths = workspace

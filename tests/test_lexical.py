@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from xlir.errors import FormatError, ValidationError
 from xlir.lexical import (
+    SCORERS,
     LexicalParams,
     bm25_score,
     build_index,
@@ -165,6 +168,29 @@ class TestHMM:
     def test_lambda_validation(self, hmm_index):
         with pytest.raises(ValidationError):
             hmm_score(hmm_index, ["a"], "d1", LexicalParams(lambda_=0.0))
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"k1": math.nan}, "k1"),
+            ({"k1": math.inf}, "k1"),
+            ({"k1": -0.5}, "k1"),
+            ({"rm3_fb_docs": 2.5}, "rm3_fb_docs"),
+            ({"rm3_fb_docs": True}, "rm3_fb_docs"),
+            ({"rm3_fb_docs": 0}, "rm3_fb_docs"),
+            ({"rm3_fb_terms": 3.0}, "rm3_fb_terms"),
+            ({"rm3_fb_terms": "3"}, "rm3_fb_terms"),
+        ],
+    )
+    def test_refused(self, two_doc_index, changes, named):
+        params = LexicalParams(**changes)
+        with pytest.raises(ValidationError, match=named):
+            params.validate()
+        for scorer in ("bm25", "hmm"):
+            with pytest.raises(ValidationError, match=named):
+                search_lexical(two_doc_index, ["a"], scorer=scorer, rm3=True, params=params)
 
 
 class TestRM3:
@@ -401,6 +427,65 @@ class TestTermAtATime:
         for term in [f"c{i}" for i in range(20)]:
             expected = doc_at_a_time_search(index, {term: 1}, "hmm", 4000, params)
             assert search_weighted(index, {term: 1}, "hmm", 4000, params) == expected
+
+    def test_cached_impacts_follow_parameters(self, tmp_path):
+        # Each search must score with its own parameters, not with the impacts an
+        # earlier search cached on the same index.
+        save_index(build_index(random_weighted_bags(np.random.default_rng(64), num_docs=200)), tmp_path / "idx")
+        index = load_index(tmp_path / "idx")
+        query = {"c1": 1.0, "c2": 0.5, "r3": 2}
+        sweeps = {
+            "bm25": [LexicalParams(k1=0.9, b=0.4), LexicalParams(k1=1.2, b=0.75), LexicalParams(k1=0.9, b=0.4)],
+            "hmm": [LexicalParams(lambda_=0.5), LexicalParams(lambda_=1.0), LexicalParams(lambda_=0.5)],
+        }
+        for scorer, sweep in sweeps.items():
+            results = []
+            for params in sweep:
+                got = search_weighted(index, query, scorer, 1000, params)
+                assert got == doc_at_a_time_search(index, query, scorer, 1000, params)
+                assert got == search_weighted(load_index(tmp_path / "idx"), query, scorer, 1000, params)
+                results.append(got)
+            assert results[0] == results[2] != results[1]
+
+    def test_threads_sweeping_parameters_share_one_index(self):
+        # Threads that search one index under different parameters replace each other's
+        # cached impacts; every search must still score with its own parameters.
+        index = build_index(random_weighted_bags(np.random.default_rng(65), num_docs=100))
+        query = {"c1": 1.0, "c4": 2}
+        cases = [
+            (scorer, params)
+            for scorer in SCORERS
+            for params in (LexicalParams(k1=0.5, b=0.2, lambda_=0.3), LexicalParams(k1=1.5, b=0.9, lambda_=0.9))
+        ]
+        expected = [doc_at_a_time_search(index, query, scorer, 1000, params) for scorer, params in cases]
+        wrong = []
+
+        def work(offset):
+            for i in range(60):
+                case = (offset + i) % len(cases)
+                scorer, params = cases[case]
+                if search_weighted(index, query, scorer, 1000, params) != expected[case]:
+                    wrong.append(case)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("scorer", ["bm25", "hmm"])
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_refused(self, scorer, weight):
+        index = build_index(random_weighted_bags(np.random.default_rng(62), num_docs=40))
+        with pytest.raises(ValidationError, match="'c2'"):
+            search_weighted(index, {"c1": 1.0, "c2": weight}, scorer)
 
     @pytest.mark.parametrize("scorer", ["bm25", "hmm"])
     def test_only_non_positive_weights_give_nothing(self, scorer):
