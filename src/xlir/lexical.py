@@ -299,8 +299,9 @@ def _impacts(index: InvertedIndex, scorer: str, params: LexicalParams) -> np.nda
     BM25's is ``tf / (tf + k1 * length_norm)`` and HMM's the log of the
     smoothed probability, each as ``bm25_score``/``hmm_score`` compute it for
     one document. The array is cached on the index under the parameters the
-    scorer reads, and replaced when they change. Threads that search at once
-    may both compute it; the arrays are identical.
+    scorer reads, and replaced when they change. The entry is one
+    ``(parameters, array)`` pair, read once, so threads that search at once
+    may compute an array twice but never score with another's parameters.
     """
     key = (params.k1, params.b) if scorer == "bm25" else params.lambda_
     cached = index._impacts.get(scorer)

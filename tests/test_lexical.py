@@ -1,7 +1,7 @@
 import json
 import math
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -458,26 +458,24 @@ class TestTermAtATime:
             for params in (LexicalParams(k1=0.5, b=0.2, lambda_=0.3), LexicalParams(k1=1.5, b=0.9, lambda_=0.9))
         ]
         expected = [doc_at_a_time_search(index, query, scorer, 1000, params) for scorer, params in cases]
-        wrong = []
 
-        def work(offset):
+        def wrong_cases(offset):
+            wrong = []
             for i in range(60):
                 case = (offset + i) % len(cases)
                 scorer, params = cases[case]
                 if search_weighted(index, query, scorer, 1000, params) != expected[case]:
                     wrong.append(case)
+            return wrong
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(wrong_cases, offset) for offset in range(4)]
+                wrong = [case for future in futures for case in future.result(timeout=60)]
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
     @pytest.mark.parametrize("scorer", ["bm25", "hmm"])
