@@ -21,15 +21,12 @@ import sys
 from pathlib import Path
 
 from xlir.distill import read_distill_file
-from xlir.evaluation import entries_by_topic, read_run
+from xlir.evaluation import read_run
 
 
 def _by_topic(path: Path) -> dict[str, dict[str, float]]:
     """Topic -> doc id -> score, the doc ids in rank order."""
-    return {
-        topic_id: {entry.doc_id: entry.score for entry in ranked}
-        for topic_id, ranked in entries_by_topic(read_run(path)).items()
-    }
+    return {topic_id: dict(ranked) for topic_id, ranked in read_run(path).items()}
 
 
 def _by_query(path: Path) -> dict[str, dict[str, float]]:

@@ -149,15 +149,6 @@ def _write_bags(path: Path, bags: list[tuple[str, dict[str, float]]]) -> None:
             fh.write(json.dumps({"id": doc_id, "weights": quantized}, ensure_ascii=False) + "\n")
 
 
-def _entries_for_topic(
-    topic_id: str, ranked: list[tuple[str, float]], run_tag: str
-) -> list[eval_mod.RunEntry]:
-    return [
-        eval_mod.RunEntry(topic_id=topic_id, doc_id=doc_id, rank=rank, score=score, run_tag=run_tag)
-        for rank, (doc_id, score) in enumerate(ranked, start=1)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -244,39 +235,38 @@ def cmd_search(args: argparse.Namespace) -> int:
         queries = list(dense_mod.load_embeddings(emb_path).items())
     filters = {t.topic_id: shards_mod.DateFilter(start=t.start_date, end=t.end_date) for t in topics}
 
-    def run_query(item: tuple) -> list[eval_mod.RunEntry]:
+    def run_query(item: tuple) -> list[tuple[str, float]]:
         query_id, query = item
         date_filter = filters.get(query_id, shards_mod.DateFilter())
-        ranked = searcher.search(query, date_filter, args.k, query_id=query_id, **options)
-        return _entries_for_topic(query_id, ranked, args.run_tag)
+        return searcher.search(query, date_filter, args.k, query_id=query_id, **options)
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        entries = [entry for result in pool.map(run_query, queries) for entry in result]
+        run = dict(zip([query_id for query_id, _ in queries], pool.map(run_query, queries)))
 
     logger.info(
         "event=search kind=%s topics=%d entries=%d elapsed_ms=%.1f",
         searcher.engine,
-        len({e.topic_id for e in entries}),
-        len(entries),
+        sum(map(bool, run.values())),
+        sum(map(len, run.values())),
         (time.perf_counter() - start) * 1e3,
     )
     Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-    eval_mod.write_run(args.output, entries)
+    eval_mod.write_run(args.output, run, args.run_tag)
     return 0
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
     run_paths = [_require_path(p, "run file") for p in args.runs]
-    runs = [eval_mod.ranking_with_scores(path) for path in run_paths]
-    topic_ids = sorted({topic_id for run in runs for topic_id in run})
-    entries: list[eval_mod.RunEntry] = []
-    for topic_id in topic_ids:
-        per_language = [run[topic_id] for run in runs if topic_id in run]
-        fused = shards_mod.fuse_multilingual(per_language, k=args.k, normalize=args.normalize)
-        entries.extend(_entries_for_topic(topic_id, fused, args.run_tag))
+    runs = [eval_mod.read_run(path) for path in run_paths]
+    fused = {
+        topic_id: shards_mod.fuse_multilingual(
+            [run[topic_id] for run in runs if topic_id in run], k=args.k, normalize=args.normalize
+        )
+        for topic_id in sorted(set().union(*runs))
+    }
     Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-    eval_mod.write_run(args.output, entries)
-    logger.info("event=fuse runs=%d topics=%d entries=%d", len(runs), len(topic_ids), len(entries))
+    eval_mod.write_run(args.output, fused, args.run_tag)
+    logger.info("event=fuse runs=%d topics=%d entries=%d", len(runs), len(fused), sum(map(len, fused.values())))
     return 0
 
 

@@ -1,6 +1,10 @@
 """TREC-style run and qrels files plus nDCG@k and Recall@k.
 
-Run lines are ``topic_id Q0 doc_id rank score run_tag``; qrels lines are
+A run is a ``Run``: topic id -> that topic's ``(doc_id, score)`` pairs, best
+first, so the document at position ``r - 1`` has rank ``r``. Only this module
+knows the run-file columns, ``topic_id Q0 doc_id rank score run_tag``:
+``write_run`` numbers the ranks by position and writes the tag on every line;
+``read_run`` checks the ranks and drops them and the tag. Qrels lines are
 ``topic_id 0 doc_id grade``. nDCG uses exponential gain ``2**grade - 1``
 with a ``log2(rank + 1)`` discount; unjudged documents count as grade 0.
 """
@@ -9,103 +13,81 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import FormatError, ValidationError, read_lines
 
+# topic_id -> (doc_id, score) pairs, best first
+Run = dict[str, list[tuple[str, float]]]
 # topic_id -> doc_id -> relevance grade
 Qrels = dict[str, dict[str, int]]
 
 
-@dataclass(frozen=True)
-class RunEntry:
-    topic_id: str
-    doc_id: str
-    rank: int
-    score: float
-    run_tag: str
+def _validate_ranking(topic_id: str, ranked: Sequence[tuple[str, float]], where: str) -> None:
+    """Refuse a topic that lists a document twice or whose scores increase down the ranking."""
+    seen: set[str] = set()
+    for doc_id, _ in ranked:
+        if doc_id in seen:
+            raise ValidationError(f"{where}: topic {topic_id}: document {doc_id} is listed twice")
+        seen.add(doc_id)
+    for rank, ((_, prev), (_, cur)) in enumerate(pairwise(ranked), start=1):
+        if cur > prev:
+            raise ValidationError(f"{where}: topic {topic_id}: score increases from rank {rank} to {rank + 1}")
 
 
-def format_score(score: float) -> str:
-    """Shortest decimal representation that round-trips the float."""
-    return repr(score)
-
-
-def entries_by_topic(entries: Iterable[RunEntry]) -> dict[str, list[RunEntry]]:
-    """Run entries grouped by topic, topics in the order first seen, each topic's entries by rank."""
-    by_topic: dict[str, list[RunEntry]] = {}
-    for entry in entries:
-        by_topic.setdefault(entry.topic_id, []).append(entry)
-    for topic_entries in by_topic.values():
-        topic_entries.sort(key=lambda entry: entry.rank)
-    return by_topic
-
-
-def _validate_run(entries: Sequence[RunEntry], where: str) -> None:
-    for topic_id, ranked in entries_by_topic(entries).items():
-        if [entry.rank for entry in ranked] != list(range(1, len(ranked) + 1)):
-            raise ValidationError(f"{where}: topic {topic_id}: ranks are not 1..{len(ranked)} without gaps")
-        seen: set[str] = set()
-        for entry in ranked:
-            if entry.doc_id in seen:
-                raise ValidationError(f"{where}: topic {topic_id}: document {entry.doc_id} is listed twice")
-            seen.add(entry.doc_id)
-        for prev, cur in pairwise(ranked):
-            if cur.score > prev.score:
-                raise ValidationError(
-                    f"{where}: topic {topic_id}: score increases from rank {prev.rank} to {cur.rank}"
-                )
-
-
-def write_run(path: str | Path, entries: Sequence[RunEntry]) -> None:
-    """Write a run file; refuse a run ``read_run`` could not read back."""
-    _validate_run(entries, str(path))
-    names = {name for entry in entries for name in (entry.topic_id, entry.doc_id, entry.run_tag)}
+def write_run(path: str | Path, run: Run, run_tag: str) -> None:
+    """Write ``run`` as a run file tagged ``run_tag``, a topic with no documents as no line;
+    refuse a run ``read_run`` could not read back."""
+    for topic_id, ranked in run.items():
+        _validate_ranking(topic_id, ranked, str(path))
+    names = {run_tag, *run, *(doc_id for ranked in run.values() for doc_id, _ in ranked)}
     for name in names:
         if name.split() != [name]:
             raise ValidationError(f"{path}: run field {name!r} is empty or contains whitespace")
     with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(
-                f"{entry.topic_id} Q0 {entry.doc_id} {entry.rank} "
-                f"{format_score(entry.score)} {entry.run_tag}\n"
+        for topic_id, ranked in run.items():
+            fh.writelines(
+                f"{topic_id} Q0 {doc_id} {rank} {score!r} {run_tag}\n"
+                for rank, (doc_id, score) in enumerate(ranked, start=1)
             )
 
 
-def read_run(path: str | Path) -> list[RunEntry]:
-    entries: list[RunEntry] = []
+def read_run(path: str | Path) -> Run:
+    """A run file as a ``Run``: topics in the order first seen, each topic's lines, which may
+    come in any order and between other topics' lines, ordered by rank."""
+    by_topic: dict[str, list[tuple[int, str, float]]] = {}
     for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 6:
             raise FormatError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-        topic_id, _, doc_id, rank_text, score_text, run_tag = fields
+        topic_id, _, doc_id, rank_text, score_text, _ = fields
         try:
             rank = int(rank_text)
             score = float(score_text)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric rank or score") from None
-        entries.append(RunEntry(topic_id, doc_id, rank, score, run_tag))
-    _validate_run(entries, str(path))
-    return entries
+        by_topic.setdefault(topic_id, []).append((rank, doc_id, score))
+    run: Run = {}
+    for topic_id, ranked in by_topic.items():
+        ranked.sort(key=itemgetter(0))
+        if [rank for rank, _, _ in ranked] != list(range(1, len(ranked) + 1)):
+            raise ValidationError(f"{path}: topic {topic_id}: ranks are not 1..{len(ranked)} without gaps")
+        run[topic_id] = [(doc_id, score) for _, doc_id, score in ranked]
+        _validate_ranking(topic_id, run[topic_id], str(path))
+    return run
 
 
-def ranking_from_entries(entries: Sequence[RunEntry]) -> dict[str, list[str]]:
-    """Per-topic doc ids ordered by rank."""
-    return {topic_id: [entry.doc_id for entry in ranked] for topic_id, ranked in entries_by_topic(entries).items()}
-
-
-def ranking_with_scores(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Per-topic ``(doc_id, score)`` pairs from a run file, ordered by rank."""
-    return {
-        topic_id: [(entry.doc_id, entry.score) for entry in ranked]
-        for topic_id, ranked in entries_by_topic(read_run(path)).items()
-    }
+def ranking_from_entries(run: Run) -> dict[str, list[str]]:
+    """Each topic's doc ids in rank order."""
+    return {topic_id: [doc_id for doc_id, _ in ranked] for topic_id, ranked in run.items()}
 
 
 def read_qrels(path: str | Path) -> Qrels:
+    """A qrels file; a topic that judges one document twice is refused."""
     qrels: Qrels = {}
     for lineno, line in read_lines(path):
         fields = line.split()
@@ -118,7 +100,10 @@ def read_qrels(path: str | Path) -> Qrels:
             raise FormatError(f"{path}:{lineno}: non-integer grade {grade_text!r}") from None
         if grade < 0:
             raise ValidationError(f"{path}:{lineno}: negative relevance grade {grade}")
-        qrels.setdefault(topic_id, {})[doc_id] = grade
+        judged = qrels.setdefault(topic_id, {})
+        if doc_id in judged:
+            raise ValidationError(f"{path}:{lineno}: topic {topic_id}: document {doc_id} is judged twice")
+        judged[doc_id] = grade
     return qrels
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from xlir.errors import FormatError, ValidationError
 from xlir.evaluation import (
-    RunEntry,
     evaluate,
     ndcg_at_k,
     read_qrels,
@@ -91,20 +90,30 @@ class TestRecall:
 
 
 class TestRunIO:
-    def entries(self, n=100, topics=("t1", "t2")):
-        entries = []
-        for topic in topics:
-            for rank in range(1, n // len(topics) + 1):
-                entries.append(
-                    RunEntry(topic, f"doc{rank:03d}", rank, 100.0 - rank + 0.125, "tagx")
-                )
-        return entries
+    def run(self, n=100, topics=("t1", "t2")):
+        return {
+            topic: [(f"doc{rank:03d}", 100.0 - rank + 0.125) for rank in range(1, n // len(topics) + 1)]
+            for topic in topics
+        }
 
     def test_round_trip_identity(self, tmp_path):
         path = tmp_path / "a.run"
-        entries = self.entries()
-        write_run(path, entries)
-        assert read_run(path) == entries
+        run = self.run()
+        write_run(path, run, "tagx")
+        assert read_run(path) == run
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t1 Q0 doc001 1 99.125 tagx"
+        assert lines[-1] == "t2 Q0 doc050 50 50.125 tagx"
+
+    def test_shuffled_lines_read_as_sorted(self, tmp_path):
+        # A topic's lines may come in any order and between other topics' lines.
+        path = tmp_path / "a.run"
+        write_run(path, self.run(n=40, topics=("t2", "t1")), "tagx")
+        lines = path.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.run"
+        shuffled.write_text("".join(np.random.default_rng(71).permutation(lines)))
+        assert shuffled.read_text() != path.read_text()
+        assert read_run(shuffled) == read_run(path)
 
     def test_five_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.run"
@@ -112,10 +121,16 @@ class TestRunIO:
         with pytest.raises(FormatError, match="6 fields"):
             read_run(path)
 
+    def test_non_numeric_rank_rejected(self, tmp_path):
+        path = tmp_path / "bad.run"
+        path.write_text("t1 Q0 d1 one 0.5 tag\n")
+        with pytest.raises(FormatError, match="non-numeric rank or score"):
+            read_run(path)
+
     def test_increasing_scores_rejected(self, tmp_path):
         path = tmp_path / "bad.run"
         path.write_text("t1 Q0 d1 1 0.5 tag\nt1 Q0 d2 2 0.9 tag\n")
-        with pytest.raises(ValidationError, match="score increases"):
+        with pytest.raises(ValidationError, match="score increases from rank 1 to 2"):
             read_run(path)
 
     def test_rank_gap_rejected(self, tmp_path):
@@ -132,37 +147,34 @@ class TestRunIO:
             read_run(path)
         never = tmp_path / "never.run"
         with pytest.raises(ValidationError, match="topic 1: document d1 is listed twice"):
-            write_run(never, [RunEntry("1", "d1", 1, 2.0, "t"), RunEntry("1", "d1", 2, 1.0, "t")])
+            write_run(never, {"1": [("d1", 2.0), ("d1", 1.0)]}, "t")
         assert not never.exists()
 
     def test_write_validates_before_writing(self, tmp_path):
         path = tmp_path / "never.run"
-        bad = [RunEntry("t1", "d1", 2, 0.5, "tag")]
-        with pytest.raises(ValidationError):
-            write_run(path, bad)
+        with pytest.raises(ValidationError, match="topic t1: score increases from rank 1 to 2"):
+            write_run(path, {"t1": [("d1", 0.5), ("d2", 0.9)]}, "tag")
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "entry",
-        [RunEntry("t1", "d1", 1, 0.5, ""), RunEntry("t1", "d1", 1, 0.5, "a tag"), RunEntry("t 1", "d1", 1, 0.5, "x"),
-         RunEntry("t1", "d\t1", 1, 0.5, "x")],
-        ids=["empty-tag", "spaced-tag", "spaced-topic", "tabbed-doc"],
+        ("run", "run_tag"),
+        [({"t1": [("d1", 0.5)]}, ""), ({"t1": [("d1", 0.5)]}, "a tag"), ({"t 1": [("d1", 0.5)]}, "x"),
+         ({"t1": [("d\t1", 0.5)]}, "x"), ({}, "a b")],
+        ids=["empty-tag", "spaced-tag", "spaced-topic", "tabbed-doc", "spaced-tag-empty-run"],
     )
-    def test_unreadable_field_rejected_before_writing(self, tmp_path, entry):
+    def test_unreadable_field_rejected_before_writing(self, tmp_path, run, run_tag):
         path = tmp_path / "never.run"
         with pytest.raises(ValidationError, match="whitespace"):
-            write_run(path, [entry])
+            write_run(path, run, run_tag)
         assert not path.exists()
 
     def test_score_formatting_round_trips(self, tmp_path):
         path = tmp_path / "fmt.run"
         scores = [1 / 3, 0.1, -2.5e-7, 123456.789]
-        entries = [
-            RunEntry("t", f"d{i}", i + 1, score, "tag")
-            for i, score in enumerate(sorted(scores, reverse=True))
-        ]
-        write_run(path, entries)
-        assert [e.score for e in read_run(path)] == sorted(scores, reverse=True)
+        run = {"t": [(f"d{i}", score) for i, score in enumerate(sorted(scores, reverse=True))]}
+        write_run(path, run, "tag")
+        assert read_run(path) == run
+        assert [score for _, score in read_run(path)["t"]] == sorted(scores, reverse=True)
 
 
 class TestQrelsIO:
@@ -178,12 +190,20 @@ class TestQrelsIO:
         with pytest.raises(ValidationError):
             read_qrels(path)
 
+    @pytest.mark.parametrize("grades", [(1, 0), (0, 1)], ids=["relevant-first", "relevant-last"])
+    def test_document_judged_twice_rejected(self, tmp_path, grades):
+        # Keeping the last grade made d1 relevant or not by the order of the lines.
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"1 0 d1 {grades[0]}\n1 0 d1 {grades[1]}\n")
+        with pytest.raises(ValidationError, match=r"qrels.txt:2: topic 1: document d1 is judged twice"):
+            read_qrels(path)
+
 
 class TestEvaluate:
     def test_perfect_single_topic(self, tmp_path):
         run = tmp_path / "a.run"
         qrels = tmp_path / "q.txt"
-        write_run(run, [RunEntry("t1", "d1", 1, 2.0, "x"), RunEntry("t1", "d2", 2, 1.0, "x")])
+        write_run(run, {"t1": [("d1", 2.0), ("d2", 1.0)]}, "x")
         write_qrels(qrels, {"t1": {"d1": 2, "d2": 1}})
         report = evaluate(run, qrels)
         assert report.mean_ndcg == pytest.approx(1.0)
@@ -192,7 +212,7 @@ class TestEvaluate:
     def test_unjudged_topic_reported(self, tmp_path):
         run = tmp_path / "a.run"
         qrels = tmp_path / "q.txt"
-        write_run(run, [RunEntry("t1", "d1", 1, 1.0, "x"), RunEntry("t9", "d1", 1, 1.0, "x")])
+        write_run(run, {"t1": [("d1", 1.0)], "t9": [("d1", 1.0)]}, "x")
         write_qrels(qrels, {"t1": {"d1": 1}})
         report = evaluate(run, qrels)
         assert report.unjudged_topics == ["t9"]
@@ -201,7 +221,7 @@ class TestEvaluate:
     def test_topic_without_relevant_excluded(self, tmp_path):
         run = tmp_path / "a.run"
         qrels = tmp_path / "q.txt"
-        write_run(run, [RunEntry("t1", "d1", 1, 1.0, "x"), RunEntry("t2", "d1", 1, 1.0, "x")])
+        write_run(run, {"t1": [("d1", 1.0)], "t2": [("d1", 1.0)]}, "x")
         write_qrels(qrels, {"t1": {"d1": 1}, "t2": {"d1": 0}})
         report = evaluate(run, qrels)
         assert report.no_relevant_topics == ["t2"]
