@@ -31,7 +31,7 @@ def _by_topic(path: Path) -> dict[str, dict[str, float]]:
 
 def _by_query(path: Path) -> dict[str, dict[str, float]]:
     """Query id -> passage key -> teacher score, the keys in mined order."""
-    return {pair.query_id: dict(zip(pair.passage_ids, pair.teacher_scores)) for pair in read_distill_file(path)}
+    return {query_id: dict(scored) for query_id, scored in read_distill_file(path).items()}
 
 
 def compare(old: dict[str, dict[str, float]], new: dict[str, dict[str, float]]) -> tuple[int, int, float]:

@@ -271,27 +271,23 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def cmd_mine_distill(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ValidationError(f"k must be >= 1, got {args.k}")
     index_dir = _require_path(args.index, "index directory")
     if search_mod.index_engine(index_dir) != "dense":
         raise ValidationError("mine-distill requires a dense index")
     # Mining returns passage keys, so unlike search it never parses them into document ids.
     index = dense_mod.load_dense_index(index_dir)
     queries = dense_mod.load_embeddings(_require_path(args.query_embeddings, "query embeddings"))
-    pairs = []
+    pairs: distill_mod.DistillSet = {}
     for query_id, vectors in queries.items():
         # The mining engine's own scores stand in for teacher scores; an
         # external reranker replaces them downstream.
-        scored = distill_mod.mine_hard_passages(index, vectors, k=args.k)
+        scored = dense_mod.search_dense(index, vectors)[: args.k]
         if len(scored) < 2:
             logger.info("event=mine_distill topic=%s skipped=too_few_passages", query_id)
             continue
-        pairs.append(
-            distill_mod.DistillPair(
-                query_id=query_id,
-                passage_ids=[key for key, _ in scored],
-                teacher_scores=[score for _, score in scored],
-            )
-        )
+        pairs[query_id] = scored
     Path(args.output).parent.mkdir(parents=True, exist_ok=True)
     distill_mod.write_distill_file(args.output, pairs)
     logger.info("event=mine_distill queries=%d written=%d", len(queries), len(pairs))

@@ -1,9 +1,14 @@
-"""Distillation support: hard-passage mining and the teacher-student loss.
+"""Distillation support: the mined training set and the teacher-student loss.
 
-Mining retrieves the top passages per training query from a dense index;
-the loss compares teacher and student score lists for one query as softmax
-distributions under KL divergence. Gradient training itself happens in an
-external trainer fed by the JSON-lines file written here.
+A mined set is a ``DistillSet``: query id -> ``(passage key, teacher score)``
+pairs in mined order. ``xlir mine-distill`` fills it with a dense search cut
+at ``k``, the search's own scores standing in for the teacher's until an
+external reranker replaces them, so unlike a run's scores they need not
+decrease down the list. Each query lists at least two passages, every teacher
+score is finite and no query is listed twice. The loss compares teacher and
+student score lists for one query as softmax distributions under KL
+divergence. Gradient training itself happens in an external trainer fed by
+the JSON-lines file written here.
 """
 
 from __future__ import annotations
@@ -11,42 +16,14 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import dense
-from .errors import RECORD_ERRORS, FormatError, ValidationError, read_jsonl
+from .errors import RECORD_ERRORS, FormatError, ValidationError, XlirError, read_jsonl
 
-
-@dataclass
-class DistillPair:
-    """Mined passages and scores for one training query."""
-
-    query_id: str
-    passage_ids: list[str]
-    teacher_scores: list[float]
-
-    def __post_init__(self) -> None:
-        if len(self.passage_ids) < 2:
-            raise ValidationError(f"query {self.query_id!r}: need at least 2 passages")
-        if len(self.teacher_scores) != len(self.passage_ids):
-            raise ValidationError(f"query {self.query_id!r}: teacher scores misaligned")
-
-
-def mine_hard_passages(
-    index: dense.DenseIndex,
-    query_vectors: np.ndarray,
-    k: int = 50,
-    params: dense.DenseIndexParams | None = None,
-) -> list[tuple[str, float]]:
-    """``(passage key, score)`` of the top-k passages for one query; fewer if the index is smaller."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if len(index) == 0:
-        return []
-    return dense.search_dense(index, query_vectors, params)[:k]
+# query id -> (passage key, teacher score) pairs, in mined order
+DistillSet = dict[str, list[tuple[str, float]]]
 
 
 def _log_softmax(scores: Sequence[float], temperature: float) -> np.ndarray:
@@ -78,33 +55,38 @@ def distill_loss(
     return float(np.sum(np.exp(log_p) * (log_p - log_q)))
 
 
-def write_distill_file(path: str | Path, pairs: Sequence[DistillPair]) -> None:
+def _check_query(where: str, query_id: str, scored: Sequence[tuple[str, float]], error: type[XlirError]) -> None:
+    """Refuse a query with fewer than two passages or a teacher score that is not finite."""
+    if len(scored) < 2:
+        raise error(f"{where}: query {query_id!r}: need at least 2 passages, got {len(scored)}")
+    for pid, score in scored:
+        if not math.isfinite(score):
+            raise error(
+                f"{where}: query {query_id!r}: passage {pid!r} has teacher score {score!r}, expected a finite number"
+            )
+
+
+def write_distill_file(path: str | Path, pairs: DistillSet) -> None:
+    """Write ``pairs`` as JSON lines; refuse, before writing any line, a set ``read_distill_file`` would refuse."""
+    for query_id, scored in pairs.items():
+        _check_query(str(path), query_id, scored, ValidationError)
     with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            record = {
-                "query_id": pair.query_id,
-                "passages": [
-                    {"pid": pid, "teacher": score}
-                    for pid, score in zip(pair.passage_ids, pair.teacher_scores)
-                ],
-            }
+        for query_id, scored in pairs.items():
+            record = {"query_id": query_id, "passages": [{"pid": pid, "teacher": score} for pid, score in scored]}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def read_distill_file(path: str | Path) -> list[DistillPair]:
-    pairs: list[DistillPair] = []
+def read_distill_file(path: str | Path) -> DistillSet:
+    pairs: DistillSet = {}
     for lineno, record in read_jsonl(path):
         try:
             query_id, passages = record["query_id"], record["passages"]
-            pids = [p["pid"] for p in passages]
-            scores = [p["teacher"] for p in passages]
+            scored = [(p["pid"], p["teacher"]) for p in passages]
             # A score must be a JSON number: float() would also take numeric text, and true is an int.
-            valid = (
-                isinstance(query_id, str)
-                and all(isinstance(pid, str) for pid in pids)
-                and all(type(score) in (int, float) for score in scores)
+            valid = isinstance(query_id, str) and all(
+                isinstance(pid, str) and type(score) in (int, float) for pid, score in scored
             )
-            teacher = [float(score) for score in scores]
+            scored = [(pid, float(score)) for pid, score in scored]
         except (*RECORD_ERRORS, OverflowError):  # OverflowError: an integer too large for a float
             valid = False
         if not valid:
@@ -112,5 +94,9 @@ def read_distill_file(path: str | Path) -> list[DistillPair]:
                 f"{path}:{lineno}: malformed query_id/passages fields, expected "
                 "{'query_id': string, 'passages': [{'pid': string, 'teacher': number}, ...]}"
             )
-        pairs.append(DistillPair(query_id, pids, teacher))
+        if query_id in pairs:
+            raise FormatError(f"{path}:{lineno}: query {query_id!r} is listed twice")
+        # json.loads reads NaN and Infinity, and a number too large for a float as inf.
+        _check_query(f"{path}:{lineno}", query_id, scored, FormatError)
+        pairs[query_id] = scored
     return pairs

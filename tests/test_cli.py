@@ -10,8 +10,8 @@ import pytest
 
 from xlir.cli import _CONFIG_SCHEMA, build_parser, load_config, main
 from xlir.corpus import ingest_topics
-from xlir.dense import EMBEDDING_MAGIC, load_dense_index, write_embeddings
-from xlir.distill import mine_hard_passages, read_distill_file
+from xlir.dense import EMBEDDING_MAGIC, load_dense_index, search_dense, write_embeddings
+from xlir.distill import read_distill_file
 from xlir.errors import ValidationError
 from xlir.evaluation import read_run
 from xlir.shards import DateFilter, ShardPlan, select_shards
@@ -179,9 +179,8 @@ def test_mine_distill_takes_keys_that_name_no_document(tmp_path):
     assert main(["mine-distill", "--index", str(index_dir), "--query-embeddings", str(tmp_path / "queries.emb"),
                  "--k", "10", "--output", str(out)]) == 0
     index = load_dense_index(index_dir)
-    expected = [(query_id, mine_hard_passages(index, vectors, k=10)) for query_id, vectors in queries.items()]
-    got = [(pair.query_id, list(zip(pair.passage_ids, pair.teacher_scores))) for pair in read_distill_file(out)]
-    assert got == expected
+    expected = {query_id: search_dense(index, vectors)[:10] for query_id, vectors in queries.items()}
+    assert read_distill_file(out) == expected
 
 
 def test_evaluate_prints_means(workspace, capsys):

@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xlir.dense import DenseIndexParams, build_dense_index, search_dense
-from xlir.distill import (
-    DistillPair,
-    distill_loss,
-    mine_hard_passages,
-    read_distill_file,
-    write_distill_file,
-)
+from xlir.cli import main
+from xlir.dense import DenseIndexParams, build_dense_index, save_dense_index, search_dense, write_embeddings
+from xlir.distill import distill_loss, read_distill_file, write_distill_file
 from xlir.errors import FormatError, ValidationError
 
 
@@ -30,38 +25,46 @@ def small_index():
     return build_dense_index(embeddings, DenseIndexParams(num_centroids=4, seed=7))
 
 
-class TestMineHardPassages:
-    def test_truncates_at_corpus_size(self, small_index):
-        rng = np.random.default_rng(0)
-        query = unit_rows(rng.standard_normal((3, 8)))
-        mined = mine_hard_passages(small_index, query, k=50)
-        assert len(mined) == 10
+class TestMineDistill:
+    """``xlir mine-distill`` lists each query's passages as the dense search ranks them, cut at ``--k``."""
 
-    def test_k1_equals_exhaustive_argmax(self, small_index):
-        rng = np.random.default_rng(1)
-        query = unit_rows(rng.standard_normal((3, 8)))
-        (top,) = mine_hard_passages(small_index, query, k=1)
-        full = search_dense(small_index, query)
-        assert top == full[0]
-
-    def test_deterministic(self, small_index):
-        rng = np.random.default_rng(2)
-        query = unit_rows(rng.standard_normal((3, 8)))
-        assert mine_hard_passages(small_index, query, k=5) == mine_hard_passages(
-            small_index, query, k=5
-        )
-
-    def test_prefix_property(self, small_index):
+    @pytest.fixture
+    def mine(self, small_index, tmp_path):
         rng = np.random.default_rng(3)
-        query = unit_rows(rng.standard_normal((3, 8)))
-        for k in range(1, 10):
-            assert mine_hard_passages(small_index, query, k=k + 1)[:k] == mine_hard_passages(
-                small_index, query, k=k
-            )
+        queries = {f"q{i}": unit_rows(rng.standard_normal((3, 8))).astype(np.float32) for i in range(4)}
+        save_dense_index(small_index, tmp_path / "idx")
+        write_embeddings(tmp_path / "queries.emb", queries)
 
-    def test_k_validation(self, small_index):
-        with pytest.raises(ValidationError):
-            mine_hard_passages(small_index, np.ones((1, 8)), k=0)
+        def run(k, index=tmp_path / "idx"):
+            out = tmp_path / f"k{k}.jsonl"
+            code = main(["mine-distill", "--index", str(index), "--query-embeddings", str(tmp_path / "queries.emb"),
+                         "--k", str(k), "--output", str(out)])
+            return code, out
+
+        return queries, run
+
+    def test_lists_every_passage_when_k_exceeds_the_index(self, small_index, mine):
+        queries, run = mine
+        code, out = run(50)
+        assert code == 0
+        mined = read_distill_file(out)
+        assert mined == {query_id: search_dense(small_index, vectors) for query_id, vectors in queries.items()}
+        assert all(len(scored) == len(small_index) == 10 for scored in mined.values())
+
+    def test_a_smaller_k_mines_a_prefix(self, mine):
+        _, run = mine
+        full = read_distill_file(run(10)[1])
+        for k in range(2, 10):
+            assert read_distill_file(run(k)[1]) == {query_id: scored[:k] for query_id, scored in full.items()}
+        # One passage is too few to train on, so k = 1 skips every query.
+        assert read_distill_file(run(1)[1]) == {}
+
+    def test_k_below_one_is_refused_before_loading(self, mine, tmp_path, capsys):
+        _, run = mine
+        code, out = run(0, index=tmp_path / "missing")
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines()[-1] == "error: k must be >= 1, got 0"
+        assert not out.exists()
 
 
 class TestDistillLoss:
@@ -123,16 +126,11 @@ class TestDistillLoss:
 
 class TestDistillFile:
     def test_round_trip(self, tmp_path):
-        pairs = [
-            DistillPair("q1", ["p1", "p2", "p3"], [0.5, 0.25, -1.0]),
-            DistillPair("q2", ["p9", "p4"], [2.0, 1.5]),
-        ]
+        # Teacher scores may rise down the list: an external teacher reorders nothing.
+        pairs = {"q1": [("p1", 0.5), ("p2", 0.25), ("p3", -1.0)], "q2": [("p9", 1.5), ("p4", 2.0)]}
         path = tmp_path / "distill.jsonl"
         write_distill_file(path, pairs)
-        loaded = read_distill_file(path)
-        assert [(p.query_id, p.passage_ids, p.teacher_scores) for p in loaded] == [
-            (p.query_id, p.passage_ids, p.teacher_scores) for p in pairs
-        ]
+        assert read_distill_file(path) == pairs
 
     @pytest.mark.parametrize(
         "old,new,message",
@@ -141,7 +139,7 @@ class TestDistillFile:
     )
     def test_malformed_file_is_a_format_error(self, tmp_path, old, new, message):
         path = tmp_path / "distill.jsonl"
-        write_distill_file(path, [DistillPair("q1", ["p1", "p2"], [0.5, 0.25])])
+        write_distill_file(path, {"q1": [("p1", 0.5), ("p2", 0.25)]})
         path.write_bytes(path.read_bytes().replace(old, new))
         with pytest.raises(FormatError, match=re.escape(f"{path}{message}")):
             read_distill_file(path)
@@ -169,8 +167,47 @@ class TestDistillFile:
         with pytest.raises(FormatError, match=re.escape(f"{path}:2: malformed")):
             read_distill_file(path)
 
-    def test_pair_validation(self):
-        with pytest.raises(ValidationError):
-            DistillPair("q", ["only"], [1.0])
-        with pytest.raises(ValidationError):
-            DistillPair("q", ["a", "b"], [1.0])
+    @pytest.mark.parametrize(
+        "scored,message",
+        [
+            ([("p1", 1.0)], "need at least 2 passages, got 1"),
+            ([], "need at least 2 passages, got 0"),
+            ([("p1", 1.0), ("p2", math.nan)], "passage 'p2' has teacher score nan"),
+            ([("p1", math.inf), ("p2", 0.0)], "passage 'p1' has teacher score inf"),
+            ([("p1", 1.0), ("p2", -math.inf)], "passage 'p2' has teacher score -inf"),
+        ],
+        ids=["one-passage", "no-passages", "nan", "infinity", "minus-infinity"],
+    )
+    def test_write_refuses_an_unfit_query_before_writing(self, tmp_path, scored, message):
+        path = tmp_path / "distill.jsonl"
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: query 'q2': {message}")):
+            write_distill_file(path, {"q1": [("a", 1.0), ("b", 0.0)], "q2": scored})
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "passages,message",
+        [
+            ('[{"pid": "p1", "teacher": 1.0}]', "need at least 2 passages, got 1"),
+            ("[]", "need at least 2 passages, got 0"),
+            ('[{"pid": "p1", "teacher": 1.0}, {"pid": "p2", "teacher": NaN}]', "passage 'p2' has teacher score nan"),
+            ('[{"pid": "p1", "teacher": Infinity}, {"pid": "p2", "teacher": 0}]', "passage 'p1' has teacher score inf"),
+            ('[{"pid": "p1", "teacher": 1}, {"pid": "p2", "teacher": -Infinity}]',
+             "passage 'p2' has teacher score -inf"),
+            ('[{"pid": "p1", "teacher": 1e400}, {"pid": "p2", "teacher": 0}]', "passage 'p1' has teacher score inf"),
+        ],
+        ids=["one-passage", "no-passages", "nan", "infinity", "minus-infinity", "overflowing-float"],
+    )
+    def test_read_refuses_an_unfit_query(self, tmp_path, passages, message):
+        path = tmp_path / "distill.jsonl"
+        path.write_text('{"query_id": "q1", "passages": [{"pid": "a", "teacher": 1}, {"pid": "b", "teacher": 0}]}\n'
+                        f'{{"query_id": "q2", "passages": {passages}}}\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: query 'q2': {message}")):
+            read_distill_file(path)
+
+    def test_read_refuses_a_query_listed_twice(self, tmp_path):
+        path = tmp_path / "distill.jsonl"
+        write_distill_file(path, {"q1": [("a", 1.0), ("b", 0.0)], "q2": [("c", 1.0), ("d", 0.0)]})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"query_id": "q1", "passages": [{"pid": "e", "teacher": 1}, {"pid": "f", "teacher": 0}]}\n')
+        with pytest.raises(FormatError, match=re.escape(f"{path}:3: query 'q1' is listed twice")):
+            read_distill_file(path)
