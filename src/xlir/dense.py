@@ -101,20 +101,40 @@ class DenseIndexParams:
         return 2 ** math.ceil(math.log2(16.0 * math.sqrt(total_tokens)))
 
 
+def _norm_fault(norms: np.ndarray) -> int | None:
+    """The first row whose norm is not within ``NORM_TOLERANCE`` of 1, a NaN norm included; ``None`` if none."""
+    unit = np.abs(norms - 1.0) <= NORM_TOLERANCE
+    return None if unit.all() else int(np.argmin(unit))
+
+
 def write_embeddings(path: str | Path, embeddings: Mapping[str, np.ndarray]) -> None:
-    """Write passage token matrices in the binary embedding format."""
-    items = list(embeddings.items())
-    if not items:
+    """Write passage token matrices in the binary embedding format; refuse, before opening
+    ``path``, any passage ``load_embeddings`` would refuse."""
+    if not embeddings:
         raise ValidationError("refusing to write an embedding file with no passages")
-    dim = int(items[0][1].shape[1])
+    items = [(key, key.encode("utf-8"), np.asarray(matrix, dtype=np.float32)) for key, matrix in embeddings.items()]
+    first = items[0][2]
+    dim = first.shape[1] if first.ndim == 2 else None
+    for key, key_bytes, matrix in items:
+        if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] != dim:
+            raise ValidationError(
+                f"passage {key!r}: expected (tokens >= 1, dim) with the first passage's dim, got shape {matrix.shape}"
+            )
+        if len(key_bytes) > 0xFFFF:
+            raise ValidationError(f"passage key {key[:20]!r}...: {len(key_bytes)} UTF-8 bytes, at most 65535 fit")
+    # One norm over all rows, computed as load_embeddings computes it; one per passage
+    # would cost a numpy call per passage.
+    norms = np.linalg.norm(np.concatenate([matrix for _, _, matrix in items], dtype=np.float64), axis=1)
+    row = _norm_fault(norms)
+    if row is not None:
+        ends = np.cumsum([len(matrix) for _, _, matrix in items])
+        p = int(np.searchsorted(ends, row, side="right"))
+        token = row - (int(ends[p - 1]) if p else 0)
+        raise ValidationError(f"passage {items[p][0]!r} token {token} has norm {norms[row]:.6f}, expected 1")
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<IIQ", EMBEDDING_VERSION, dim, len(items)))
-        for key, matrix in items:
-            matrix = np.asarray(matrix, dtype=np.float32)
-            if matrix.ndim != 2 or matrix.shape[1] != dim:
-                raise ValidationError(f"passage {key!r}: expected shape (*, {dim}), got {matrix.shape}")
-            key_bytes = key.encode("utf-8")
+        for _, key_bytes, matrix in items:
             fh.write(struct.pack("<H", len(key_bytes)))
             fh.write(key_bytes)
             fh.write(struct.pack("<I", matrix.shape[0]))
@@ -152,9 +172,8 @@ def load_embeddings(path: str | Path) -> TokenEmbeddings:
             raw = _read_exact(fh, token_count * dim * 4, f"{key!r} vectors")
             matrix = np.frombuffer(raw, dtype="<f4").reshape(token_count, dim).copy()
             norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
-            bad = np.abs(norms - 1.0) > NORM_TOLERANCE
-            if bad.any():
-                j = int(np.argmax(bad))
+            j = _norm_fault(norms)
+            if j is not None:
                 raise ValidationError(
                     f"{path}: passage {key!r} token {j} has norm {norms[j]:.6f}, expected 1"
                 )
@@ -607,6 +626,8 @@ def search_dense(
         raise ValidationError(
             f"query dimension {query.shape[1]} does not match index dimension {index.codebook.dim}"
         )
+    if not np.isfinite(query).all():
+        raise ValidationError("query vectors must be finite")
     if allowed is not None and (allowed.dtype != bool or allowed.shape != (len(index),)):
         raise ValidationError(f"allowed must be a boolean mask over the index's {len(index)} passages")
     if len(index) == 0:

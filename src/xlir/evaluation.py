@@ -28,11 +28,14 @@ Qrels = dict[str, dict[str, int]]
 
 
 def _validate_ranking(topic_id: str, ranked: Sequence[tuple[str, float]], where: str) -> None:
-    """Refuse a topic that lists a document twice or whose scores increase down the ranking."""
+    """Refuse a topic that lists a document twice, scores one with a value that is not finite,
+    or whose scores increase down the ranking."""
     seen: set[str] = set()
-    for doc_id, _ in ranked:
+    for doc_id, score in ranked:
         if doc_id in seen:
             raise ValidationError(f"{where}: topic {topic_id}: document {doc_id} is listed twice")
+        if not math.isfinite(score):
+            raise ValidationError(f"{where}: topic {topic_id}: document {doc_id} has non-finite score {score!r}")
         seen.add(doc_id)
     for rank, ((_, prev), (_, cur)) in enumerate(pairwise(ranked), start=1):
         if cur > prev:
@@ -70,6 +73,8 @@ def read_run(path: str | Path) -> Run:
             score = float(score_text)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric rank or score") from None
+        if not math.isfinite(score):
+            raise FormatError(f"{path}:{lineno}: score {score_text!r} is not a finite number")
         by_topic.setdefault(topic_id, []).append((rank, doc_id, score))
     run: Run = {}
     for topic_id, ranked in by_topic.items():

@@ -1,8 +1,12 @@
+import importlib
 import json
 import logging
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,8 @@ from xlir.errors import ValidationError
 from xlir.evaluation import read_run
 from xlir.shards import DateFilter, ShardPlan, select_shards
 from xlir.synthetic import generate, write_corpus
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +187,25 @@ def test_mine_distill_takes_keys_that_name_no_document(tmp_path):
     index = load_dense_index(index_dir)
     expected = {query_id: search_dense(index, vectors)[:10] for query_id, vectors in queries.items()}
     assert read_distill_file(out) == expected
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "infinity"])
+def test_non_finite_embeddings_are_refused_without_output(workspace, tmp_path, capsys, value):
+    # A NaN norm once passed the norm check: search wrote "nan" scores and mine-distill bare NaN teacher scores.
+    root, paths = workspace
+    for kind in ("passage", "query"):
+        data = paths[f"{kind}_embeddings"].read_bytes()
+        (tmp_path / f"{kind}.liemb").write_bytes(data[:-4] + np.float32(value).tobytes())
+    out = tmp_path / "out"
+    queries = ["--query-embeddings", str(tmp_path / "query.liemb")]
+    for argv in (
+        ["index-dense", "--embeddings", str(tmp_path / "passage.liemb"), "--output", str(out / "idx")],
+        ["search", "--index", str(root / "idx/dense"), *queries, "--output", str(out / "dense.run")],
+        ["mine-distill", "--index", str(root / "idx/dense"), *queries, "--output", str(out / "pairs.jsonl")],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines()[-1].endswith(f"has norm {value:.6f}, expected 1")
+    assert not out.exists()
 
 
 def test_evaluate_prints_means(workspace, capsys):
@@ -784,3 +809,17 @@ def test_non_utf8_input_is_refused(workspace, tmp_path, capsys, case):
     last = stderr.strip().splitlines()[-1]
     assert last.startswith("error: ") and str(bad) in last
     assert not out.exists()
+
+
+def test_module_and_console_script_start_the_cli():
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "xlir", "--help"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "mine-distill" in proc.stdout
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    scripts = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"xlir": "xlir.cli:main"}
+    module, _, name = scripts["xlir"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main

@@ -121,11 +121,14 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError, match="version"):
             load_embeddings(path)
 
-    def test_non_unit_vector_rejected(self, tmp_path):
+    @pytest.mark.parametrize("value", [2.0, np.nan, np.inf], ids=["non-unit", "nan", "infinity"])
+    def test_non_unit_vector_rejected(self, tmp_path, value):
+        # write_embeddings refuses such a row, so the last value of a unit file is overwritten.
         path = tmp_path / "e.bin"
-        bad = {"p0": np.full((1, 4), 0.25, dtype=np.float32)}  # norm 0.5
-        write_embeddings(path, bad)
-        with pytest.raises(ValidationError, match="norm"):
+        write_embeddings(path, {"p0": np.full((2, 4), 0.5, dtype=np.float32)})
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(value).tobytes())
+        norm = np.linalg.norm([0.5] * 3 + [value])
+        with pytest.raises(ValidationError, match=f"passage 'p0' token 1 has norm {norm:.6f}, expected 1"):
             load_embeddings(path)
 
     def test_truncated_file(self, tmp_path):
@@ -146,9 +149,26 @@ def test_default_num_centroids_heuristic():
     assert DenseIndexParams.default_num_centroids(10_000) == 2048
 
 
-def test_write_embeddings_rejects_empty(tmp_path):
-    with pytest.raises(ValidationError):
-        write_embeddings(tmp_path / "e.bin", {})
+@pytest.mark.parametrize(
+    "embeddings,message",
+    [
+        ({}, "no passages"),
+        ({"p0": np.full(4, 0.5)},
+         "passage 'p0': expected (tokens >= 1, dim) with the first passage's dim, got shape (4,)"),
+        ({"p0": np.eye(2, 4), "p1": np.eye(2, 5)}, "passage 'p1': expected (tokens >= 1, dim)"),
+        ({"p0": np.eye(2, 4), "p1": np.zeros((0, 4))}, "got shape (0, 4)"),
+        ({"p0": np.eye(3, 4), "p1": np.eye(2, 4) * [[1], [2]]}, "passage 'p1' token 1 has norm 2.000000, expected 1"),
+        ({"p0": np.eye(3, 4), "p1": np.full((1, 4), np.nan)}, "passage 'p1' token 0 has norm nan, expected 1"),
+        ({"p0": np.vstack([np.eye(2, 4), [[np.inf, 0, 0, 0]]])}, "passage 'p0' token 2 has norm inf, expected 1"),
+        ({"é" * 32768: np.eye(1, 4)}, "65536 UTF-8 bytes, at most 65535 fit"),
+    ],
+    ids=["empty", "one-dimensional", "dim-mismatch", "no-tokens", "non-unit", "nan", "infinity", "long-key"],
+)
+def test_write_embeddings_refuses_what_load_refuses_before_writing(tmp_path, embeddings, message):
+    path = tmp_path / "e.bin"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        write_embeddings(path, embeddings)
+    assert not path.exists()
 
 
 def reference_kmeans(embeddings, params):
@@ -466,11 +486,17 @@ class TestSearch:
         tolerance = maxsim_tolerance(index, query)
         assert score == pytest.approx(brute_force_maxsim(query, index.decompress_passage(0)), abs=tolerance)
 
-    def test_empty_query_rejected(self):
+    @pytest.mark.parametrize(
+        "query,message",
+        [(np.zeros((0, 8)), "at least one token"), (np.full((2, 8), np.nan), "finite"),
+         (np.vstack([np.eye(1, 8), np.full((1, 8), np.inf)]), "finite")],
+        ids=["empty", "nan", "infinity"],
+    )
+    def test_unusable_query_rejected(self, query, message):
         rng = np.random.default_rng(20)
         index, _ = self.build(rng, num_passages=5)
-        with pytest.raises(ValidationError):
-            search_dense(index, np.zeros((0, 8)))
+        with pytest.raises(ValidationError, match=message):
+            search_dense(index, query)
 
     def test_recall_monotone_in_nprobe(self):
         rng = np.random.default_rng(22)

@@ -156,6 +156,21 @@ class TestRunIO:
             write_run(path, {"t1": [("d1", 0.5), ("d2", 0.9)]}, "tag")
         assert not path.exists()
 
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf], ids=["nan", "infinity", "minus-infinity"])
+    def test_non_finite_score_rejected_before_writing(self, tmp_path, score):
+        # A NaN compares False with every score, so the rank order check alone let it through.
+        path = tmp_path / "never.run"
+        with pytest.raises(ValidationError, match=f"topic t1: document d2 has non-finite score {score!r}"):
+            write_run(path, {"t1": [("d1", 0.5), ("d2", score), ("d3", 0.25)]}, "tag")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_score_rejected_on_read(self, tmp_path, text):
+        path = tmp_path / "bad.run"
+        path.write_text(f"t1 Q0 d1 1 0.5 tag\nt1 Q0 d2 2 {text} tag\n")
+        with pytest.raises(FormatError, match=f"{path}:2: score '{text}' is not a finite number"):
+            read_run(path)
+
     @pytest.mark.parametrize(
         ("run", "run_tag"),
         [({"t1": [("d1", 0.5)]}, ""), ({"t1": [("d1", 0.5)]}, "a tag"), ({"t 1": [("d1", 0.5)]}, "x"),
