@@ -59,6 +59,8 @@ logger = logging.getLogger(__name__)
 EMBEDDING_MAGIC = b"LIEMB"
 EMBEDDING_VERSION = 1
 NORM_TOLERANCE = 1e-4
+# Passages whose norms write_embeddings checks with one numpy call.
+_NORM_BLOCK = 64
 
 INDEX_FORMAT = "xlir-dense-index"
 INDEX_VERSION = 3
@@ -122,15 +124,17 @@ def write_embeddings(path: str | Path, embeddings: Mapping[str, np.ndarray]) -> 
             )
         if len(key_bytes) > 0xFFFF:
             raise ValidationError(f"passage key {key[:20]!r}...: {len(key_bytes)} UTF-8 bytes, at most 65535 fit")
-    # One norm over all rows, computed as load_embeddings computes it; one per passage
-    # would cost a numpy call per passage.
-    norms = np.linalg.norm(np.concatenate([matrix for _, _, matrix in items], dtype=np.float64), axis=1)
-    row = _norm_fault(norms)
-    if row is not None:
-        ends = np.cumsum([len(matrix) for _, _, matrix in items])
-        p = int(np.searchsorted(ends, row, side="right"))
-        token = row - (int(ends[p - 1]) if p else 0)
-        raise ValidationError(f"passage {items[p][0]!r} token {token} has norm {norms[row]:.6f}, expected 1")
+    # Norms as load_embeddings computes them, a block of passages at a time: a numpy call per
+    # passage costs more, and one over all rows holds a float64 copy of every vector at once.
+    for start in range(0, len(items), _NORM_BLOCK):
+        block = items[start : start + _NORM_BLOCK]
+        norms = np.linalg.norm(np.concatenate([matrix for _, _, matrix in block], dtype=np.float64), axis=1)
+        row = _norm_fault(norms)
+        if row is not None:
+            ends = np.cumsum([len(matrix) for _, _, matrix in block])
+            p = int(np.searchsorted(ends, row, side="right"))
+            token = row - (int(ends[p - 1]) if p else 0)
+            raise ValidationError(f"passage {block[p][0]!r} token {token} has norm {norms[row]:.6f}, expected 1")
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<IIQ", EMBEDDING_VERSION, dim, len(items)))

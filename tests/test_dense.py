@@ -159,10 +159,13 @@ def test_default_num_centroids_heuristic():
         ({"p0": np.eye(2, 4), "p1": np.zeros((0, 4))}, "got shape (0, 4)"),
         ({"p0": np.eye(3, 4), "p1": np.eye(2, 4) * [[1], [2]]}, "passage 'p1' token 1 has norm 2.000000, expected 1"),
         ({"p0": np.eye(3, 4), "p1": np.full((1, 4), np.nan)}, "passage 'p1' token 0 has norm nan, expected 1"),
+        ({**{f"p{i:02d}": np.eye(2, 4) for i in range(70)}, "p66": np.eye(2, 4) * [[1], [3]]},
+         "passage 'p66' token 1 has norm 3.000000, expected 1"),
         ({"p0": np.vstack([np.eye(2, 4), [[np.inf, 0, 0, 0]]])}, "passage 'p0' token 2 has norm inf, expected 1"),
         ({"é" * 32768: np.eye(1, 4)}, "65536 UTF-8 bytes, at most 65535 fit"),
     ],
-    ids=["empty", "one-dimensional", "dim-mismatch", "no-tokens", "non-unit", "nan", "infinity", "long-key"],
+    ids=["empty", "one-dimensional", "dim-mismatch", "no-tokens", "non-unit", "nan", "non-unit-in-a-later-block",
+         "infinity", "long-key"],
 )
 def test_write_embeddings_refuses_what_load_refuses_before_writing(tmp_path, embeddings, message):
     path = tmp_path / "e.bin"
