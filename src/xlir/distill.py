@@ -77,6 +77,7 @@ def write_distill_file(path: str | Path, pairs: DistillSet) -> None:
 
 
 def read_distill_file(path: str | Path) -> DistillSet:
+    """A distillation file as a ``DistillSet``, its queries in file order."""
     pairs: DistillSet = {}
     for lineno, record in read_jsonl(path):
         try:
