@@ -233,11 +233,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         options = {"nprobe": args.nprobe, "candidate_cap": args.candidate_cap}
         emb_path = _resolve_path(args.query_embeddings, "query_embeddings", "query embeddings")
         queries = list(dense_mod.load_embeddings(emb_path).items())
-    filters = {t.topic_id: shards_mod.DateFilter(start=t.start_date, end=t.end_date) for t in topics}
+    filters = {t.topic_id: t.dates for t in topics}
 
     def run_query(item: tuple) -> list[tuple[str, float]]:
         query_id, query = item
-        date_filter = filters.get(query_id, shards_mod.DateFilter())
+        date_filter = filters.get(query_id, corpus_mod.DateFilter())
         return searcher.search(query, date_filter, args.k, query_id=query_id, **options)
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:

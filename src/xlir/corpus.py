@@ -68,32 +68,27 @@ class Document:
 
 
 @dataclass(frozen=True)
+class DateFilter:
+    """Optional inclusive date range attached to a topic."""
+
+    start: dt.date | None = None
+    end: dt.date | None = None
+
+    def __post_init__(self) -> None:
+        if self.start is not None and self.end is not None and self.start > self.end:
+            raise ValidationError(f"date filter start {self.start} after end {self.end}")
+
+    @property
+    def empty(self) -> bool:
+        return self.start is None and self.end is None
+
+
+@dataclass(frozen=True)
 class Topic:
     topic_id: str
     title: str
     description: str
-    start_date: dt.date | None = None
-    end_date: dt.date | None = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.start_date is not None
-            and self.end_date is not None
-            and self.start_date > self.end_date
-        ):
-            raise ValidationError(
-                f"topic {self.topic_id}: start_date {self.start_date} after end_date {self.end_date}"
-            )
-
-
-@dataclass(frozen=True)
-class Passage:
-    """A token window ``[start, end)`` into a document's token sequence."""
-
-    doc_id: str
-    index: int
-    start: int
-    end: int
+    dates: DateFilter = DateFilter()
 
 
 def passage_key(doc_id: str, index: int) -> str:
@@ -151,20 +146,20 @@ def ingest_topics(path: str | Path) -> list[Topic]:
         if topic_id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate topic id {topic_id!r}")
         seen.add(topic_id)
-        dates: dict[str, dt.date | None] = {}
-        for key in ("start_date", "end_date"):
-            dates[key] = (
-                parse_date(_require(record, key, path, lineno))
-                if record.get(key) is not None
-                else None
-            )
+        start, end = (
+            parse_date(_require(record, key, path, lineno)) if record.get(key) is not None else None
+            for key in ("start_date", "end_date")
+        )
+        try:
+            dates = DateFilter(start, end)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: topic {topic_id!r}: {exc}") from None
         topics.append(
             Topic(
                 topic_id=topic_id,
                 title=_require(record, "title", path, lineno),
                 description=_require(record, "description", path, lineno),
-                start_date=dates["start_date"],
-                end_date=dates["end_date"],
+                dates=dates,
             )
         )
     return topics
@@ -187,10 +182,10 @@ def write_topics(path: str | Path, topics: Iterable[Topic]) -> None:
                 "title": topic.title,
                 "description": topic.description,
             }
-            if topic.start_date is not None:
-                record["start_date"] = topic.start_date.isoformat()
-            if topic.end_date is not None:
-                record["end_date"] = topic.end_date.isoformat()
+            if topic.dates.start is not None:
+                record["start_date"] = topic.dates.start.isoformat()
+            if topic.dates.end is not None:
+                record["end_date"] = topic.dates.end.isoformat()
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
@@ -219,15 +214,6 @@ def split_spans(num_tokens: int, max_len: int = 180, stride: int = 90) -> list[t
             break
         start += stride
     return spans
-
-
-def split_passages(doc: Document, max_len: int = 180, stride: int = 90) -> list[Passage]:
-    """Split a document into overlapping passages of at most ``max_len`` tokens."""
-    tokens = document_tokens(doc)
-    return [
-        Passage(doc_id=doc.doc_id, index=i, start=start, end=end)
-        for i, (start, end) in enumerate(split_spans(len(tokens), max_len, stride))
-    ]
 
 
 def form_query(topic: Topic, variant: str) -> str:

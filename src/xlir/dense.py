@@ -109,12 +109,22 @@ def _norm_fault(norms: np.ndarray) -> int | None:
     return None if unit.all() else int(np.argmin(unit))
 
 
+def _key_bytes(key: str) -> bytes:
+    """A passage key's UTF-8 bytes; a ``ValidationError`` for a non-string or a lone surrogate."""
+    if not isinstance(key, str):
+        raise ValidationError(f"passage key {key!r}: expected a string")
+    try:
+        return key.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"passage key {key!r}: holds a lone surrogate, which UTF-8 cannot encode") from None
+
+
 def write_embeddings(path: str | Path, embeddings: Mapping[str, np.ndarray]) -> None:
     """Write passage token matrices in the binary embedding format; refuse, before opening
     ``path``, any passage ``load_embeddings`` would refuse."""
     if not embeddings:
         raise ValidationError("refusing to write an embedding file with no passages")
-    items = [(key, key.encode("utf-8"), np.asarray(matrix, dtype=np.float32)) for key, matrix in embeddings.items()]
+    items = [(key, _key_bytes(key), np.asarray(matrix, dtype=np.float32)) for key, matrix in embeddings.items()]
     first = items[0][2]
     dim = first.shape[1] if first.ndim == 2 else None
     for key, key_bytes, matrix in items:

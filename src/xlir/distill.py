@@ -4,11 +4,11 @@ A mined set is a ``DistillSet``: query id -> ``(passage key, teacher score)``
 pairs in mined order. ``xlir mine-distill`` fills it with a dense search cut
 at ``k``, the search's own scores standing in for the teacher's until an
 external reranker replaces them, so unlike a run's scores they need not
-decrease down the list. Each query lists at least two passages, every teacher
-score is finite and no query is listed twice. The loss compares teacher and
-student score lists for one query as softmax distributions under KL
-divergence. Gradient training itself happens in an external trainer fed by
-the JSON-lines file written here.
+decrease down the list. Each query lists at least two passages and no passage
+twice, every teacher score is finite and no query is listed twice. The loss
+compares teacher and student score lists for one query as softmax
+distributions under KL divergence. Gradient training itself happens in an
+external trainer fed by the JSON-lines file written here.
 """
 
 from __future__ import annotations
@@ -56,10 +56,14 @@ def distill_loss(
 
 
 def _check_query(where: str, query_id: str, scored: Sequence[tuple[str, float]], error: type[XlirError]) -> None:
-    """Refuse a query with fewer than two passages or a teacher score that is not finite."""
+    """Refuse a query with fewer than two passages, a passage listed twice, or a non-finite teacher score."""
     if len(scored) < 2:
         raise error(f"{where}: query {query_id!r}: need at least 2 passages, got {len(scored)}")
+    seen: set[str] = set()
     for pid, score in scored:
+        if pid in seen:
+            raise error(f"{where}: query {query_id!r}: passage {pid!r} is listed twice")
+        seen.add(pid)
         if not math.isfinite(score):
             raise error(
                 f"{where}: query {query_id!r}: passage {pid!r} has teacher score {score!r}, expected a finite number"
@@ -69,6 +73,10 @@ def _check_query(where: str, query_id: str, scored: Sequence[tuple[str, float]],
 def write_distill_file(path: str | Path, pairs: DistillSet) -> None:
     """Write ``pairs`` as JSON lines; refuse, before writing any line, a set ``read_distill_file`` would refuse."""
     for query_id, scored in pairs.items():
+        # The types read_distill_file takes; a bool is an int to Python but true to JSON.
+        types_ok = all(isinstance(pid, str) and (isinstance(s, float) or type(s) is int) for pid, s in scored)
+        if not (isinstance(query_id, str) and types_ok):
+            raise ValidationError(f"{path}: query {query_id!r}: expected a string id and (string key, number) pairs")
         _check_query(str(path), query_id, scored, ValidationError)
     with open(path, "w", encoding="utf-8") as fh:
         for query_id, scored in pairs.items():

@@ -9,8 +9,9 @@ query-language terms, which are then indexed like ordinary documents.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+import math
+import re
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 
 from .errors import FormatError, ValidationError, read_lines
@@ -24,38 +25,31 @@ DEFAULT_CUM_MASS = 0.99
 DEFAULT_MAX_ALTS = 64
 
 
-@dataclass
-class TranslationTable:
-    """Per-source distributions over target tokens, sorted by descending probability."""
+# source token -> (target token, P(target | source)) pairs, most probable first
+TranslationTable = dict[str, list[tuple[str, float]]]
 
-    entries: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+# What a table file cannot hold in a token: its separators, and a lone surrogate (no UTF-8 encoding).
+_UNWRITABLE = re.compile("[\t\n\r\ud800-\udfff]")
 
-    @classmethod
-    def from_rows(cls, rows: list[tuple[str, str, float]]) -> "TranslationTable":
-        grouped: dict[str, dict[str, float]] = {}
-        for source, target, prob in rows:
-            targets = grouped.setdefault(source, {})
-            if target in targets:
-                raise ValidationError(f"duplicate translation row ({source!r}, {target!r})")
-            targets[target] = prob
-        entries: dict[str, list[tuple[str, float]]] = {}
-        for source, targets in grouped.items():
-            mass = sum(targets.values())
-            if mass > 1.0 + MASS_TOLERANCE:
-                raise ValidationError(
-                    f"source {source!r}: translation probabilities sum to {mass:.6f} > 1"
-                )
-            entries[source] = sorted(targets.items(), key=lambda item: (-item[1], item[0]))
-        return cls(entries=entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, source: str) -> bool:
-        return source in self.entries
-
-    def __getitem__(self, source: str) -> list[tuple[str, float]]:
-        return self.entries[source]
+def table_from_rows(rows: Iterable[tuple[str, str, float]]) -> TranslationTable:
+    """Group ``(source, target, prob)`` rows into a table; refuse a probability outside (0, 1],
+    a repeated ``(source, target)`` pair, or a source whose probabilities sum above 1."""
+    grouped: dict[str, dict[str, float]] = {}
+    for source, target, prob in rows:
+        if not 0.0 < prob <= 1.0:
+            raise ValidationError(f"translation row ({source!r}, {target!r}): probability {prob} outside (0, 1]")
+        targets = grouped.setdefault(source, {})
+        if target in targets:
+            raise ValidationError(f"duplicate translation row ({source!r}, {target!r})")
+        targets[target] = prob
+    table: TranslationTable = {}
+    for source, targets in grouped.items():
+        mass = math.fsum(targets.values())  # exact, so the check cannot depend on row order
+        if mass > 1.0 + MASS_TOLERANCE:
+            raise ValidationError(f"source {source!r}: translation probabilities sum to {mass:.6f} > 1")
+        table[source] = sorted(targets.items(), key=lambda item: (-item[1], item[0]))
+    return table
 
 
 def load_table(path: str | Path) -> TranslationTable:
@@ -73,7 +67,22 @@ def load_table(path: str | Path) -> TranslationTable:
         if not 0.0 < prob <= 1.0:
             raise FormatError(f"{path}:{lineno}: probability {prob} outside (0, 1]")
         rows.append((source, target, prob))
-    return TranslationTable.from_rows(rows)
+    return table_from_rows(rows)
+
+
+def write_table(path: str | Path, table: TranslationTable) -> None:
+    """Write ``table`` as TSV rows in (source, target) order; refuse, before opening ``path``, a
+    token ``load_table`` could not read back."""
+    for source, targets in table.items():
+        for token in (source, *(target for target, _ in targets)):
+            if not isinstance(token, str) or _UNWRITABLE.search(token):
+                raise ValidationError(
+                    f"translation table token {token!r}: expected a string with no tab, line break or lone surrogate"
+                )
+    rows = sorted((source, target, prob) for source, targets in table.items() for target, prob in targets)
+    with open(path, "w", encoding="utf-8") as fh:
+        for source, target, prob in rows:
+            fh.write(f"{source}\t{target}\t{prob}\n")
 
 
 def prune_table(
@@ -91,8 +100,8 @@ def prune_table(
         raise ValidationError(f"cum_mass must be in (0, 1], got {cum_mass}")
     if max_alts < 1:
         raise ValidationError(f"max_alts must be >= 1, got {max_alts}")
-    pruned: dict[str, list[tuple[str, float]]] = {}
-    for source, targets in table.entries.items():
+    pruned: TranslationTable = {}
+    for source, targets in table.items():
         kept: list[tuple[str, float]] = []
         mass = 0.0
         for target, prob in targets:
@@ -103,7 +112,7 @@ def prune_table(
         if not kept:
             continue
         pruned[source] = [(target, prob / mass) for target, prob in kept]
-    return TranslationTable(entries=pruned)
+    return pruned
 
 
 def translate_doc(doc_tokens: Mapping[str, float], table: TranslationTable) -> WeightedBag:
@@ -117,7 +126,7 @@ def translate_doc(doc_tokens: Mapping[str, float], table: TranslationTable) -> W
     for source, count in doc_tokens.items():
         if count <= 0:
             continue
-        targets = table.entries.get(source)
+        targets = table.get(source)
         if targets is None:
             continue
         for target, prob in targets:

@@ -51,7 +51,7 @@ class Searcher:
         """The document of each ordinal the engine ranks."""
         raise NotImplementedError
 
-    def _allowed(self, date_filter: shards.DateFilter) -> np.ndarray | None:
+    def _allowed(self, date_filter: corpus.DateFilter) -> np.ndarray | None:
         """Which ordinals the filter admits; ``None`` when it admits them all."""
         if self.plan is None or date_filter.empty:
             return None
@@ -72,7 +72,7 @@ class LexicalSearcher(Searcher):
     def search(
         self,
         query: Sequence[str],
-        date_filter: shards.DateFilter = shards.DateFilter(),
+        date_filter: corpus.DateFilter = corpus.DateFilter(),
         k: int = 1000,
         *,
         query_id: str | None = None,
@@ -113,7 +113,7 @@ class DenseSearcher(Searcher):
     def search(
         self,
         query: np.ndarray,
-        date_filter: shards.DateFilter = shards.DateFilter(),
+        date_filter: corpus.DateFilter = corpus.DateFilter(),
         k: int = 1000,
         *,
         query_id: str | None = None,

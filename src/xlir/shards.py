@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
-from .corpus import Document
+from .corpus import DateFilter, Document
 from .errors import FormatError, ValidationError, json_int, malformed
 
 PLAN_FORMAT = "xlir-shard-plan"
@@ -28,22 +28,6 @@ PLAN_VERSION = 1
 def _add_months(day: dt.date, months: int) -> dt.date:
     total = day.year * 12 + (day.month - 1) + months
     return dt.date(total // 12, total % 12 + 1, 1)
-
-
-@dataclass(frozen=True)
-class DateFilter:
-    """Optional inclusive date range attached to a topic."""
-
-    start: dt.date | None = None
-    end: dt.date | None = None
-
-    def __post_init__(self) -> None:
-        if self.start is not None and self.end is not None and self.start > self.end:
-            raise ValidationError(f"date filter start {self.start} after end {self.end}")
-
-    @property
-    def empty(self) -> bool:
-        return self.start is None and self.end is None
 
 
 @dataclass

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, Topic, document_tokens, split_passages, passage_key, write_collection, write_topics
+from .corpus import DateFilter, Document, Topic, document_tokens, passage_key, split_spans, write_collection, write_topics
 from .dense import write_embeddings
 from .evaluation import Qrels, write_qrels
+from .psq import TranslationTable, table_from_rows, write_table
 
 DEFAULT_LANGUAGES = ("fas", "rus", "zho")
 
@@ -27,7 +28,7 @@ DEFAULT_LANGUAGES = ("fas", "rus", "zho")
 class SyntheticCorpus:
     docs: list[Document]
     topics: list[Topic]
-    tables: dict[str, list[tuple[str, str, float]]]  # lang -> TSV rows
+    tables: dict[str, TranslationTable]  # document language -> table into English
     qrels: Qrels
     passage_embeddings: dict[str, np.ndarray]
     query_embeddings: dict[str, np.ndarray]
@@ -57,7 +58,7 @@ def generate(
 
     # One or two source tokens per language per English term; the first is the
     # dominant translation, the second leaks a little mass to a random term.
-    tables: dict[str, list[tuple[str, str, float]]] = {}
+    tables: dict[str, TranslationTable] = {}
     source_tokens: dict[str, dict[str, list[str]]] = {}
     for lang in languages:
         rows: list[tuple[str, str, float]] = []
@@ -76,7 +77,7 @@ def generate(
         merged: dict[tuple[str, str], float] = {}
         for source, target, prob in rows:
             merged[(source, target)] = merged.get((source, target), 0.0) + prob
-        tables[lang] = [(s, t, p) for (s, t), p in sorted(merged.items())]
+        tables[lang] = table_from_rows((s, t, p) for (s, t), p in merged.items())
         source_tokens[lang] = by_eng
 
     topics: list[Topic] = []
@@ -99,8 +100,7 @@ def generate(
                 topic_id=f"{t + 201}",
                 title=title,
                 description=description,
-                start_date=start_date,
-                end_date=end_date,
+                dates=DateFilter(start_date, end_date),
             )
         )
 
@@ -154,10 +154,9 @@ def generate(
     passage_embeddings: dict[str, np.ndarray] = {}
     for doc in docs:
         tokens = document_tokens(doc)
-        for passage in split_passages(doc):
-            window = tokens[passage.start : passage.end]
-            matrix = np.stack([token_vectors[token] for token in window]).astype(np.float32)
-            passage_embeddings[passage_key(doc.doc_id, passage.index)] = matrix
+        for i, (start, end) in enumerate(split_spans(len(tokens))):
+            matrix = np.stack([token_vectors[token] for token in tokens[start:end]]).astype(np.float32)
+            passage_embeddings[passage_key(doc.doc_id, i)] = matrix
 
     query_embeddings: dict[str, np.ndarray] = {}
     for topic in topics:
@@ -190,12 +189,9 @@ def write_corpus(dirpath: str | Path, corpus: SyntheticCorpus) -> dict[str, Path
     write_collection(paths["docs"], corpus.docs)
     write_topics(paths["topics"], corpus.topics)
     write_qrels(paths["qrels"], corpus.qrels)
-    for lang, rows in corpus.tables.items():
-        table_path = dirpath / "tables" / f"{lang}.tsv"
-        paths[f"table_{lang}"] = table_path
-        with open(table_path, "w", encoding="utf-8") as fh:
-            for source, target, prob in rows:
-                fh.write(f"{source}\t{target}\t{prob}\n")
+    for lang, table in corpus.tables.items():
+        paths[f"table_{lang}"] = dirpath / "tables" / f"{lang}.tsv"
+        write_table(paths[f"table_{lang}"], table)
     write_embeddings(paths["passage_embeddings"], corpus.passage_embeddings)
     write_embeddings(paths["query_embeddings"], corpus.query_embeddings)
     return paths

@@ -29,7 +29,7 @@ from xlir.dense import (
 from xlir.distill import distill_loss
 from xlir.evaluation import ndcg_at_k, read_run, recall_at_k
 from xlir.lexical import LexicalParams, bm25_score, build_index, hmm_score, search_lexical
-from xlir.psq import TranslationTable, prune_table, translate_doc
+from xlir.psq import prune_table, table_from_rows, translate_doc
 from xlir.shards import DateFilter, merge_shard_results, plan_shards, select_shards
 from xlir.synthetic import generate
 
@@ -212,19 +212,19 @@ def test_criterion_5_psq_correctness():
             probs = rng.dirichlet(np.ones(k)) * float(rng.uniform(0.7, 1.0))
             picks = rng.choice(n_targets, size=k, replace=False)
             rows.extend((f"s{s}", f"t{int(t)}", float(p)) for t, p in zip(picks, probs))
-        table = TranslationTable.from_rows(rows)
+        table = table_from_rows(rows)
         counts = {
             f"s{int(s)}": float(rng.integers(1, 10))
             for s in rng.choice(n_sources, size=min(20, n_sources), replace=False)
         }
         bag = translate_doc(counts, table)
         # Independent oracle: count vector times probability matrix.
-        sources = sorted(table.entries)
-        targets = sorted({t for row in table.entries.values() for t, _ in row})
+        sources = sorted(table)
+        targets = sorted({t for row in table.values() for t, _ in row})
         vec = np.array([counts.get(s, 0.0) for s in sources])
         mat = np.zeros((len(sources), len(targets)))
         for i, s in enumerate(sources):
-            for t, p in table.entries[s]:
+            for t, p in table[s]:
                 mat[i, targets.index(t)] += p
         product = vec @ mat
         oracle = {t: product[j] for j, t in enumerate(targets) if product[j] > 0}
@@ -233,8 +233,8 @@ def test_criterion_5_psq_correctness():
             assert abs(bag[term] - oracle[term]) < 1e-9
 
         pruned = prune_table(table, cum_mass=float(rng.uniform(0.5, 1.0)), max_alts=int(rng.integers(1, 5)))
-        for source, kept in pruned.entries.items():
-            full_order = [t for t, _ in table.entries[source]]
+        for source, kept in pruned.items():
+            full_order = [t for t, _ in table[source]]
             assert [t for t, _ in kept] == full_order[: len(kept)], "pruning broke top-mass order"
             assert abs(sum(p for _, p in kept) - 1.0) < 1e-9, "pruned mass not renormalized"
     report(5, "psq translation and pruning", "30 random tables up to 50x50")
@@ -242,11 +242,10 @@ def test_criterion_5_psq_correctness():
 
 def test_criterion_6_shard_merge_equivalence():
     corpus = generate(seed=77, num_docs=500, num_topics=10)
-    tables = {lang: TranslationTable.from_rows(rows) for lang, rows in corpus.tables.items()}
     bags = []
     for doc in corpus.docs:
         counts = Counter(document_tokens(doc))
-        bags.append((doc.doc_id, translate_doc(counts, tables[doc.lang])))
+        bags.append((doc.doc_id, translate_doc(counts, corpus.tables[doc.lang])))
     full = build_index(bags)
 
     # One mask of the full index per plan window: the windows split the

@@ -18,7 +18,7 @@ from xlir.dense import EMBEDDING_MAGIC, load_dense_index, search_dense, write_em
 from xlir.distill import read_distill_file
 from xlir.errors import ValidationError
 from xlir.evaluation import read_run
-from xlir.shards import DateFilter, ShardPlan, select_shards
+from xlir.shards import ShardPlan, select_shards
 from xlir.synthetic import generate, write_corpus
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -245,7 +245,7 @@ def test_dated_search_returns_documents_of_the_admitted_windows(workspace, tmp_p
         runs[kind] = read_run(out)
     filtered = 0
     for topic in ingest_topics(paths["topics"]):
-        date_filter = DateFilter(topic.start_date, topic.end_date)
+        date_filter = topic.dates
         dated, undated = runs[f"dated-{engine}"].get(topic.topic_id, []), runs[engine].get(topic.topic_id, [])
         selected = select_shards(plan, date_filter)
         assert all(plan.assignment[doc_id] in selected for doc_id, _ in dated)

@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 
 from xlir.corpus import (
     DEFAULT_TOKENIZER,
+    DateFilter,
     Document,
     Topic,
     form_query,
     ingest_collection,
     ingest_topics,
     parse_date,
+    document_tokens,
     parse_passage_key,
     passage_key,
-    split_passages,
     split_spans,
     write_collection,
+    write_topics,
 )
 from xlir.errors import FormatError, ValidationError
 
@@ -96,9 +98,29 @@ class TestIngestion:
             ],
         )
         (topic,) = ingest_topics(path)
-        assert topic.start_date == dt.date(2021, 3, 23)
+        assert topic.dates == DateFilter(dt.date(2021, 3, 23), dt.date(2021, 3, 29))
         with pytest.raises(ValidationError):
-            Topic("x", "t", "d", dt.date(2021, 1, 2), dt.date(2021, 1, 1))
+            DateFilter(dt.date(2021, 1, 2), dt.date(2021, 1, 1))
+
+    def test_reversed_topic_dates_name_file_line_and_topic(self, tmp_path):
+        path = tmp_path / "topics.jsonl"
+        records = [
+            {"topic_id": "201", "title": "a", "description": "b", "start_date": "2021-01-01"},
+            {"topic_id": "202", "title": "a", "description": "b", "start_date": "2021-01-02", "end_date": "2021-01-01"},
+        ]
+        write_jsonl(path, records)
+        with pytest.raises(ValidationError, match=r"topics\.jsonl:2: topic '202': .*2021-01-02 after end 2021-01-01"):
+            ingest_topics(path)
+
+    def test_topic_round_trip(self, tmp_path):
+        topics = [
+            Topic("201", "t", "d", DateFilter(dt.date(2021, 1, 1), dt.date(2021, 2, 1))),
+            Topic("202", "t", "d", DateFilter(end=dt.date(2021, 2, 1))),
+            Topic("203", "t", "d"),
+        ]
+        path = tmp_path / "topics.jsonl"
+        write_topics(path, topics)
+        assert ingest_topics(path) == topics
 
 
 class TestParseDate:
@@ -134,28 +156,28 @@ class TestTokenizer:
         assert DEFAULT_TOKENIZER(text) == DEFAULT_TOKENIZER(text)
 
 
-def doc_of_length(n):
-    return Document("d", "", " ".join(f"w{i}" for i in range(n)), "eng")
+class TestDocumentTokens:
+    def test_title_tokens_then_body_tokens(self):
+        assert document_tokens(Document("d", "Alpha, beta", "gamma  delta", "eng")) == ["alpha", "beta", "gamma", "delta"]
+
+    def test_empty_document_has_no_tokens(self):
+        assert document_tokens(Document("d", "", " ", "eng")) == []
 
 
-class TestSplitPassages:
+class TestSplitSpans:
     def test_short_doc_single_passage(self):
-        passages = split_passages(doc_of_length(100))
-        assert [(p.start, p.end) for p in passages] == [(0, 100)]
+        assert split_spans(100) == [(0, 100)]
 
     def test_270_tokens(self):
         # Window starts enumerate 0, 90; the window at 90 ends at 270 = doc
         # length, so emission stops there.
-        passages = split_passages(doc_of_length(270))
-        assert [(p.start, p.end) for p in passages] == [(0, 180), (90, 270)]
+        assert split_spans(270) == [(0, 180), (90, 270)]
 
     def test_450_tokens(self):
-        passages = split_passages(doc_of_length(450))
-        assert [p.start for p in passages] == [0, 90, 180, 270]
-        assert passages[-1].end == 450
+        assert split_spans(450) == [(0, 180), (90, 270), (180, 360), (270, 450)]
 
     def test_empty_doc_yields_nothing(self):
-        assert split_passages(doc_of_length(0)) == []
+        assert split_spans(0) == []
 
     def test_invalid_params(self):
         with pytest.raises(ValidationError):
@@ -187,7 +209,7 @@ class TestSplitPassages:
 
 
 class TestFormQuery:
-    topic = Topic("1", "a b", "c", None, None)
+    topic = Topic("1", "a b", "c")
 
     def test_td_concatenation(self):
         assert form_query(self.topic, "TD") == "a b c"

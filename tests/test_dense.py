@@ -163,9 +163,11 @@ def test_default_num_centroids_heuristic():
          "passage 'p66' token 1 has norm 3.000000, expected 1"),
         ({"p0": np.vstack([np.eye(2, 4), [[np.inf, 0, 0, 0]]])}, "passage 'p0' token 2 has norm inf, expected 1"),
         ({"é" * 32768: np.eye(1, 4)}, "65536 UTF-8 bytes, at most 65535 fit"),
+        ({"p0": np.eye(1, 4), "\ud800": np.eye(1, 4)}, "passage key '\\ud800': holds a lone surrogate"),
+        ({"p0": np.eye(1, 4), 7: np.eye(1, 4)}, "passage key 7: expected a string"),
     ],
     ids=["empty", "one-dimensional", "dim-mismatch", "no-tokens", "non-unit", "nan", "non-unit-in-a-later-block",
-         "infinity", "long-key"],
+         "infinity", "long-key", "lone-surrogate-key", "non-string-key"],
 )
 def test_write_embeddings_refuses_what_load_refuses_before_writing(tmp_path, embeddings, message):
     path = tmp_path / "e.bin"

@@ -175,13 +175,30 @@ class TestDistillFile:
             ([("p1", 1.0), ("p2", math.nan)], "passage 'p2' has teacher score nan"),
             ([("p1", math.inf), ("p2", 0.0)], "passage 'p1' has teacher score inf"),
             ([("p1", 1.0), ("p2", -math.inf)], "passage 'p2' has teacher score -inf"),
+            ([("p", 1.0), ("p", 0.5)], "passage 'p' is listed twice"),
         ],
-        ids=["one-passage", "no-passages", "nan", "infinity", "minus-infinity"],
+        ids=["one-passage", "no-passages", "nan", "infinity", "minus-infinity", "passage-twice"],
     )
     def test_write_refuses_an_unfit_query_before_writing(self, tmp_path, scored, message):
         path = tmp_path / "distill.jsonl"
         with pytest.raises(ValidationError, match=re.escape(f"{path}: query 'q2': {message}")):
             write_distill_file(path, {"q1": [("a", 1.0), ("b", 0.0)], "q2": scored})
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "pairs,query",
+        [
+            ({7: [("p1", 1.0), ("p2", 0.5)]}, "7"),
+            ({"q": [(1, 1.0), (2, 0.5)]}, "'q'"),
+            ({"q": [("p1", True), ("p2", 0.5)]}, "'q'"),
+            ({"q": [("p1", "1.0"), ("p2", 0.5)]}, "'q'"),
+        ],
+        ids=["numeric-query-id", "numeric-pid", "boolean-teacher", "text-teacher"],
+    )
+    def test_write_refuses_what_read_takes_as_mistyped_before_writing(self, tmp_path, pairs, query):
+        path = tmp_path / "distill.jsonl"
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: query {query}: expected a string id")):
+            write_distill_file(path, {"q0": [("a", 1.0), ("b", 0.0)], **pairs})
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -194,8 +211,10 @@ class TestDistillFile:
             ('[{"pid": "p1", "teacher": 1}, {"pid": "p2", "teacher": -Infinity}]',
              "passage 'p2' has teacher score -inf"),
             ('[{"pid": "p1", "teacher": 1e400}, {"pid": "p2", "teacher": 0}]', "passage 'p1' has teacher score inf"),
+            ('[{"pid": "p", "teacher": 1.0}, {"pid": "p", "teacher": 0.5}]', "passage 'p' is listed twice"),
         ],
-        ids=["one-passage", "no-passages", "nan", "infinity", "minus-infinity", "overflowing-float"],
+        ids=["one-passage", "no-passages", "nan", "infinity", "minus-infinity", "overflowing-float",
+             "passage-twice"],
     )
     def test_read_refuses_an_unfit_query(self, tmp_path, passages, message):
         path = tmp_path / "distill.jsonl"

@@ -12,7 +12,7 @@ import pytest
 from xlir import dense, lexical
 from xlir.corpus import DEFAULT_TOKENIZER, document_tokens, form_query, parse_passage_key
 from xlir.errors import FormatError, ValidationError
-from xlir.psq import TranslationTable, translate_doc
+from xlir.psq import translate_doc
 from xlir.search import open_index
 from xlir.shards import DateFilter, ShardPlan, plan_shards, select_shards
 from xlir.synthetic import generate
@@ -25,10 +25,8 @@ def lexical_dir(tmp_path_factory):
     """One language's PSQ bags as one index, and a plan dating every language's documents."""
     root = tmp_path_factory.mktemp("search")
     corpus = generate(seed=7, num_docs=240, num_topics=8)
-    table = TranslationTable.from_rows(corpus.tables["fas"])
-    bags = [
-        (doc.doc_id, translate_doc(Counter(document_tokens(doc)), table)) for doc in corpus.docs if doc.lang == "fas"
-    ]
+    table = corpus.tables["fas"]
+    bags = [(doc.doc_id, translate_doc(Counter(document_tokens(doc)), table)) for doc in corpus.docs if doc.lang == "fas"]
     lexical.save_index(lexical.build_index(bags), root / "whole")
     return corpus.topics, root / "whole", plan_shards(corpus.docs, window_months=3)
 
@@ -82,7 +80,7 @@ def test_dated_lexical_search_equals_search_over_admitted_documents(lexical_dir,
     compared = restricted = 0
     for topic in topics:
         terms = [t for t in DEFAULT_TOKENIZER(form_query(topic, "TD")) if whole.row(t) is not None]
-        own = DateFilter(topic.start_date, topic.end_date)
+        own = topic.dates
         for date_filter in ([] if own.empty else [own]) + _window_filters(plan):
             selected = select_shards(plan, date_filter)
             allowed = np.array([plan.assignment[doc_id] in selected for doc_id in whole.doc_ids])
