@@ -113,6 +113,18 @@ def _require(record: dict, key: str, path: str | Path, lineno: int) -> str:
     return value
 
 
+def _date(record: dict, key: str, path: str | Path, lineno: int, where: str) -> dt.date | None:
+    """``record[key]`` read by ``parse_date``, ``None`` when absent or null; a date it
+    refuses raises a ``FormatError`` that starts with ``where``."""
+    if record.get(key) is None:
+        return None
+    value = _require(record, key, path, lineno)
+    try:
+        return parse_date(value)
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+
+
 def ingest_collection(path: str | Path) -> list[Document]:
     """Read a JSON-lines document file, rejecting duplicate ids."""
     docs: list[Document] = []
@@ -123,9 +135,7 @@ def ingest_collection(path: str | Path) -> list[Document]:
             raise ValidationError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
         seen.add(doc_id)
         lang = _require(record, "lang", path, lineno)
-        date = None
-        if record.get("date") is not None:
-            date = parse_date(_require(record, "date", path, lineno))
+        date = _date(record, "date", path, lineno, f"{path}:{lineno}")
         docs.append(
             Document(
                 doc_id=doc_id,
@@ -146,14 +156,12 @@ def ingest_topics(path: str | Path) -> list[Topic]:
         if topic_id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate topic id {topic_id!r}")
         seen.add(topic_id)
-        start, end = (
-            parse_date(_require(record, key, path, lineno)) if record.get(key) is not None else None
-            for key in ("start_date", "end_date")
-        )
+        where = f"{path}:{lineno}: topic {topic_id!r}"
+        start, end = (_date(record, key, path, lineno, where) for key in ("start_date", "end_date"))
         try:
             dates = DateFilter(start, end)
         except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: topic {topic_id!r}: {exc}") from None
+            raise ValidationError(f"{where}: {exc}") from None
         topics.append(
             Topic(
                 topic_id=topic_id,

@@ -26,8 +26,15 @@ Date filters: search and RM3 take an optional ``allowed`` mask over document
 ordinals. It removes documents before the top-k cut and never changes the
 collection statistics, so every masked score equals ``bm25_score`` or
 ``hmm_score`` on that document of the whole index. ``rm3_expand``'s feedback
-documents are the top ``rm3_fb_docs`` of the masked first pass, and their
-bags are read back from the index arrays.
+documents are the top ``rm3_fb_docs`` of the masked first pass.
+
+RM3: the relevance model reads each feedback document's postings from a
+document-major copy of the index's postings, built on first use, and adds
+``dw * (w / dl)`` into one float64 entry per term row, one feedback document
+at a time in rank order. A document holds each term once, so every term's
+sum is taken in the same order as a dictionary summed document by document,
+and the top terms come from a stable sort over term rows, which are in term
+order, so ties break by term.
 
 Summation order: search scores term at a time, adding each query term's
 contributions to one float64 accumulator per document. Every document
@@ -51,6 +58,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -119,10 +127,11 @@ class InvertedIndex:
       ``total_weight`` the sum of every weight; a term's document frequency
       is ``offsets[t + 1] - offsets[t]``.
 
-    There is no per-document copy of the postings and no per-term table of
-    statistics: ``doc_bag`` reads a document's terms back from the arrays.
-    Search keeps one array of per-posting impacts for each scorer, for the
-    parameters it last searched with (see ``_impacts``).
+    There is no per-term table of statistics. Search keeps one array of
+    per-posting impacts for each scorer, for the parameters it last searched
+    with (see ``_impacts``). ``doc_bag`` and RM3 read a document's postings
+    from a document-major copy of them, built on first use (see
+    ``_by_doc``).
     """
 
     doc_ids: list[str]
@@ -172,9 +181,27 @@ class InvertedIndex:
         return float(weights[docs == self.ordinal(doc_id)].sum())
 
     def doc_bag(self, doc_id: str) -> dict[str, float]:
-        positions = np.flatnonzero(self.docs == self.ordinal(doc_id))
-        rows = np.searchsorted(self.offsets, positions, side="right") - 1
-        return dict(zip([self.terms[t] for t in rows.tolist()], self.weights[positions].tolist()))
+        """A document's terms and weights, in term order; empty for a document with no postings."""
+        offsets, rows, weights = self._by_doc
+        i = self.ordinal(doc_id)
+        start, end = offsets[i], offsets[i + 1]
+        return dict(zip([self.terms[t] for t in rows[start:end].tolist()], weights[start:end].tolist()))
+
+    @cached_property
+    def _by_doc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The postings in document-major order: per-document offsets, term rows (int32) and weights.
+
+        Document ``i``'s postings are ``rows[offsets[i]:offsets[i + 1]]``, in
+        term order, with the matching float64 ``weights``: one stable sort of
+        ``docs`` reorders the term-major arrays, 12 bytes a posting. Built on
+        first use and never changed; threads that build it at once each
+        return a whole copy.
+        """
+        order = np.argsort(self.docs, kind="stable")
+        rows = np.repeat(np.arange(len(self.terms), dtype=np.int32), np.diff(self.offsets))[order]
+        offsets = np.zeros(self.num_docs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.docs, minlength=self.num_docs), out=offsets[1:])
+        return offsets, rows, self.weights[order]
 
 
 def _from_postings(
@@ -355,14 +382,21 @@ def rm3_expand(
     if not feedback:
         return mle
 
-    relevance: dict[str, float] = {}
+    # One entry per term row, summed one feedback document at a time in rank order. Touched rows
+    # are ranked even when their sum underflows to 0.0; a stable sort over them, in term order,
+    # breaks ties by term.
+    offsets, rows, weights = index._by_doc
+    relevance = np.zeros(len(index.terms))
+    touched = np.zeros(len(index.terms), dtype=bool)
     for (doc_id, _), dw in zip(feedback, _softmax([score for _, score in feedback])):
-        dl = float(index.doc_lengths[index.ordinal(doc_id)])
-        for term, w in index.doc_bag(doc_id).items():
-            relevance[term] = relevance.get(term, 0.0) + dw * (w / dl)
-    kept = dict(
-        sorted(relevance.items(), key=lambda item: (-item[1], item[0]))[: params.rm3_fb_terms]
-    )
+        i = index.ordinal(doc_id)
+        start, end, dl = offsets[i], offsets[i + 1], float(index.doc_lengths[i])
+        doc_rows = rows[start:end]
+        relevance[doc_rows] += dw * (weights[start:end] / dl)
+        touched[doc_rows] = True
+    candidates = np.flatnonzero(touched)
+    top = candidates[np.argsort(-relevance[candidates], kind="stable")[: params.rm3_fb_terms]]
+    kept = dict(zip([index.terms[t] for t in top.tolist()], relevance[top].tolist()))
 
     alpha = params.rm3_alpha
     combined = {

@@ -53,8 +53,10 @@ def table_from_rows(rows: Iterable[tuple[str, str, float]]) -> TranslationTable:
 
 
 def load_table(path: str | Path) -> TranslationTable:
-    """Load a TSV translation table, validating probabilities row by row."""
+    """Load a TSV translation table, validating probabilities row by row; every refusal names
+    ``path``, and a row's own fault or repeat its line as well."""
     rows: list[tuple[str, str, float]] = []
+    seen: set[tuple[str, str]] = set()
     for lineno, line in read_lines(path):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 3:
@@ -66,8 +68,14 @@ def load_table(path: str | Path) -> TranslationTable:
             raise FormatError(f"{path}:{lineno}: non-numeric probability {prob_text!r}") from None
         if not 0.0 < prob <= 1.0:
             raise FormatError(f"{path}:{lineno}: probability {prob} outside (0, 1]")
+        if (source, target) in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate translation row ({source!r}, {target!r})")
+        seen.add((source, target))
         rows.append((source, target, prob))
-    return table_from_rows(rows)
+    try:
+        return table_from_rows(rows)
+    except ValidationError as exc:  # a source whose probabilities sum above 1
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_table(path: str | Path, table: TranslationTable) -> None:

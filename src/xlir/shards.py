@@ -166,22 +166,24 @@ def fuse_multilingual(
 
     Raw scores are compared directly (the runs must come from the same query
     and scoring family); ``normalize`` applies per-run min-max rescaling
-    first. Overlapping document ids across runs are an error.
+    first. Overlapping document ids across runs are an error naming the
+    first repeat in pool order. Entries sort as ``(-score, doc_id)`` tuples
+    and are negated back, which is exact, so ``-0.0`` and ``0.0`` come back
+    as they went in.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    seen: set[str] = set()
-    pooled: list[tuple[str, float]] = []
-    for run in per_language_runs:
-        if not run:
-            continue
-        entries = _min_max(run) if normalize else list(run)
-        for doc_id, score in entries:
+    pooled = [
+        (-score, doc_id)
+        for run in per_language_runs
+        if run
+        for doc_id, score in (_min_max(run) if normalize else run)
+    ]
+    if len({doc_id for _, doc_id in pooled}) != len(pooled):
+        seen: set[str] = set()
+        for _, doc_id in pooled:
             if doc_id in seen:
-                raise ValidationError(
-                    f"document {doc_id!r} appears in more than one language run"
-                )
+                raise ValidationError(f"document {doc_id!r} appears in more than one language run")
             seen.add(doc_id)
-            pooled.append((doc_id, score))
-    pooled.sort(key=lambda entry: (-entry[1], entry[0]))
-    return pooled[:k]
+    pooled.sort()
+    return [(doc_id, -negated) for negated, doc_id in pooled[:k]]

@@ -112,6 +112,33 @@ class TestIngestion:
         with pytest.raises(ValidationError, match=r"topics\.jsonl:2: topic '202': .*2021-01-02 after end 2021-01-01"):
             ingest_topics(path)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("start_date", "2021-13-01", "invalid calendar date '2021-13-01'"),
+            ("end_date", "next spring", "unrecognized date 'next spring'"),
+        ],
+    )
+    def test_bad_topic_date_names_file_line_and_topic(self, tmp_path, field, value, match):
+        path = tmp_path / "topics.jsonl"
+        records = [
+            {"topic_id": "201", "title": "a", "description": "b", "start_date": "2021-01-01"},
+            {"topic_id": "202", "title": "a", "description": "b", field: value},
+        ]
+        write_jsonl(path, records)
+        with pytest.raises(FormatError, match=rf"topics\.jsonl:2: topic '202': {match}"):
+            ingest_topics(path)
+
+    def test_bad_document_date_names_file_and_line(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        records = [
+            {"id": "d1", "title": "a", "text": "x", "lang": "eng", "date": "2021-03-25"},
+            {"id": "d2", "title": "a", "text": "x", "lang": "eng", "date": "2021-02-30"},
+        ]
+        write_jsonl(path, records)
+        with pytest.raises(FormatError, match=r"docs\.jsonl:2: invalid calendar date '2021-02-30'"):
+            ingest_collection(path)
+
     def test_topic_round_trip(self, tmp_path):
         topics = [
             Topic("201", "t", "d", DateFilter(dt.date(2021, 1, 1), dt.date(2021, 2, 1))),

@@ -1,6 +1,8 @@
 import json
 import math
 import sys
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -492,6 +494,145 @@ class TestTermAtATime:
         mixed = {"c1": 0.0, "c2": -1.0, "c3": 0.25}
         expected = doc_at_a_time_search(index, mixed, scorer, 1000, LexicalParams())
         assert search_weighted(index, mixed, scorer) == expected != []
+
+
+def term_major_bags(index):
+    """Reference for ``doc_bag``: every document's bag gathered term by term from ``postings()``."""
+    bags = {doc_id: {} for doc_id in index.doc_ids}
+    for term in index.terms:
+        docs, weights = index.postings(term)
+        for i, w in zip(docs.tolist(), weights.tolist()):
+            bags[index.doc_ids[i]][term] = w
+    return bags
+
+
+def dict_rm3(index, query_terms, params, scorer, allowed=None):
+    """Reference for ``rm3_expand``: the dictionary relevance model over term-major bags that the
+    document-major one replaced, summed term by term in each feedback document, in rank order."""
+    bags = term_major_bags(index)
+    feedback = search_lexical(index, query_terms, scorer=scorer, k=params.rm3_fb_docs, params=params, allowed=allowed)
+    counts = Counter(query_terms)
+    total = sum(counts.values())
+    mle = {term: c / total for term, c in counts.items()}
+    if not feedback:
+        return mle
+    peak = max(score for _, score in feedback)
+    exps = [math.exp(score - peak) for _, score in feedback]
+    exp_total = sum(exps)
+    relevance = {}
+    for (doc_id, _), e in zip(feedback, exps):
+        dw = e / exp_total
+        dl = float(index.doc_lengths[index.ordinal(doc_id)])
+        for term, w in bags[doc_id].items():
+            relevance[term] = relevance.get(term, 0.0) + dw * (w / dl)
+    kept = dict(sorted(relevance.items(), key=lambda item: (-item[1], item[0]))[: params.rm3_fb_terms])
+    alpha = params.rm3_alpha
+    combined = {
+        term: alpha * mle.get(term, 0.0) + (1.0 - alpha) * kept.get(term, 0.0) for term in sorted(set(mle) | set(kept))
+    }
+    norm = sum(combined.values())
+    return {term: w / norm for term, w in combined.items() if w > 0.0}
+
+
+def random_query_terms(rng):
+    """1-6 query terms, common, rare or unseen, some repeated."""
+    pool = [f"c{t}" for t in range(20)] + [f"r{t}" for t in range(10)] + ["unseen"]
+    return [pool[int(i)] for i in rng.choice(len(pool), size=int(rng.integers(1, 7)))]
+
+
+class TestDocumentMajor:
+    """``doc_bag`` and ``rm3_expand`` read the document-major copy and equal term-major references with ``==``."""
+
+    def test_doc_bag_equals_term_major_reference(self, tmp_path):
+        bags = random_weighted_bags(np.random.default_rng(71), num_docs=200)
+        bags += [("no-postings", {"c1": 0.0, "c2": 0.0}), ("empty", {})]
+        index = build_index(bags)
+        save_index(index, tmp_path / "idx")
+        for current in (index, load_index(tmp_path / "idx")):
+            reference = term_major_bags(current)
+            assert reference["no-postings"] == reference["empty"] == {}
+            for doc_id in current.doc_ids:
+                assert list(current.doc_bag(doc_id).items()) == list(reference[doc_id].items())
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_rm3_equals_dict_reference(self, scorer):
+        # 30 terms in all, so 50 feedback terms keep every term the feedback documents hold.
+        # Fractional weights catch a sum in another order; half the indexes hold small integer
+        # weights only, whose relevance sums tie, to catch ties broken other than by term.
+        rng = np.random.default_rng(72)
+        compared = 0
+        for trial in range(6):
+            bags = random_weighted_bags(rng, num_docs=150)
+            if trial % 2:
+                bags = [(doc_id, {term: float(rng.integers(1, 3)) for term in bag}) for doc_id, bag in bags]
+            index = build_index(bags)
+            parts = [{doc_id for doc_id, _ in bags[i::3]} for i in range(3)]
+            masks = [np.array([doc_id in part for doc_id in index.doc_ids]) for part in parts]
+            for _ in range(6):
+                query = random_query_terms(rng)
+                for fb_docs, fb_terms in ((10, 1), (10, 10), (10, 50), (60, 50)):
+                    params = LexicalParams(rm3_fb_docs=fb_docs, rm3_fb_terms=fb_terms)
+                    for allowed in [None, *masks]:
+                        expected = dict_rm3(index, query, params, scorer, allowed)
+                        got = rm3_expand(index, query, params, scorer, allowed)
+                        assert list(got.items()) == list(expected.items())
+                        second = search_weighted(index, expected, scorer, 1000, params, allowed=allowed)
+                        assert search_lexical(index, query, scorer, True, 1000, params, allowed=allowed) == second
+                        compared += len(expected)
+        assert compared > 1_000
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_feedback_weight_underflowing_to_zero(self, scorer):
+        # "a" repeated 3,000 times puts b1 thousands below a1 and a2 in the first pass, so b1's
+        # softmax weight is exactly 0.0 and "z", which only b1 holds, sums to 0.0. It is ranked
+        # and kept like any other term, and drops out of the expanded query with weight 0.
+        bags = [("a1", {"a": 3.0, "x": 1.0}), ("a2", {"a": 2.0, "y": 1.5}), ("b1", {"b": 1.0, "z": 2.0})]
+        bags += [(f"f{i:02d}", {f"f{i}": 1.0, "y": 0.5}) for i in range(40)]
+        index = build_index(bags)
+        query = ["a"] * 3000 + ["b"]
+        feedback = search_lexical(index, query, scorer, k=10)
+        assert [doc_id for doc_id, _ in feedback][:3] == ["a1", "a2", "b1"]
+        assert math.exp(feedback[2][1] - feedback[0][1]) == 0.0
+        for fb_terms in (1, 10, 100):
+            params = LexicalParams(rm3_fb_terms=fb_terms)
+            expected = dict_rm3(index, query, params, scorer)
+            assert list(rm3_expand(index, query, params, scorer).items()) == list(expected.items())
+            assert "z" not in expected and expected["b"] > 0.0
+
+    def test_threads_building_the_copy_of_a_fresh_index(self):
+        # Four threads search fresh indexes at once, so each copy is built while others read it.
+        bags = random_weighted_bags(np.random.default_rng(73), num_docs=100)
+        indexes = [build_index(bags) for _ in range(8)]
+        cases = [(scorer, query) for scorer in SCORERS for query in (["c1", "c4", "c4"], ["c2", "r3", "c7"])]
+        params = LexicalParams()
+        expected = [list(dict_rm3(indexes[0], query, params, scorer).items()) for scorer, query in cases]
+        expected_bags = term_major_bags(indexes[0])
+        assert not any("_by_doc" in vars(index) for index in indexes)  # the references read no copy
+        barrier = threading.Barrier(4)
+
+        def wrong_cases(offset):
+            wrong = []
+            for index in indexes:
+                barrier.wait(timeout=60)
+                for i in range(len(cases)):
+                    case = (offset + i) % len(cases)
+                    scorer, query = cases[case]
+                    if list(rm3_expand(index, query, params, scorer).items()) != expected[case]:
+                        wrong.append(case)
+                doc_id = index.doc_ids[offset]
+                if list(index.doc_bag(doc_id).items()) != list(expected_bags[doc_id].items()):
+                    wrong.append(doc_id)
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(wrong_cases, offset) for offset in range(4)]
+                wrong = [case for future in futures for case in future.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
 
 STATS_JSON = '{"format": "xlir-lexical-index", "version": 2, "num_docs": %s, "num_terms": %s, "total_weight": 5.0}'

@@ -27,7 +27,13 @@ class TestLoadTable:
     def test_mass_violation(self, tmp_path):
         path = tmp_path / "t.tsv"
         write_tsv(path, [("a", "x", 0.8), ("a", "y", 0.4)])
-        with pytest.raises(ValidationError, match="1.2"):
+        with pytest.raises(FormatError, match=r"t\.tsv: source 'a': translation probabilities sum to 1\.2"):
+            load_table(path)
+
+    def test_duplicate_row_names_its_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("b\ty\t0.5\na\tx\t0.5\n\na\tx\t0.5\n")
+        with pytest.raises(FormatError, match=r"t\.tsv:4: duplicate translation row \('a', 'x'\)"):
             load_table(path)
 
     def test_singleton(self, tmp_path):

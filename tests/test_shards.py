@@ -236,3 +236,68 @@ class TestFuseMultilingual:
         fused = fuse_multilingual(runs, k=10, normalize=True)
         assert [doc_id for doc_id, _ in fused] == ["a", "c", "b", "d"]
         assert fused[0][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_equals_key_sort_reference(self, normalize):
+        # Unsorted runs whose scores repeat across runs, 0.0 and -0.0 among them; compared by repr,
+        # so a sign of zero that changed would show.
+        rng = np.random.default_rng(47)
+        values = [2.5, 1.0, 0.5, 0.0, -0.0, -1.0, -3.25]
+        compared = 0
+        for _ in range(60):
+            ids = [f"d{i:03d}" for i in rng.permutation(int(rng.integers(1, 40)))]
+            cuts = sorted(rng.integers(0, len(ids) + 1, size=2).tolist())
+            runs = [
+                [(doc_id, values[int(rng.integers(len(values)))]) for doc_id in part]
+                for part in (ids[: cuts[0]], ids[cuts[0] : cuts[1]], ids[cuts[1] :])
+            ]
+            for k in (1, 5, len(ids) + 10):
+                expected = key_sort_fusion(runs, k, normalize)
+                got = fuse_multilingual(runs, k=k, normalize=normalize)
+                assert repr(got) == repr(expected)
+                compared += len(expected)
+        assert compared > 500
+
+    def test_signed_zeros_come_back_as_given(self):
+        runs = [[("b", 0.0), ("a", -0.0)], [("d", -0.0), ("c", 0.0)], [("e", 1.0)]]
+        fused = fuse_multilingual(runs, k=10)
+        assert repr(fused) == repr(key_sort_fusion(runs, 10))
+        assert repr(fused) == "[('e', 1.0), ('a', -0.0), ('b', 0.0), ('c', 0.0), ('d', -0.0)]"
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [[("a", 1.0), ("b", 2.0)], [("c", 1.0), ("a", 0.1), ("b", 0.5)]],
+            [[("x", 1.0), ("x", 0.5)], [("y", 1.0)]],
+            [[], [("p", 1.0)], [("q", 2.0), ("r", 1.0)], [("p", 0.0), ("r", 3.0)]],
+        ],
+        ids=["across-runs", "within-a-run", "after-an-empty-run"],
+    )
+    def test_duplicate_message_names_first_repeat(self, runs, normalize):
+        # Walked backwards, the pools of the first and third cases would name another document.
+        with pytest.raises(ValidationError) as expected:
+            key_sort_fusion(runs, 10, normalize)
+        with pytest.raises(ValidationError) as got:
+            fuse_multilingual(runs, k=10, normalize=normalize)
+        assert str(got.value) == str(expected.value)
+
+
+def key_sort_fusion(runs, k, normalize=False):
+    """Reference for ``fuse_multilingual``: the pool walk and key-function sort it replaced."""
+    seen = set()
+    pooled = []
+    for run in runs:
+        if not run:
+            continue
+        entries = list(run)
+        if normalize:
+            low, high = min(s for _, s in run), max(s for _, s in run)
+            entries = [(d, 0.5 if high == low else (s - low) / (high - low)) for d, s in run]
+        for doc_id, score in entries:
+            if doc_id in seen:
+                raise ValidationError(f"document {doc_id!r} appears in more than one language run")
+            seen.add(doc_id)
+            pooled.append((doc_id, score))
+    pooled.sort(key=lambda entry: (-entry[1], entry[0]))
+    return pooled[:k]
