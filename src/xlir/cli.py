@@ -24,6 +24,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -39,6 +40,17 @@ from .errors import FormatError, ValidationError, XlirError, read_jsonl
 
 logger = logging.getLogger("xlir")
 
+
+def _key(field_name: str) -> str:
+    """A parameter field's config key and ``args`` attribute: ``lambda`` sets ``lambda_``."""
+    return field_name.rstrip("_")
+
+
+def _field_kinds(cls: type) -> dict[str, type]:
+    """Config key -> value type for each field of a parameter dataclass; ``int | None`` reads as ``int``."""
+    return {_key(name): (get_args(kind) or (kind,))[0] for name, kind in get_type_hints(cls).items()}
+
+
 _CONFIG_SCHEMA = {
     "collection": {
         "docs": str,
@@ -48,23 +60,8 @@ _CONFIG_SCHEMA = {
         "qrels": str,
     },
     "psq": {"cum_mass": float, "max_alts": int},
-    "lexical": {
-        "k1": float,
-        "b": float,
-        "lambda": float,
-        "rm3_fb_docs": int,
-        "rm3_fb_terms": int,
-        "rm3_alpha": float,
-    },
-    "dense": {
-        "bits": int,
-        "num_centroids": int,
-        "nprobe": int,
-        "candidate_cap": int,
-        "kmeans_iters": int,
-        "sample_per_centroid": int,
-        "seed": int,
-    },
+    "lexical": _field_kinds(lexical_mod.LexicalParams),
+    "dense": _field_kinds(dense_mod.DenseIndexParams),
     "shards": {"window_months": int},
     "search": {"variant": str, "scorer": str, "rm3": bool, "k": int},
     "output": {"run_tag": str},
@@ -118,13 +115,9 @@ def _resolve_path(value: str | None, key: str, what: str) -> Path:
 
 
 def _params(cls: type, args: argparse.Namespace):
-    """A ``cls`` dataclass from the values ``args`` holds for its fields (a config key
-    drops the field's trailing underscore: ``lambda`` sets ``lambda_``); the rest keep
-    their dataclass defaults."""
-    given = {f.name: getattr(args, f.name.rstrip("_"), None) for f in dataclass_fields(cls)}
-    params = cls(**{name: value for name, value in given.items() if value is not None})
-    params.validate()
-    return params
+    """A ``cls`` dataclass from the values ``args`` holds for its fields; the rest keep their defaults."""
+    given = {f.name: getattr(args, _key(f.name), None) for f in dataclass_fields(cls)}
+    return cls(**{name: value for name, value in given.items() if value is not None})
 
 
 def _read_bags(path: Path) -> list[tuple[str, dict[str, float]]]:
@@ -256,6 +249,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ValidationError(f"k must be >= 1, got {args.k}")
     run_paths = [_require_path(p, "run file") for p in args.runs]
     runs = [eval_mod.read_run(path) for path in run_paths]
     fused = {

@@ -69,9 +69,9 @@ INDEX_VERSION = 3
 TokenEmbeddings = dict[str, np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseIndexParams:
-    """Indexing and search parameters.
+    """Indexing and search parameters, checked when the set is made.
 
     ``num_centroids`` of ``None`` selects ``2 ** ceil(log2(16 * sqrt(T)))``
     for T total tokens at training time. ``candidate_cap`` bounds how many
@@ -86,7 +86,7 @@ class DenseIndexParams:
     sample_per_centroid: int = 256
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 1 <= self.bits <= 8:
             raise ValidationError(f"bits must be in [1, 8], got {self.bits}")
         if self.num_centroids is not None and self.num_centroids < 1:
@@ -97,6 +97,10 @@ class DenseIndexParams:
             raise ValidationError(f"candidate_cap must be >= 1, got {self.candidate_cap}")
         if self.kmeans_iters < 1:
             raise ValidationError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
+        if self.sample_per_centroid < 1:
+            raise ValidationError(f"sample_per_centroid must be >= 1, got {self.sample_per_centroid}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @staticmethod
     def default_num_centroids(total_tokens: int) -> int:
@@ -303,7 +307,7 @@ def _bucket_stats(residuals: np.ndarray, boundaries: np.ndarray, bits: int) -> n
 
 
 def train_codebook(
-    embeddings: Mapping[str, np.ndarray], params: DenseIndexParams | None = None
+    embeddings: Mapping[str, np.ndarray], params: DenseIndexParams = DenseIndexParams()
 ) -> ResidualCodebook:
     """Spherical k-means over a seeded token sample plus residual bucket fitting.
 
@@ -312,8 +316,6 @@ def train_codebook(
     same sample: boundaries at empirical quantiles (fixed at zero for 1 bit)
     and reconstruction values at within-bucket means.
     """
-    params = params if params is not None else DenseIndexParams()
-    params.validate()
     if not embeddings:
         raise ValidationError("no embeddings to train on")
     # Stacked in their own dtype (float32 from load_embeddings); only the sample is
@@ -560,14 +562,12 @@ def _check_keys(keys: Iterable[str]) -> None:
 
 
 def build_dense_index(
-    embeddings: Mapping[str, np.ndarray], params: DenseIndexParams | None = None
+    embeddings: Mapping[str, np.ndarray], params: DenseIndexParams = DenseIndexParams()
 ) -> DenseIndex:
     """Train a codebook on the collection and compress every passage, laid out in key order.
 
     The codebook is trained on the embeddings in the caller's order.
     """
-    params = params if params is not None else DenseIndexParams()
-    params.validate()
     _check_keys(embeddings)
     for key, matrix in embeddings.items():
         if len(matrix) == 0:
@@ -632,7 +632,6 @@ def search_dense(
     decoded token x.
     """
     params = params if params is not None else index.params
-    params.validate()
     query = np.asarray(query_vectors, dtype=np.float64)
     if query.ndim != 2 or query.shape[0] == 0:
         raise ValidationError("query must contain at least one token vector")
@@ -760,12 +759,11 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
                 f"{dirpath}: unsupported index format {meta.get('format')!r} v{meta.get('version')!r}"
             )
         num_passages, dim = (json_int(meta[name], meta_path, name) for name in ("num_passages", "dim"))
-        names = [f.name for f in fields(DenseIndexParams)]
-        params = DenseIndexParams(**{name: json_int(meta[name], meta_path, name) for name in names})
-    try:
-        params.validate()
-    except ValidationError as exc:
-        raise FormatError(f"{meta_path}: {exc}") from None
+        values = {f.name: json_int(meta[f.name], meta_path, f.name) for f in fields(DenseIndexParams)}
+        try:
+            params = DenseIndexParams(**values)
+        except ValidationError as exc:
+            raise FormatError(f"{meta_path}: {exc}") from None
     codebook = ResidualCodebook(
         **{name: load_array(dirpath / filename, 2, np.floating) for name, filename in _CODEBOOK_FILES.items()},
         bits=params.bits,

@@ -83,8 +83,12 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     for lineno, line in read_lines(path):
         try:
             record = json.loads(line)
+            if "\\u" in line:  # JSON reads a "\ud800" escape as a lone surrogate, which UTF-8 cannot encode.
+                json.dumps(record, ensure_ascii=False).encode("utf-8")
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+        except UnicodeEncodeError:
+            raise FormatError(f"{path}:{lineno}: holds a lone surrogate, which UTF-8 cannot encode") from None
         if not isinstance(record, dict):
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
         yield lineno, record

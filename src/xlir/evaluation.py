@@ -188,6 +188,9 @@ def evaluate(
     topics whose judgments contain no relevant document are excluded from
     the means. Topics present only in the qrels are not scored.
     """
+    for name, k in (("ndcg_k", ndcg_k), ("recall_k", recall_k)):
+        if k < 1:
+            raise ValidationError(f"{name} must be >= 1, got {k}")
     rankings = ranking_from_entries(read_run(run_path))
     qrels = read_qrels(qrels_path)
     per_topic: dict[str, dict[str, float]] = {}

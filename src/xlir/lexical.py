@@ -74,9 +74,9 @@ SCORERS = ("bm25", "hmm")
 _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 
 
-@dataclass
+@dataclass(frozen=True)
 class LexicalParams:
-    """Scoring and feedback parameters.
+    """Scoring and feedback parameters, checked when the set is made.
 
     ``k1``/``b`` are the BM25 saturation and length-normalization constants;
     ``lambda_`` interpolates document and collection language models;
@@ -91,7 +91,7 @@ class LexicalParams:
     rm3_fb_terms: int = 10
     rm3_alpha: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.k1 < math.inf:  # NaN fails both comparisons
             raise ValidationError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
@@ -269,9 +269,7 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
 
 
 def _resolve(params: LexicalParams | None) -> LexicalParams:
-    params = params if params is not None else DEFAULT_PARAMS
-    params.validate()
-    return params
+    return params if params is not None else DEFAULT_PARAMS
 
 
 def bm25_score(

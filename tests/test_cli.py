@@ -603,6 +603,7 @@ CORRUPTIONS = {
     "dense-meta-nprobe-text": ("dense", "meta.json", _edit_json(lambda meta: meta.update(nprobe="3"))),
     "dense-meta-nprobe-zero": ("dense", "meta.json", _edit_json(lambda meta: meta.update(nprobe=0))),
     "dense-meta-cap-negative": ("dense", "meta.json", _edit_json(lambda meta: meta.update(candidate_cap=-1))),
+    "dense-meta-seed-negative": ("dense", "meta.json", _edit_json(lambda meta: meta.update(seed=-1))),
     "centroid-id-too-large": ("dense", "centroid_ids.npy", _set_first_centroid_id(16)),
     "centroid-id-negative": ("dense", "centroid_ids.npy", _set_first_centroid_id(-1)),
     "centroids-truncated": ("dense", "centroids.npy", _truncate),
@@ -730,6 +731,99 @@ def test_search_rejects_k_below_one(workspace, tmp_path, capsys, kind, k):
     assert main([*_search_argv(root, paths, kind), "--k", k, "--output", str(out)]) == 1
     stderr = capsys.readouterr().err
     assert stderr.strip().splitlines()[-1] == f"error: k must be >= 1, got {k}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,config,message",
+    [
+        (["--seed", "-1"], None, "error: seed must be >= 0, got -1"),
+        ([], "[dense]\nsample_per_centroid = 0\n", "error: sample_per_centroid must be >= 1, got 0"),
+    ],
+    ids=["negative-seed-flag", "zero-sample-config"],
+)
+def test_bad_dense_params_refused_before_indexing(workspace, tmp_path, capsys, flags, config, message):
+    # Both once reached numpy's random generator or sampler and ended in a raw ValueError traceback.
+    _, paths = workspace
+    out = tmp_path / "idx"
+    argv = ["index-dense", "--embeddings", str(paths["passage_embeddings"]), "--output", str(out), *flags]
+    if config is not None:
+        argv += ["--config", str(_write(tmp_path / "exp.ini", config))]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [message]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--ndcg-k", "0", "--recall-k", "-5"], "ndcg_k must be >= 1, got 0"),
+        (["--recall-k", "-5"], "recall_k must be >= 1, got -5"),
+    ],
+)
+def test_evaluate_rejects_depth_below_one(workspace, tmp_path, capsys, flags, message):
+    # The run's topic is unjudged, so no metric would be computed: the refusal comes before scoring.
+    _, paths = workspace
+    run = _write(tmp_path / "good.run", _GOOD_RUN)
+    out = tmp_path / "metrics.json"
+    capsys.readouterr()
+    assert main(["evaluate", "--run", str(run), "--qrels", str(paths["qrels"]), *flags, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-5"])
+def test_fuse_rejects_k_below_one_before_reading_a_run(tmp_path, capsys, k):
+    out = tmp_path / "fused.run"
+    capsys.readouterr()
+    assert main(["fuse", str(tmp_path / "missing.run"), "--k", k, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: k must be >= 1, got {k}"]
+    assert not out.exists()
+
+
+# case -> (the valid JSON-lines input as (root, paths) -> path, its id field, argv reading the damaged
+# copy ``bad`` and writing ``out``)
+SURROGATE_INPUTS = {
+    "docs": (
+        lambda root, paths: paths["docs"],
+        "id",
+        lambda root, paths, bad, out: ["psq-translate", "--docs", bad, "--table", str(paths["table_fas"]),
+                                       "--output", out],
+    ),
+    "topics": (
+        lambda root, paths: paths["topics"],
+        "topic_id",
+        lambda root, paths, bad, out: ["search", "--index", str(root / INDEX_DIRS["lexical"]), "--topics", bad,
+                                       "--output", out],
+    ),
+    "bags": (
+        lambda root, paths: root / "bags/fas.jsonl",
+        "id",
+        lambda root, paths, bad, out: ["index-lexical", "--bags", bad, "--output", out],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURROGATE_INPUTS))
+def test_lone_surrogate_id_is_refused_without_output(workspace, tmp_path, capsys, case):
+    # JSON reads "\ud800" as a lone surrogate, which the UTF-8 outputs cannot hold: each command once left a
+    # file cut at that record (a run file, a bag file, or a lexical index with a truncated docs.json).
+    root, paths = workspace
+    source, field, argv = SURROGATE_INPUTS[case]
+    lines = source(root, paths).read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record[field] = "\ud800" + record[field]
+    lines[1] = json.dumps(record)
+    assert "\\ud800" in lines[1]
+    bad = _write(tmp_path / f"bad-{case}.jsonl", "\n".join(lines) + "\n")
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert main(argv(root, paths, str(bad), str(out))) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.strip().splitlines() == [f"error: {bad}:2: holds a lone surrogate, which UTF-8 cannot encode"]
     assert not out.exists()
 
 

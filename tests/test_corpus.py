@@ -139,6 +139,28 @@ class TestIngestion:
         with pytest.raises(FormatError, match=r"docs\.jsonl:2: invalid calendar date '2021-02-30'"):
             ingest_collection(path)
 
+    @pytest.mark.parametrize(
+        "ingest,field,record",
+        [
+            (ingest_collection, "id", {"id": "d2", "title": "a", "text": "x", "lang": "eng", "date": "2021-03-25"}),
+            (ingest_collection, "text", {"id": "d2", "title": "a", "text": "x", "lang": "eng", "date": "2021-03-25"}),
+            (ingest_topics, "topic_id", {"topic_id": "202", "title": "t", "description": "d"}),
+            (ingest_topics, "title", {"topic_id": "202", "title": "t", "description": "d"}),
+        ],
+        ids=["document-id", "document-text", "topic-id", "topic-title"],
+    )
+    def test_lone_surrogate_names_file_and_line(self, tmp_path, ingest, field, record):
+        # json.dumps escapes the surrogate as "\ud800", which json.loads reads back as a lone surrogate.
+        path = tmp_path / "input.jsonl"
+        write_jsonl(path, [{**record, field: record[field] + "1"}, {**record, field: record[field] + "\ud800"}])
+        with pytest.raises(FormatError, match=r"input\.jsonl:2: holds a lone surrogate"):
+            ingest(path)
+
+    def test_surrogate_pair_escape_is_read(self, tmp_path):
+        path = tmp_path / "topics.jsonl"
+        write_jsonl(path, [{"topic_id": "201", "title": "\U0001f600", "description": "d"}])
+        assert ingest_topics(path)[0].title == "\U0001f600"
+
     def test_topic_round_trip(self, tmp_path):
         topics = [
             Topic("201", "t", "d", DateFilter(dt.date(2021, 1, 1), dt.date(2021, 2, 1))),

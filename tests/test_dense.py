@@ -1,7 +1,7 @@
 import json
 import logging
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -140,6 +140,34 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError, match="truncated") as caught:
             load_embeddings(path)
         assert str(caught.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"bits": 0}, "bits must be in [1, 8], got 0"),
+        ({"bits": 9}, "bits must be in [1, 8], got 9"),
+        ({"num_centroids": 0}, "num_centroids must be >= 1, got 0"),
+        ({"nprobe": 0}, "nprobe must be >= 1, got 0"),
+        ({"candidate_cap": -1}, "candidate_cap must be >= 1, got -1"),
+        ({"kmeans_iters": 0}, "kmeans_iters must be >= 1, got 0"),
+        ({"sample_per_centroid": 0}, "sample_per_centroid must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ],
+)
+def test_params_refused_when_made(changes, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        DenseIndexParams(**changes)
+    # replace() makes a new set, so an override is checked the same way.
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        replace(DenseIndexParams(), **changes)
+
+
+def test_params_are_frozen():
+    params = DenseIndexParams()
+    with pytest.raises(FrozenInstanceError):
+        params.nprobe = 0
+    assert params == DenseIndexParams()
 
 
 def test_default_num_centroids_heuristic():

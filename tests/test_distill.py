@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -142,6 +143,17 @@ class TestDistillFile:
         write_distill_file(path, {"q1": [("p1", 0.5), ("p2", 0.25)]})
         path.write_bytes(path.read_bytes().replace(old, new))
         with pytest.raises(FormatError, match=re.escape(f"{path}{message}")):
+            read_distill_file(path)
+
+    @pytest.mark.parametrize("field", ["query_id", "pid"])
+    def test_lone_surrogate_is_a_format_error(self, tmp_path, field):
+        path = tmp_path / "distill.jsonl"
+        query_id, pid = ("q\ud800", "p1") if field == "query_id" else ("q1", "p\udfff")
+        path.write_text('{"query_id": "q0", "passages": [{"pid": "a", "teacher": 1}, {"pid": "b", "teacher": 0}]}\n'
+                        + json.dumps({"query_id": query_id, "passages": [{"pid": pid, "teacher": 1.0},
+                                                                          {"pid": "p2", "teacher": 0.5}]}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: holds a lone surrogate")):
             read_distill_file(path)
 
     @pytest.mark.parametrize(

@@ -242,6 +242,22 @@ class TestEvaluate:
         assert report.no_relevant_topics == ["t2"]
         assert list(report.per_topic) == ["t1"]
 
+    @pytest.mark.parametrize(
+        "depths,message",
+        [
+            ({"ndcg_k": 0, "recall_k": -5}, "ndcg_k must be >= 1, got 0"),
+            ({"recall_k": 0}, "recall_k must be >= 1, got 0"),
+        ],
+    )
+    def test_depth_below_one_refused_with_no_judged_topic(self, tmp_path, depths, message):
+        # With no judged topic no metric is computed, so only the check at the top can refuse.
+        run = tmp_path / "a.run"
+        qrels = tmp_path / "q.txt"
+        write_run(run, {"t9": [("d1", 1.0)]}, "x")
+        write_qrels(qrels, {"t1": {"d1": 1}})
+        with pytest.raises(ValidationError, match=message):
+            evaluate(run, qrels, **depths)
+
     def test_matches_brute_force_on_random_runs(self, tmp_path):
         rng = np.random.default_rng(67)
         for trial in range(25):

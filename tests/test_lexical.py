@@ -4,6 +4,7 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -186,13 +187,16 @@ class TestParams:
             ({"rm3_fb_terms": "3"}, "rm3_fb_terms"),
         ],
     )
-    def test_refused(self, two_doc_index, changes, named):
-        params = LexicalParams(**changes)
+    def test_refused(self, changes, named):
         with pytest.raises(ValidationError, match=named):
-            params.validate()
-        for scorer in ("bm25", "hmm"):
-            with pytest.raises(ValidationError, match=named):
-                search_lexical(two_doc_index, ["a"], scorer=scorer, rm3=True, params=params)
+            LexicalParams(**changes)
+
+    def test_frozen(self):
+        # DEFAULT_PARAMS is shared by every search given no parameter set, so no caller may change it.
+        params = LexicalParams()
+        with pytest.raises(FrozenInstanceError):
+            params.k1 = 1.2
+        assert params == LexicalParams()
 
 
 class TestRM3:

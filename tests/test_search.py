@@ -198,6 +198,17 @@ def test_dense_search_rejects_k_below_one(dense_dir, k):
         open_index(path).search(embeddings["d03#1"][:3], DateFilter(), k)
 
 
+@pytest.mark.parametrize(
+    "override,message",
+    [({"nprobe": 0}, "nprobe must be >= 1, got 0"), ({"candidate_cap": -3}, "candidate_cap must be >= 1, got -3")],
+)
+def test_dense_search_refuses_a_bad_override(dense_dir, override, message):
+    # The override replaces a field of the index's parameter set, and a replaced set is checked when made.
+    path, embeddings = dense_dir
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        open_index(path).search(embeddings["d03#1"][:3], DateFilter(), 5, **override)
+
+
 @pytest.mark.parametrize("engine", ["lexical", "dense"])
 @pytest.mark.parametrize("change", ["shorter", "integer"])
 def test_allowed_must_be_a_boolean_mask_over_the_index(lexical_dir, dense_dir, engine, change):
