@@ -720,7 +720,10 @@ def maxp_aggregate(passage_scores: Iterable[tuple[str, float]]) -> list[tuple[st
 
 def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
     """Write ``index`` to ``dirpath``; keys that ``load_dense_index`` would refuse, such as
-    ones edited out of order after the build, are refused before any file is written."""
+    ones edited out of order after the build, are refused before any file is written.
+
+    Logs ``event=dense_index_save`` with the bytes of the arrays written (their data, without
+    ``.npy`` headers, ``meta.json`` or ``keys.txt``), the number of tokens, and their ratio."""
     _check_keys(index.keys)
     fault = _key_order_fault(index.keys)
     if fault is not None:
@@ -739,14 +742,24 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
     (dirpath / "meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    for name, filename in _CODEBOOK_FILES.items():
-        np.save(dirpath / filename, getattr(index.codebook, name))
     with open(dirpath / "keys.txt", "w", encoding="utf-8", newline="\n") as fh:
         for key in index.keys:
             fh.write(key + "\n")
-    np.save(dirpath / "token_counts.npy", np.diff(index.token_offsets))
-    np.save(dirpath / "centroid_ids.npy", index.centroid_ids)
-    np.save(dirpath / "codes.npy", index.codes)
+    arrays = {
+        **{filename: getattr(index.codebook, name) for name, filename in _CODEBOOK_FILES.items()},
+        "token_counts.npy": np.diff(index.token_offsets),
+        "centroid_ids.npy": index.centroid_ids,
+        "codes.npy": index.codes,
+    }
+    for filename, array in arrays.items():
+        np.save(dirpath / filename, array)
+    size, tokens = sum(array.nbytes for array in arrays.values()), len(index.centroid_ids)
+    logger.info(
+        "event=dense_index_save bytes=%d tokens=%d bytes_per_token=%.3f",
+        size,
+        tokens,
+        size / tokens if tokens else 0.0,
+    )
 
 
 def load_dense_index(dirpath: str | Path) -> DenseIndex:
@@ -793,6 +806,9 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
         raise FormatError(
             f"{dirpath}/centroid_ids.npy: centroid ids must be integers in [0, {codebook.num_centroids})"
         )
+    # An unsigned count of 2**64 - 1 wraps to -1 as int64, which DenseIndex would not refuse by name.
+    if (token_counts > centroid_ids.size).any():
+        raise FormatError(f"{dirpath}/token_counts.npy: a token count exceeds the {centroid_ids.size} centroid ids")
     codes = load_array(dirpath / "codes.npy", 2, np.uint8)
     try:
         return DenseIndex(codebook, keys, token_counts, centroid_ids, codes, params)

@@ -53,6 +53,7 @@ pairwise.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -64,6 +65,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError, json_int, load_array, malformed
+
+logger = logging.getLogger(__name__)
 
 INDEX_FORMAT = "xlir-lexical-index"
 INDEX_VERSION = 2
@@ -495,6 +498,9 @@ def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
     document ordinals) and ``weights.npy`` (float32). Weights are quantized
     to float32; ``load_index`` recomputes document lengths and collection
     statistics from the quantized weights, so index invariants hold exactly.
+    Logs ``event=lexical_index_save`` with the bytes of the three arrays
+    written (their data, without ``.npy`` headers or the JSON files) and the
+    number of postings.
     """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
@@ -510,9 +516,15 @@ def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
     )
     for name, names in (("docs.json", index.doc_ids), ("terms.json", index.terms)):
         (dirpath / name).write_text(json.dumps(names, ensure_ascii=False) + "\n", encoding="utf-8")
-    np.save(dirpath / "offsets.npy", index.offsets.astype(np.int64))
-    np.save(dirpath / "postings.npy", index.docs)
-    np.save(dirpath / "weights.npy", index.weights.astype(np.float32))
+    arrays = {
+        "offsets.npy": index.offsets.astype(np.int64),
+        "postings.npy": index.docs,
+        "weights.npy": index.weights.astype(np.float32),
+    }
+    for filename, array in arrays.items():
+        np.save(dirpath / filename, array)
+    size = sum(array.nbytes for array in arrays.values())
+    logger.info("event=lexical_index_save bytes=%d postings=%d", size, len(index.docs))
 
 
 def _load_strings(path: Path, what: str) -> list[str]:

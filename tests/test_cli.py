@@ -564,8 +564,9 @@ def _set_first_weight(value):
 
 
 def _set_first_centroid_id(value):
+    # Widened first, so that a value the stored dtype cannot hold is still written.
     def corrupt(path):
-        ids = np.load(path)
+        ids = np.load(path).astype(np.int64)
         ids[0] = value
         np.save(path, ids)
 
@@ -584,6 +585,15 @@ def _negate_first_token_count(path):
     counts = np.load(path)
     counts[1] += 2 * counts[0]
     counts[0] = -counts[0]
+    np.save(path, counts)
+
+
+def _wrap_first_token_count(path):
+    # As unsigned 64-bit counts, 2**64 - 1 in passage 0 and one more token in passage 1
+    # add up to the same total modulo 2**64.
+    counts = np.load(path).astype(np.uint64)
+    counts[1] += counts[0] + np.uint64(1)
+    counts[0] = np.iinfo(np.uint64).max
     np.save(path, counts)
 
 
@@ -609,6 +619,7 @@ CORRUPTIONS = {
     "centroids-truncated": ("dense", "centroids.npy", _truncate),
     "token-counts-truncated": ("dense", "token_counts.npy", _truncate),
     "token-count-negative": ("dense", "token_counts.npy", _negate_first_token_count),
+    "token-count-unsigned-wraps": ("dense", "token_counts.npy", _wrap_first_token_count),
     "codes-truncated": ("dense", "codes.npy", _truncate),
     "codes-int16": ("dense", "codes.npy", _retype(np.int16)),
     "stats-truncated": ("lexical", "stats.json", _truncate),
@@ -617,7 +628,7 @@ CORRUPTIONS = {
     "postings-truncated": ("lexical", "postings.npy", _truncate),
     "weights-truncated": ("lexical", "weights.npy", _truncate),
     "offsets-missing-term": ("lexical", "offsets.npy", _edit_array(lambda offsets: offsets[:-1])),
-    "postings-ordinal-too-large": ("lexical", "postings.npy", _edit_array(lambda ordinals: ordinals + 1000)),
+    "postings-ordinal-too-large": ("lexical", "postings.npy", _edit_array(lambda docs: docs.astype(np.int64) + 1000)),
     "terms-number": ("lexical", "terms.json", _edit_json(lambda terms: terms.__setitem__(0, 7))),
     "weights-nan": ("lexical", "weights.npy", _set_first_weight(np.nan)),
     "weights-infinite": ("lexical", "weights.npy", _set_first_weight(np.inf)),

@@ -889,7 +889,7 @@ class TestPersistence:
         rng = np.random.default_rng(29)
         index = build_dense_index(random_embeddings(rng, 10, 8), DenseIndexParams(num_centroids=8, seed=3))
         save_dense_index(index, tmp_path / "idx")
-        ids = np.load(tmp_path / "idx" / "centroid_ids.npy")
+        ids = np.load(tmp_path / "idx" / "centroid_ids.npy").astype(np.int64)
         ids[len(ids) // 2] = bad_id
         np.save(tmp_path / "idx" / "centroid_ids.npy", ids)
         with pytest.raises(FormatError, match="centroid_ids.npy"):
@@ -993,6 +993,28 @@ class TestPersistence:
         np.save(path / "token_counts.npy", counts)
         with pytest.raises(FormatError, match=re.escape(f"{path}/token_counts.npy: token counts must be positive")):
             load_dense_index(path)
+
+    def test_load_rejects_unsigned_token_count_that_wraps(self, tmp_path):
+        # 2**64 - 1 tokens in passage 0 and one more in passage 1 keep the unsigned total;
+        # as int64 the first count would be -1.
+        path = self.saved(tmp_path)
+        counts = np.load(path / "token_counts.npy").astype(np.uint64)
+        counts[1] += counts[0] + np.uint64(1)
+        counts[0] = np.iinfo(np.uint64).max
+        np.save(path / "token_counts.npy", counts)
+        with pytest.raises(FormatError, match=re.escape(f"{path}/token_counts.npy: a token count exceeds the")):
+            load_dense_index(path)
+
+    def test_save_logs_the_bytes_of_the_arrays_written(self, tmp_path, caplog):
+        rng = np.random.default_rng(37)
+        index = build_dense_index(random_embeddings(rng, 10, 8), DenseIndexParams(num_centroids=4))
+        with caplog.at_level(logging.INFO, logger="xlir.dense"):
+            save_dense_index(index, tmp_path / "idx")
+        (event,) = [m for m in caplog.messages if m.startswith("event=dense_index_save ")]
+        written = [np.load(path) for path in (tmp_path / "idx").glob("*.npy")]
+        size, tokens = sum(array.nbytes for array in written), len(index.centroid_ids)
+        assert len(written) == 6
+        assert event == f"event=dense_index_save bytes={size} tokens={tokens} bytes_per_token={size / tokens:.3f}"
 
     def test_build_lays_passages_out_in_key_order(self):
         rng = np.random.default_rng(36)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import sys
 import threading
@@ -663,6 +664,16 @@ class TestPersistence:
         assert np.array_equal(loaded.offsets, index.offsets) and np.array_equal(loaded.docs, index.docs)
         assert loaded.weights.dtype == np.float64
         assert np.array_equal(loaded.weights, index.weights.astype(np.float32).astype(np.float64))
+
+    def test_save_logs_the_bytes_of_the_arrays_written(self, tmp_path, caplog):
+        index = build_index(random_weighted_bags(np.random.default_rng(34), num_docs=50))
+        with caplog.at_level(logging.INFO, logger="xlir.lexical"):
+            save_index(index, tmp_path / "idx")
+        (event,) = [m for m in caplog.messages if m.startswith("event=lexical_index_save ")]
+        written = [np.load(path) for path in (tmp_path / "idx").glob("*.npy")]
+        size = sum(array.nbytes for array in written)
+        assert len(written) == 3
+        assert event == f"event=lexical_index_save bytes={size} postings={len(index.docs)}"
 
     def test_save_is_deterministic(self, tmp_path):
         index = build_index([("d1", {"a": 1.5}), ("d2", {"b": 2.5, "a": 0.25})])
