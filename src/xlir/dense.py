@@ -417,12 +417,13 @@ def _code_tables(codebook: ResidualCodebook, query: np.ndarray) -> np.ndarray:
 
 
 def _encode(vectors: np.ndarray, codebook: ResidualCodebook, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid ids and (tokens, dim) residual levels of token vectors, given the
-    codebook's centroids cast to float64."""
+    """Nearest-centroid ids, in the narrowest dtype that holds ``num_centroids - 1`` (uint8 up
+    to 256 centroids), and (tokens, dim) residual levels of token vectors, given the codebook's
+    centroids cast to float64."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != codebook.dim:
         raise ValidationError(f"expected shape (*, {codebook.dim}), got {vectors.shape}")
-    ids = _assign_nearest(vectors, centroids.T).astype(np.int32)
+    ids = _assign_nearest(vectors, centroids.T).astype(np.min_scalar_type(codebook.num_centroids - 1))
     return ids, _bucketize(vectors - centroids[ids], codebook.boundaries)
 
 
@@ -747,7 +748,7 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
             fh.write(key + "\n")
     arrays = {
         **{filename: getattr(index.codebook, name) for name, filename in _CODEBOOK_FILES.items()},
-        "token_counts.npy": np.diff(index.token_offsets),
+        "token_counts.npy": np.diff(index.token_offsets).astype(np.int32),
         "centroid_ids.npy": index.centroid_ids,
         "codes.npy": index.codes,
     }

@@ -518,7 +518,7 @@ def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
         (dirpath / name).write_text(json.dumps(names, ensure_ascii=False) + "\n", encoding="utf-8")
     arrays = {
         "offsets.npy": index.offsets.astype(np.int64),
-        "postings.npy": index.docs,
+        "postings.npy": index.docs.astype(np.min_scalar_type(max(index.num_docs - 1, 0))),
         "weights.npy": index.weights.astype(np.float32),
     }
     for filename, array in arrays.items():

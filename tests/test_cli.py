@@ -573,6 +573,21 @@ def _set_first_centroid_id(value):
     return corrupt
 
 
+def _set_first_in_stored_dtype(value):
+    # One-byte ids and ordinals hold these bad values, so they are written without widening.
+    def corrupt(path):
+        array = np.load(path)
+        assert array.dtype == np.uint8
+        array[0] = value(path) if callable(value) else value
+        np.save(path, array)
+
+    return corrupt
+
+
+def _num_docs(postings_path):
+    return len(json.loads((postings_path.parent / "docs.json").read_text()))
+
+
 def _retype(dtype):
     def corrupt(path):
         np.save(path, np.load(path).astype(dtype))
@@ -616,6 +631,7 @@ CORRUPTIONS = {
     "dense-meta-seed-negative": ("dense", "meta.json", _edit_json(lambda meta: meta.update(seed=-1))),
     "centroid-id-too-large": ("dense", "centroid_ids.npy", _set_first_centroid_id(16)),
     "centroid-id-negative": ("dense", "centroid_ids.npy", _set_first_centroid_id(-1)),
+    "centroid-id-too-large-uint8": ("dense", "centroid_ids.npy", _set_first_in_stored_dtype(16)),
     "centroids-truncated": ("dense", "centroids.npy", _truncate),
     "token-counts-truncated": ("dense", "token_counts.npy", _truncate),
     "token-count-negative": ("dense", "token_counts.npy", _negate_first_token_count),
@@ -629,6 +645,7 @@ CORRUPTIONS = {
     "weights-truncated": ("lexical", "weights.npy", _truncate),
     "offsets-missing-term": ("lexical", "offsets.npy", _edit_array(lambda offsets: offsets[:-1])),
     "postings-ordinal-too-large": ("lexical", "postings.npy", _edit_array(lambda docs: docs.astype(np.int64) + 1000)),
+    "postings-ordinal-num-docs-uint8": ("lexical", "postings.npy", _set_first_in_stored_dtype(_num_docs)),
     "terms-number": ("lexical", "terms.json", _edit_json(lambda terms: terms.__setitem__(0, 7))),
     "weights-nan": ("lexical", "weights.npy", _set_first_weight(np.nan)),
     "weights-infinite": ("lexical", "weights.npy", _set_first_weight(np.inf)),

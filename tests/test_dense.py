@@ -809,6 +809,36 @@ class TestFlatLayout:
             assert_ranking_within(search_dense(index, query, params), expected, maxsim_tolerance(index, query))
 
 
+class TestNarrowIds:
+    """Centroid ids take the narrowest unsigned dtype that holds ``num_centroids - 1``."""
+
+    @pytest.mark.parametrize("k, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_id_dtype_after_build_and_load_and_search_equals_int64_ids(self, tmp_path, k, dtype):
+        rng = np.random.default_rng(40)
+        embeddings = random_embeddings(rng, 120, 8, min_tokens=4)
+        index = build_dense_index(embeddings, DenseIndexParams(num_centroids=k, kmeans_iters=2, seed=5))
+        save_dense_index(index, tmp_path / "idx")
+        loaded = load_dense_index(tmp_path / "idx")
+        assert index.centroid_ids.dtype == loaded.centroid_ids.dtype == dtype
+        assert np.load(tmp_path / "idx" / "token_counts.npy").dtype == np.int32
+        assert int(index.centroid_ids.max()) == k - 1  # the largest id is in use
+        wide = DenseIndex(
+            index.codebook, index.keys, np.diff(index.token_offsets), index.centroid_ids.astype(np.int64),
+            index.codes, index.params,
+        )
+        for cap in (2500, 20):
+            params = replace(index.params, nprobe=4, candidate_cap=cap)
+            for _ in range(3):
+                query = unit_rows(rng.standard_normal((5, 8)))
+                expected = search_dense(wide, query, params)
+                assert search_dense(index, query, params) == search_dense(loaded, query, params) == expected
+
+    def test_compress_uses_the_narrow_dtype(self):
+        embeddings = random_embeddings(np.random.default_rng(41), 40, 8)
+        codebook = train_codebook(embeddings, DenseIndexParams(num_centroids=8, seed=2))
+        assert compress(embeddings["p0000"], codebook).centroid_ids.dtype == np.uint8
+
+
 class TestMaxP:
     def test_max_over_passages(self):
         assert maxp_aggregate([("d1", 0.2), ("d1", 0.9), ("d1", 0.5)]) == [("d1", 0.9)]
@@ -894,6 +924,35 @@ class TestPersistence:
         np.save(tmp_path / "idx" / "centroid_ids.npy", ids)
         with pytest.raises(FormatError, match="centroid_ids.npy"):
             load_dense_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("bad_id", [8, 255])
+    def test_load_rejects_uint8_centroid_id_out_of_range(self, tmp_path, bad_id):
+        rng = np.random.default_rng(29)
+        index = build_dense_index(random_embeddings(rng, 10, 8), DenseIndexParams(num_centroids=8, seed=3))
+        save_dense_index(index, tmp_path / "idx")
+        ids = np.load(tmp_path / "idx" / "centroid_ids.npy")
+        assert ids.dtype == np.uint8
+        ids[len(ids) // 2] = bad_id
+        np.save(tmp_path / "idx" / "centroid_ids.npy", ids)
+        with pytest.raises(FormatError, match="centroid_ids.npy"):
+            load_dense_index(tmp_path / "idx")
+
+    def test_index_written_with_wide_arrays_loads_and_searches_the_same(self, tmp_path):
+        # The version-3 layout as written before ids were narrowed: int32 ids, int64 counts.
+        rng = np.random.default_rng(38)
+        index = build_dense_index(random_embeddings(rng, 60, 8), DenseIndexParams(num_centroids=8, seed=3))
+        save_dense_index(index, tmp_path / "narrow")
+        save_dense_index(index, tmp_path / "wide")
+        wide = tmp_path / "wide"
+        np.save(wide / "centroid_ids.npy", np.load(wide / "centroid_ids.npy").astype(np.int32))
+        np.save(wide / "token_counts.npy", np.load(wide / "token_counts.npy").astype(np.int64))
+        narrow, wide = load_dense_index(tmp_path / "narrow"), load_dense_index(wide)
+        assert (narrow.centroid_ids.dtype, wide.centroid_ids.dtype) == (np.uint8, np.int32)
+        for cap in (2500, 10):
+            params = replace(index.params, candidate_cap=cap)
+            for _ in range(5):
+                query = unit_rows(rng.standard_normal((4, 8)))
+                assert search_dense(wide, query, params) == search_dense(narrow, query, params)
 
     def test_load_rejects_malformed_meta(self, tmp_path):
         rng = np.random.default_rng(30)

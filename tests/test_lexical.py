@@ -675,6 +675,42 @@ class TestPersistence:
         assert len(written) == 3
         assert event == f"event=lexical_index_save bytes={size} postings={len(index.docs)}"
 
+    @pytest.mark.parametrize("num_docs, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_postings_are_narrow_and_search_the_same_after_load(self, tmp_path, num_docs, dtype):
+        # float32 weights in term order: the loaded index sums every statistic as the built one does.
+        rng = np.random.default_rng(35)
+        bags = [
+            (doc_id, {term: float(np.float32(w)) for term, w in sorted(bag.items())})
+            for doc_id, bag in random_weighted_bags(rng, num_docs=num_docs)
+        ]
+        index = build_index(bags)
+        save_index(index, tmp_path / "idx")
+        assert np.load(tmp_path / "idx" / "postings.npy").dtype == dtype
+        loaded = load_index(tmp_path / "idx")
+        assert loaded.docs.dtype == index.docs.dtype == np.int32
+        assert int(loaded.docs.max()) == num_docs - 1  # the last ordinal is in use
+        for doc_id in index.doc_ids:
+            assert list(loaded.doc_bag(doc_id).items()) == list(index.doc_bag(doc_id).items())
+        query = [*index.terms[:3], index.terms[0]]
+        for scorer, rm3 in (("bm25", False), ("hmm", False), ("hmm", True)):
+            expected = search_lexical(index, query, scorer, rm3)
+            assert expected and search_lexical(loaded, query, scorer, rm3) == expected
+
+    def test_index_written_with_int32_postings_loads_and_searches_the_same(self, tmp_path):
+        index = build_index(random_weighted_bags(np.random.default_rng(36), num_docs=300))
+        save_index(index, tmp_path / "narrow")
+        save_index(index, tmp_path / "wide")
+        wide = tmp_path / "wide" / "postings.npy"
+        np.save(wide, np.load(wide).astype(np.int32))
+        narrow, wide = load_index(tmp_path / "narrow"), load_index(tmp_path / "wide")
+        assert np.load(tmp_path / "narrow" / "postings.npy").dtype == np.uint16
+        assert np.array_equal(narrow.docs, wide.docs)
+        for query in (["c1", "c4", "c4"], ["c2", "r3", "c7"]):
+            for scorer in SCORERS:
+                for rm3 in (False, True):
+                    expected = search_lexical(narrow, query, scorer, rm3)
+                    assert expected and search_lexical(wide, query, scorer, rm3) == expected
+
     def test_save_is_deterministic(self, tmp_path):
         index = build_index([("d1", {"a": 1.5}), ("d2", {"b": 2.5, "a": 0.25})])
         save_index(index, tmp_path / "one")
