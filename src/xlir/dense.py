@@ -32,9 +32,13 @@ byte holds the levels of ``8 // bits`` dimensions, most significant first,
 and zero bits after them, so a row has ``ceil(dim / (8 // bits))`` bytes.
 Where ``bits`` divides 8 and ``dim`` is a multiple of ``8 // bits``, as for
 16 dimensions of 1 bit, no bit is padding; otherwise each row pads its bytes.
-A loaded ``DenseIndex`` keeps these arrays as they are on disk; only the
-offsets into them and the two centroid maps are derived, once, when the
-index is built or loaded.
+Centroid ids take the narrowest unsigned dtype that holds
+``num_centroids - 1`` (uint8 up to 256 centroids, uint16 up to 65,536) and
+token counts are int32. Loading accepts any integer dtype for both and checks
+their values, so a directory written with int32 ids and int64 counts, as
+before, loads and searches the same. A loaded ``DenseIndex`` keeps these
+arrays as they are on disk; only the offsets into them and the two centroid
+maps are derived, once, when the index is built or loaded.
 """
 
 from __future__ import annotations
@@ -253,7 +257,7 @@ class ResidualCodebook:
 @dataclass
 class CompressedPassage:
     key: str
-    centroid_ids: np.ndarray  # (tokens,) int32
+    centroid_ids: np.ndarray  # (tokens,) in the narrowest unsigned dtype that holds num_centroids - 1
     codes: np.ndarray  # (tokens, ceil(dim / (8 // bits))) uint8, one code row per token
 
 
@@ -478,7 +482,9 @@ class DenseIndex:
     """Compressed passages in the flat layout of the index directory, plus two centroid maps.
 
     Passage ``i`` has key ``keys[i]``, centroid ids
-    ``centroid_ids[token_offsets[i]:token_offsets[i + 1]]`` and residual code
+    ``centroid_ids[token_offsets[i]:token_offsets[i + 1]]`` (in the narrowest
+    unsigned dtype that holds K - 1 when built, as read when loaded; never
+    used in arithmetic, only as indexes and sort keys) and residual code
     rows ``codes[token_offsets[i]:token_offsets[i + 1]]``, one uint8 row of
     ``ceil(dim / (8 // bits))`` bytes per token, laid out as in ``codes.npy``
     (see the module docstring); stage 3 of ``search_dense`` reads them as they
@@ -755,12 +761,8 @@ def save_dense_index(index: DenseIndex, dirpath: str | Path) -> None:
     for filename, array in arrays.items():
         np.save(dirpath / filename, array)
     size, tokens = sum(array.nbytes for array in arrays.values()), len(index.centroid_ids)
-    logger.info(
-        "event=dense_index_save bytes=%d tokens=%d bytes_per_token=%.3f",
-        size,
-        tokens,
-        size / tokens if tokens else 0.0,
-    )
+    per_token = size / tokens if tokens else 0.0
+    logger.info("event=dense_index_save bytes=%d tokens=%d bytes_per_token=%.3f", size, tokens, per_token)
 
 
 def load_dense_index(dirpath: str | Path) -> DenseIndex:

@@ -494,8 +494,11 @@ def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
 
     The directory holds ``stats.json`` (format, version and counts),
     ``docs.json`` and ``terms.json`` (the sorted doc ids and terms),
-    ``offsets.npy`` (int64, one per term plus one), ``postings.npy`` (int32
-    document ordinals) and ``weights.npy`` (float32). Weights are quantized
+    ``offsets.npy`` (int64, one per term plus one), ``postings.npy``
+    (document ordinals in the narrowest unsigned dtype that holds
+    ``num_docs - 1``: uint8 up to 256 documents, uint16 up to 65,536) and
+    ``weights.npy`` (float32). ``load_index`` reads ordinals of any integer
+    dtype, int32 as written before, into int32. Weights are quantized
     to float32; ``load_index`` recomputes document lengths and collection
     statistics from the quantized weights, so index invariants hold exactly.
     Logs ``event=lexical_index_save`` with the bytes of the three arrays
