@@ -36,9 +36,8 @@ Centroid ids take the narrowest unsigned dtype that holds
 ``num_centroids - 1`` (uint8 up to 256 centroids, uint16 up to 65,536) and
 token counts are int32. Loading accepts any integer dtype for both and checks
 their values, so a directory written with int32 ids and int64 counts, as
-before, loads and searches the same. A loaded ``DenseIndex`` keeps these
-arrays as they are on disk; only the offsets into them and the two centroid
-maps are derived, once, when the index is built or loaded.
+before, loads into the same ``DenseIndex``, narrow ids included, and searches
+the same.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 import time
 from collections.abc import Iterable, Mapping
@@ -164,7 +164,8 @@ def write_embeddings(path: str | Path, embeddings: Mapping[str, np.ndarray]) -> 
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
+    # A size claimed by a record is compared with the bytes left before anything is allocated.
+    data = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
     if len(data) != n:
         raise FormatError(f"{fh.name}: truncated embedding file while reading {what}")
     return data
@@ -272,7 +273,7 @@ _SCORE_BLOCK = 128
 
 
 def _assign_nearest(vectors: np.ndarray, centroids_t: np.ndarray) -> np.ndarray:
-    """Argmax dot-product assignment, ``_ASSIGN_BLOCK`` rows at a time.
+    """Argmax dot-product assignment as ids in the narrowest dtype that holds K - 1, ``_ASSIGN_BLOCK`` rows at a time.
 
     BLAS gives a row the same product bits in any block of two or more rows,
     but a one-row block goes through a matrix-vector kernel that may round
@@ -280,7 +281,7 @@ def _assign_nearest(vectors: np.ndarray, centroids_t: np.ndarray) -> np.ndarray:
     joins the block before it.
     """
     n = vectors.shape[0]
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.min_scalar_type(centroids_t.shape[1] - 1))
     for start, end in pairwise([*range(0, max(n - 1, 1), _ASSIGN_BLOCK), n]):
         out[start:end] = np.argmax(vectors[start:end] @ centroids_t, axis=1)
     return out
@@ -341,9 +342,9 @@ def train_codebook(
     for _ in range(params.kmeans_iters):
         assign = _assign_nearest(sample, centroids.T)
         # One stable sort lists each cluster's members in sample order, as a boolean
-        # mask per cluster would, so each mean adds them in the same order. It runs on
+        # mask per cluster would, so each mean adds them in the same order. Ids come in
         # the narrowest dtype that holds k - 1, which numpy sorts by radix.
-        order = np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
+        order = np.argsort(assign, kind="stable")
         bounds = np.searchsorted(assign, np.arange(k + 1), sorter=order)
         for c, (start, end) in enumerate(pairwise(bounds.tolist())):
             if start == end:
@@ -421,13 +422,12 @@ def _code_tables(codebook: ResidualCodebook, query: np.ndarray) -> np.ndarray:
 
 
 def _encode(vectors: np.ndarray, codebook: ResidualCodebook, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid ids, in the narrowest dtype that holds ``num_centroids - 1`` (uint8 up
-    to 256 centroids), and (tokens, dim) residual levels of token vectors, given the codebook's
-    centroids cast to float64."""
+    """Nearest-centroid ids, as ``_assign_nearest`` types them, and (tokens, dim) residual levels
+    of token vectors, given the codebook's centroids cast to float64."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != codebook.dim:
         raise ValidationError(f"expected shape (*, {codebook.dim}), got {vectors.shape}")
-    ids = _assign_nearest(vectors, centroids.T).astype(np.min_scalar_type(codebook.num_centroids - 1))
+    ids = _assign_nearest(vectors, centroids.T)
     return ids, _bucketize(vectors - centroids[ids], codebook.boundaries)
 
 
@@ -483,8 +483,8 @@ class DenseIndex:
 
     Passage ``i`` has key ``keys[i]``, centroid ids
     ``centroid_ids[token_offsets[i]:token_offsets[i + 1]]`` (in the narrowest
-    unsigned dtype that holds K - 1 when built, as read when loaded; never
-    used in arithmetic, only as indexes and sort keys) and residual code
+    unsigned dtype that holds K - 1 when built or loaded; never used in
+    arithmetic, only as indexes and sort keys) and residual code
     rows ``codes[token_offsets[i]:token_offsets[i + 1]]``, one uint8 row of
     ``ceil(dim / (8 // bits))`` bytes per token, laid out as in ``codes.npy``
     (see the module docstring); stage 3 of ``search_dense`` reads them as they
@@ -529,8 +529,8 @@ class DenseIndex:
         # cut per passage; a stable sort of its centroid column, cut per centroid, keeps
         # each centroid's passages in increasing order. Repeats are dropped by comparing
         # neighbours, as np.unique took eight times as long for the same pairs, and the
-        # stable sort runs on the narrowest dtype that holds K - 1, where numpy sorts
-        # 8- and 16-bit keys by radix.
+        # stable sort runs on the ids' dtype, the narrowest that holds K - 1, where numpy
+        # sorts 8- and 16-bit keys by radix.
         n, k = len(keys), codebook.num_centroids
         ordinals = np.repeat(np.arange(n, dtype=np.int64), token_counts)
         pairs = np.sort(ordinals * k + centroid_ids.astype(np.int64))
@@ -538,7 +538,7 @@ class DenseIndex:
         passages = pairs // k
         self.distinct_centroids = (pairs % k).astype(centroid_ids.dtype)
         self.distinct_offsets = np.searchsorted(passages, np.arange(n + 1))
-        by_centroid = np.argsort(self.distinct_centroids.astype(np.min_scalar_type(k - 1)), kind="stable")
+        by_centroid = np.argsort(self.distinct_centroids, kind="stable")
         self.inverted_passages = passages[by_centroid]
         self.inverted_offsets = np.searchsorted(self.distinct_centroids, np.arange(k + 1), sorter=by_centroid)
 
@@ -576,9 +576,12 @@ def build_dense_index(
     The codebook is trained on the embeddings in the caller's order.
     """
     _check_keys(embeddings)
+    first = np.shape(next(iter(embeddings.values()), ()))[1:]
     for key, matrix in embeddings.items():
         if len(matrix) == 0:
             raise ValidationError(f"passage {key!r} has no tokens")
+        if np.shape(matrix)[1:] != first:
+            raise ValidationError(f"passage {key!r}: vector shape {np.shape(matrix)[1:]}, the first's is {first}")
     start = time.perf_counter()
     codebook = train_codebook(embeddings, params)
     trained = time.perf_counter()
@@ -656,7 +659,9 @@ def search_dense(
     t0 = time.perf_counter()
     centroid_sims = query @ index.codebook.centroids.astype(np.float64).T  # (nq, K)
     nprobe = min(params.nprobe, index.codebook.num_centroids)
-    probed = np.unique(np.argsort(-centroid_sims, axis=1, kind="stable")[:, :nprobe])
+    # Repeats are dropped as for candidates: np.unique's first call imports numpy.ma (8 ms).
+    probed = np.sort(np.argsort(-centroid_sims, axis=1, kind="stable")[:, :nprobe], axis=None)
+    probed = probed[np.diff(probed, prepend=-1) != 0]
     positions, _ = _segments(index.inverted_offsets, probed)
     candidates = np.sort(index.inverted_passages[positions])
     candidates = candidates[np.diff(candidates, prepend=-1) != 0]
@@ -669,12 +674,10 @@ def search_dense(
     # so stage 3 reads the token arrays front to back.
     survivors = candidates
     if len(candidates) > params.candidate_cap:
-        # Column j holds the query tokens' similarities to the j-th distinct centroid
-        # of the candidates, passage by passage. A max ignores repeats and order, so
-        # the segmented max over each passage's distinct centroids equals the one over
-        # its tokens. Gathering and reducing along rows is the fast orientation for
-        # numpy; the transposed copy then gives each candidate's maxima as one
-        # contiguous row, which sums as per-passage MaxSim does.
+        # A max ignores repeats and order, so the segmented max over each passage's distinct
+        # centroids equals the one over its tokens. Gathering and reducing along rows is the
+        # fast orientation for numpy; the transposed copy then gives each candidate's maxima
+        # as one contiguous row, which sums as per-passage MaxSim does.
         positions, starts = _segments(index.distinct_offsets, candidates)
         columns = np.take(centroid_sims, np.take(index.distinct_centroids, positions), axis=1)
         maxima = np.maximum.reduceat(columns, starts, axis=1)  # (query tokens, candidates)
@@ -684,10 +687,8 @@ def search_dense(
         survivors = np.sort(candidates[order[: params.candidate_cap]])
     t2 = time.perf_counter()
 
-    # A decoded token is its centroid plus one bucket value per dimension, so its
-    # dot product with a query token is their centroid similarity plus one table
-    # entry per code byte. Scores are (tokens x query tokens), one block at a time,
-    # each token's row gathered whole from contiguous (rows x query tokens) tables.
+    # Scores are (tokens x query tokens), one block at a time, each token's row
+    # gathered whole from contiguous (rows x query tokens) tables.
     sims_by_centroid = np.ascontiguousarray(centroid_sims.T)  # (K, query tokens)
     tables = _code_tables(index.codebook, query)  # (code bytes, 256, query tokens)
     maxima = np.empty((query.shape[0], len(survivors)))
@@ -809,6 +810,7 @@ def load_dense_index(dirpath: str | Path) -> DenseIndex:
         raise FormatError(
             f"{dirpath}/centroid_ids.npy: centroid ids must be integers in [0, {codebook.num_centroids})"
         )
+    centroid_ids = centroid_ids.astype(np.min_scalar_type(codebook.num_centroids - 1), copy=False)
     # An unsigned count of 2**64 - 1 wraps to -1 as int64, which DenseIndex would not refuse by name.
     if (token_counts > centroid_ids.size).any():
         raise FormatError(f"{dirpath}/token_counts.npy: a token count exceeds the {centroid_ids.size} centroid ids")

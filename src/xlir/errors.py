@@ -2,11 +2,13 @@
 ``.npy`` input goes through so that a malformed file is refused with an error naming it."""
 
 import json
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.format import read_array_header_1_0, read_array_header_2_0, read_magic
 
 
 class XlirError(Exception):
@@ -21,18 +23,17 @@ class ValidationError(XlirError):
     """A value violates a documented invariant or precondition."""
 
 
-# What reading a malformed JSON record raises: bad JSON, a missing key, a wrong type.
-RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, IndexError)
+# What reading a malformed JSON record raises: bad or too deeply nested JSON, a missing key, a wrong type.
+RECORD_ERRORS = (ValueError, RecursionError, KeyError, TypeError, AttributeError, IndexError)
 
 
 @contextmanager
 def malformed(path: str | Path, what: str) -> Iterator[None]:
     """Report a missing file or a record that fails to parse as a ``FormatError`` naming ``path``.
 
-    Malformed JSON, missing keys and values of the wrong type surface as
-    ``ValueError``, ``KeyError``, ``TypeError``, ``AttributeError`` or
-    ``IndexError`` while a record is read; inside this block they become one
-    typed error instead of a traceback.
+    Malformed or too deeply nested JSON, missing keys and values of the wrong
+    type surface as one of ``RECORD_ERRORS`` while a record is read; inside
+    this block they become one typed error instead of a traceback.
     """
     try:
         yield
@@ -52,9 +53,15 @@ def json_int(value: object, path: str | Path, what: str) -> int:
 
 def load_array(path: Path, ndim: int, dtype: type[np.generic]) -> np.ndarray:
     """A ``.npy`` array; a ``FormatError`` naming ``path`` if it is missing, unreadable, pickled,
-    or not ``ndim``-D ``dtype``."""
+    shorter than its header's shape needs (checked before allocating), or not ``ndim``-D ``dtype``."""
     try:
-        array = np.load(path)
+        with open(path, "rb") as fh:
+            read_header = read_array_header_1_0 if read_magic(fh) == (1, 0) else read_array_header_2_0
+            shape, _, stored = read_header(fh)
+            if not stored.hasobject and math.prod(shape) * stored.itemsize > Path(path).stat().st_size - fh.tell():
+                raise FormatError(f"{path}: truncated array: its header's shape {shape} needs more bytes than follow")
+            fh.seek(0)
+            array = np.load(fh)
     except (ValueError, EOFError, FileNotFoundError) as exc:
         raise FormatError(f"{path}: unreadable array ({exc})") from None
     if array.ndim != ndim or not np.issubdtype(array.dtype, dtype):
@@ -87,6 +94,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 json.dumps(record, ensure_ascii=False).encode("utf-8")
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+        except RecursionError:
+            raise FormatError(f"{path}:{lineno}: JSON nested too deeply to read") from None
         except UnicodeEncodeError:
             raise FormatError(f"{path}:{lineno}: holds a lone surrogate, which UTF-8 cannot encode") from None
         if not isinstance(record, dict):

@@ -25,16 +25,7 @@ array operations.
 Date filters: search and RM3 take an optional ``allowed`` mask over document
 ordinals. It removes documents before the top-k cut and never changes the
 collection statistics, so every masked score equals ``bm25_score`` or
-``hmm_score`` on that document of the whole index. ``rm3_expand``'s feedback
-documents are the top ``rm3_fb_docs`` of the masked first pass.
-
-RM3: the relevance model reads each feedback document's postings from a
-document-major copy of the index's postings, built on first use, and adds
-``dw * (w / dl)`` into one float64 entry per term row, one feedback document
-at a time in rank order. A document holds each term once, so every term's
-sum is taken in the same order as a dictionary summed document by document,
-and the top terms come from a stable sort over term rows, which are in term
-order, so ties break by term.
+``hmm_score`` on that document of the whole index.
 
 Summation order: search scores term at a time, adding each query term's
 contributions to one float64 accumulator per document. Every document
@@ -73,8 +64,9 @@ INDEX_VERSION = 2
 
 SCORERS = ("bm25", "hmm")
 
-# The smallest weight that save_index's float32 cast rounds to infinity.
+# float32 rounds weights from _FLOAT32_OVERFLOW up to inf, and up to _FLOAT32_UNDERFLOW (a tie to even) to 0.
 _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
+_FLOAT32_UNDERFLOW = 2.0**-150
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,8 @@ class InvertedIndex:
     * ``offsets`` has ``len(terms) + 1`` entries, starts at 0, ends at
       ``len(docs)`` and strictly increases: every term has a posting.
     * The postings of ``terms[t]`` are ``docs[offsets[t]:offsets[t + 1]]``
-      (int32 ordinals, strictly increasing) with the matching ``weights``
+      (ordinals, strictly increasing, in the narrowest unsigned dtype that
+      holds ``num_docs - 1``, as stored) with the matching ``weights``
       (float64, positive and finite as float32).
     * ``doc_lengths[i]`` is the sum of document ``i``'s weights,
       ``coll_freq[t]`` (float64) the sum of ``terms[t]``'s weights and
@@ -232,7 +225,8 @@ def _from_postings(
                 raise ValidationError(f"duplicate {what} {a!r}")
     rows, docs = np.argsort(term_order)[term_ids], np.argsort(doc_order)[ordinals]
     order = np.lexsort((docs, rows))
-    rows, docs, weights = rows[order], docs[order].astype(np.int32), weights[order]
+    docs = docs[order].astype(np.min_scalar_type(max(len(doc_ids) - 1, 0)))
+    rows, weights = rows[order], weights[order]
     if ((rows[1:] == rows[:-1]) & (docs[1:] == docs[:-1])).any():
         raise ValidationError("a term has two postings for one document")
     offsets = np.searchsorted(rows, np.arange(len(terms) + 1))
@@ -243,9 +237,10 @@ def _from_postings(
 def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedIndex:
     """Build an inverted index from ``(doc_id, term -> weight)`` bags.
 
-    Zero weights are dropped; negative weights, weights that are not finite
-    as float32 (the precision ``save_index`` stores), duplicate doc ids, and
-    doc ids or terms that are not strings are rejected.
+    Weights that are zero as float32 (the precision ``save_index`` stores),
+    such as 1e-46, are dropped like zero weights; negative weights, weights
+    that are not finite as float32, duplicate doc ids, and doc ids or terms
+    that are not strings are rejected.
     """
     doc_ids: list[str] = []
     vocabulary: dict[str, int] = {}
@@ -260,7 +255,7 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
                 raise ValidationError(
                     f"document {doc_id!r}: weight {w!r} for term {term!r} is negative or not finite as a float32"
                 )
-            if w > 0.0:
+            if w > _FLOAT32_UNDERFLOW:
                 t = vocabulary.get(term)
                 if t is None:  # a new term, checked once
                     if not isinstance(term, str):
@@ -373,19 +368,17 @@ def rm3_expand(
     query model at weight ``rm3_alpha``, and renormalized to sum to 1. With
     no feedback documents the original query weights are returned unchanged.
     """
-    if not query_terms:
-        raise ValidationError("empty query")
     params = _resolve(params)
-    feedback = search_lexical(index, query_terms, scorer=scorer, k=params.rm3_fb_docs, params=params, allowed=allowed)
     counts = Counter(query_terms)
+    feedback = search_weighted(index, counts, scorer=scorer, k=params.rm3_fb_docs, params=params, allowed=allowed)
     total = sum(counts.values())
     mle = {term: c / total for term, c in counts.items()}
     if not feedback:
         return mle
 
-    # One entry per term row, summed one feedback document at a time in rank order. Touched rows
-    # are ranked even when their sum underflows to 0.0; a stable sort over them, in term order,
-    # breaks ties by term.
+    # Each term row sums its feedback documents in rank order, as a dictionary summed document by
+    # document would (a document holds each term once). Touched rows are ranked even when their sum
+    # underflows to 0.0; a stable sort over them, in term order, breaks ties by term.
     offsets, rows, weights = index._by_doc
     relevance = np.zeros(len(index.terms))
     touched = np.zeros(len(index.terms), dtype=bool)
@@ -480,12 +473,7 @@ def search_lexical(
 ) -> list[tuple[str, float]]:
     """Top-k search among the documents ``allowed`` admits (all when ``None``);
     with ``rm3`` the second pass scores the expanded weighted query."""
-    if not query_terms:
-        raise ValidationError("empty query")
-    if rm3:
-        weights: Mapping[str, float] = rm3_expand(index, query_terms, params, scorer, allowed)
-    else:
-        weights = Counter(query_terms)
+    weights = rm3_expand(index, query_terms, params, scorer, allowed) if rm3 else Counter(query_terms)
     return search_weighted(index, weights, scorer=scorer, k=k, params=params, allowed=allowed)
 
 
@@ -494,13 +482,13 @@ def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
 
     The directory holds ``stats.json`` (format, version and counts),
     ``docs.json`` and ``terms.json`` (the sorted doc ids and terms),
-    ``offsets.npy`` (int64, one per term plus one), ``postings.npy``
-    (document ordinals in the narrowest unsigned dtype that holds
-    ``num_docs - 1``: uint8 up to 256 documents, uint16 up to 65,536) and
-    ``weights.npy`` (float32). ``load_index`` reads ordinals of any integer
-    dtype, int32 as written before, into int32. Weights are quantized
-    to float32; ``load_index`` recomputes document lengths and collection
-    statistics from the quantized weights, so index invariants hold exactly.
+    ``offsets.npy`` (int64, one per term plus one), ``postings.npy`` (the
+    document ordinals as held, uint8 up to 256 documents and uint16 up to
+    65,536) and ``weights.npy`` (float32). ``load_index`` reads ordinals of
+    any integer dtype, such as int32 as written before, into the held dtype.
+    Weights are quantized to float32; ``load_index`` recomputes document
+    lengths and collection statistics from the quantized weights, so index
+    invariants hold exactly.
     Logs ``event=lexical_index_save`` with the bytes of the three arrays
     written (their data, without ``.npy`` headers or the JSON files) and the
     number of postings.
@@ -521,7 +509,7 @@ def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
         (dirpath / name).write_text(json.dumps(names, ensure_ascii=False) + "\n", encoding="utf-8")
     arrays = {
         "offsets.npy": index.offsets.astype(np.int64),
-        "postings.npy": index.docs.astype(np.min_scalar_type(max(index.num_docs - 1, 0))),
+        "postings.npy": index.docs,
         "weights.npy": index.weights.astype(np.float32),
     }
     for filename, array in arrays.items():

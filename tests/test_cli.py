@@ -5,6 +5,7 @@ import os
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -533,6 +534,41 @@ def test_readme_cli_example_parses():
         assert callable(args.func), line
 
 
+def test_embedding_record_claiming_more_than_the_file_is_refused(tmp_path, capsys):
+    # dim 2**31 and 2**31 tokens claim 2**64 bytes, which once ended in a raw OverflowError.
+    path = tmp_path / "huge.liemb"
+    header = EMBEDDING_MAGIC + struct.pack("<IIQ", 1, 2**31, 1) + struct.pack("<H", 2) + b"p0"
+    path.write_bytes(header + struct.pack("<I", 2**31) + bytes(16))
+    out = tmp_path / "idx"
+    assert main(["index-dense", "--embeddings", str(path), "--output", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: {path}: truncated embedding file while reading 'p0' vectors"]
+    assert not out.exists()
+
+
+def test_json_line_nested_too_deeply_is_refused(workspace, tmp_path, capsys):
+    root, paths = workspace
+    lines = paths["docs"].read_text(encoding="utf-8").splitlines()
+    bad = _write(tmp_path / "docs.jsonl", "\n".join([lines[0], "[" * 100_000, *lines[1:]]) + "\n")
+    out = tmp_path / "plan.json"
+    capsys.readouterr()
+    assert main(["shard-plan", "--docs", str(bad), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {bad}:2: JSON nested too deeply to read"]
+    assert not out.exists()
+
+
+def test_bag_weight_that_is_zero_as_float32_indexes_and_searches(tmp_path):
+    # index-lexical once wrote 1e-46 as float32 0.0, and search then refused the index's weights.npy.
+    topics = _write(tmp_path / "topics.jsonl", '{"topic_id": "1", "title": "a b", "description": "a b"}\n')
+    for name, tiny in (("tiny", ', "b": 1e-46'), ("without", "")):
+        bags = _write(tmp_path / f"{name}.jsonl", f'{{"id": "d1", "weights": {{"a": 1.0{tiny}}}}}\n'
+                      '{"id": "d2", "weights": {"a": 0.5, "b": 2.0}}\n')
+        assert main(["index-lexical", "--bags", str(bags), "--output", str(tmp_path / f"idx-{name}")]) == 0
+        assert main(["search", "--index", str(tmp_path / f"idx-{name}"), "--topics", str(topics),
+                     "--output", str(tmp_path / f"{name}.run")]) == 0
+    assert read_run(tmp_path / "tiny.run") == read_run(tmp_path / "without.run") != {}
+
+
 def _truncate(path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
@@ -612,6 +648,23 @@ def _wrap_first_token_count(path):
     np.save(path, counts)
 
 
+def _claim_shape(shape):
+    # The header claims far more values than follow it: loading once allocated them all first.
+    def corrupt(path):
+        array = np.load(path)
+        with open(path, "wb") as fh:
+            descr = np.lib.format.dtype_to_descr(array.dtype)
+            np.lib.format.write_array_header_1_0(fh, {"descr": descr, "fortran_order": False, "shape": shape})
+            fh.write(array.tobytes())
+
+    return corrupt
+
+
+def _nest_deeply(path):
+    # Deeper than the JSON parser recurses, which once raised a raw RecursionError.
+    path.write_text("[" * 100_000)
+
+
 def _assign_first_doc(shard):
     return _edit_json(lambda plan: plan["assignment"].update({min(plan["assignment"]): shard}))
 
@@ -638,10 +691,13 @@ CORRUPTIONS = {
     "token-count-unsigned-wraps": ("dense", "token_counts.npy", _wrap_first_token_count),
     "codes-truncated": ("dense", "codes.npy", _truncate),
     "codes-int16": ("dense", "codes.npy", _retype(np.int16)),
+    "codes-shape-beyond-file": ("dense", "codes.npy", _claim_shape((2**22, 2**22))),
     "stats-truncated": ("lexical", "stats.json", _truncate),
+    "stats-nested-too-deeply": ("lexical", "stats.json", _nest_deeply),
     "stats-no-num-docs": ("lexical", "stats.json", _edit_json(lambda stats: stats.pop("num_docs"))),
     "offsets-truncated": ("lexical", "offsets.npy", _truncate),
     "postings-truncated": ("lexical", "postings.npy", _truncate),
+    "postings-shape-beyond-file": ("lexical", "postings.npy", _claim_shape((2**45,))),
     "weights-truncated": ("lexical", "weights.npy", _truncate),
     "offsets-missing-term": ("lexical", "offsets.npy", _edit_array(lambda offsets: offsets[:-1])),
     "postings-ordinal-too-large": ("lexical", "postings.npy", _edit_array(lambda docs: docs.astype(np.int64) + 1000)),

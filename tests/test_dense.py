@@ -1,13 +1,19 @@
 import json
 import logging
+import os
 import re
+import struct
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xlir import dense
 from xlir.dense import (
+    EMBEDDING_MAGIC,
     CompressedPassage,
     DenseIndex,
     DenseIndexParams,
@@ -140,6 +146,17 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError, match="truncated") as caught:
             load_embeddings(path)
         assert str(caught.value).startswith(f"{path}: ")
+
+    # A record's dim and token count claim 2**64 bytes (once a raw OverflowError from fh.read), or
+    # 4 MiB that the file does not hold: both are refused before anything is read or allocated.
+    @pytest.mark.parametrize("dim, token_count", [(2**31, 2**31), (4, 2**18)])
+    def test_claimed_vectors_beyond_the_file_are_truncated(self, tmp_path, dim, token_count):
+        path = tmp_path / "e.bin"
+        header = EMBEDDING_MAGIC + struct.pack("<IIQ", 1, dim, 1) + struct.pack("<H", 2) + b"p0"
+        path.write_bytes(header + struct.pack("<I", token_count) + np.eye(1, 4, dtype="<f4").tobytes())
+        message = f"{path}: truncated embedding file while reading 'p0' vectors"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_embeddings(path)
 
 
 @pytest.mark.parametrize(
@@ -480,6 +497,25 @@ class TestSearch:
         defaults = dict(num_centroids=8, seed=21, candidate_cap=1000)
         defaults.update(kwargs)
         return build_dense_index(embeddings, DenseIndexParams(**defaults)), embeddings
+
+    def test_first_search_of_a_process_leaves_numpy_ma_unimported(self, tmp_path):
+        # Stage 1 once deduplicated probed centroids with np.unique, whose first call in a process
+        # imports numpy.ma: about 8 ms on the first query of every `xlir search`.
+        index, _ = self.build(np.random.default_rng(15))
+        save_dense_index(index, tmp_path / "idx")
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from xlir.dense import load_dense_index, search_dense\n"
+            f"index = load_dense_index({str(tmp_path / 'idx')!r})\n"
+            "assert search_dense(index, np.eye(3, 8))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_single_centroid_degenerate_probing(self):
         rng = np.random.default_rng(14)
@@ -929,7 +965,8 @@ class TestPersistence:
             load_dense_index(tmp_path / "idx")
 
     def test_index_written_with_wide_arrays_loads_and_searches_the_same(self, tmp_path):
-        # The version-3 layout as written before ids were narrowed: int32 ids, int64 counts.
+        # The version-3 layout as written before ids were narrowed: int32 ids, int64 counts. Both
+        # directories load into the one in-memory layout, uint8 ids for 8 centroids.
         rng = np.random.default_rng(38)
         index = build_dense_index(random_embeddings(rng, 60, 8), DenseIndexParams(num_centroids=8, seed=3))
         save_dense_index(index, tmp_path / "narrow")
@@ -938,7 +975,9 @@ class TestPersistence:
         np.save(wide / "centroid_ids.npy", np.load(wide / "centroid_ids.npy").astype(np.int32))
         np.save(wide / "token_counts.npy", np.load(wide / "token_counts.npy").astype(np.int64))
         narrow, wide = load_dense_index(tmp_path / "narrow"), load_dense_index(wide)
-        assert (narrow.centroid_ids.dtype, wide.centroid_ids.dtype) == (np.uint8, np.int32)
+        assert (narrow.centroid_ids.dtype, wide.centroid_ids.dtype) == (np.uint8, np.uint8)
+        assert np.array_equal(wide.centroid_ids, narrow.centroid_ids)
+        assert np.array_equal(wide.distinct_centroids, narrow.distinct_centroids)
         for cap in (2500, 10):
             params = replace(index.params, candidate_cap=cap)
             for _ in range(5):
@@ -1089,4 +1128,12 @@ class TestPersistence:
         embeddings = random_embeddings(np.random.default_rng(35), 10, 8)
         embeddings["p0003"] = np.zeros((0, 8), dtype=np.float32)
         with pytest.raises(ValidationError, match="passage 'p0003' has no tokens"):
+            build_dense_index(embeddings, DenseIndexParams(num_centroids=4, seed=3))
+
+    def test_build_rejects_passages_of_different_dims(self):
+        # np.vstack once refused them while training, with a ValueError naming no passage.
+        embeddings = random_embeddings(np.random.default_rng(35), 10, 8)
+        embeddings["p0003"] = unit_rows(np.ones((3, 6)))
+        message = "passage 'p0003': vector shape (6,), the first's is (8,)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             build_dense_index(embeddings, DenseIndexParams(num_centroids=4, seed=3))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import logging
 import math
@@ -6,12 +7,14 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from xlir import lexical
 from xlir.errors import FormatError, ValidationError
 from xlir.lexical import (
     SCORERS,
@@ -96,6 +99,22 @@ class TestBuildIndex:
         largest = float(np.finfo(np.float32).max)
         save_index(build_index([("d1", {"a": largest}), ("d2", {"a": 1.0})]), tmp_path / "idx")
         assert load_index(tmp_path / "idx").weight("a", "d1") == largest
+
+    # save_index once wrote a weight in (0, 2**-150] as float32 0.0, which load_index refuses. Such
+    # a weight is dropped like a zero; just above 2**-150 it rounds to the smallest float32, 2**-149.
+    def test_weight_that_is_zero_as_float32_is_dropped(self, tmp_path):
+        bags = [("d1", {"a": 1.0, "b": 2.0**-150}), ("d2", {"b": 1.0, "c": 1e-46}), ("d3", {"c": 2.0**-150})]
+        without = [("d1", {"a": 1.0}), ("d2", {"b": 1.0}), ("d3", {})]
+        save_index(build_index(bags), tmp_path / "idx")
+        loaded, expected = load_index(tmp_path / "idx"), build_index(without)
+        assert loaded.terms == expected.terms == ["a", "b"]
+        for scorer in SCORERS:
+            for rm3 in (False, True):
+                results = search_lexical(expected, ["a", "b"], scorer, rm3)
+                assert results and search_lexical(loaded, ["a", "b"], scorer, rm3) == results
+        smallest = build_index([("d1", {"a": np.nextafter(2.0**-150, 1.0)})])
+        save_index(smallest, tmp_path / "smallest")
+        assert load_index(tmp_path / "smallest").weight("a", "d1") == 2.0**-149
 
 
 class TestBM25:
@@ -223,6 +242,22 @@ class TestRM3:
         weights = rm3_expand(index, ["a", "a", "b"])
         assert weights == pytest.approx({"a": 2 / 3, "b": 1 / 3})
 
+    def test_one_rm3_search_is_one_search_lexical_span(self, monkeypatch):
+        # RM3's first pass calls search_weighted directly: it once went through search_lexical,
+        # which checked and counted the query again and recorded a second, nested span.
+        tracing_path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look their module up there
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        index = build_index([("d1", {"a": 2.0, "b": 1.0}), ("d2", {"a": 1.0, "c": 3.0})])
+        with tracer.recording():
+            results = lexical.search_lexical(index, ["a", "a", "c"], rm3=True)
+        names = [span.name for span in tracer.spans]
+        assert results and names == ["lexical.search_lexical", "lexical.rm3_expand"]
+        assert tracer.spans[1].parent == 0
+
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(3)
         bags = [
@@ -264,8 +299,12 @@ class TestSearch:
         assert len(results) == 2
 
     def test_empty_query_rejected(self, two_doc_index):
-        with pytest.raises(ValidationError):
-            search_lexical(two_doc_index, [])
+        # search_weighted, which every search ends in, refuses it; RM3's first pass included.
+        for rm3 in (False, True):
+            with pytest.raises(ValidationError, match="empty query"):
+                search_lexical(two_doc_index, [], rm3=rm3)
+        with pytest.raises(ValidationError, match="empty query"):
+            rm3_expand(two_doc_index, [])
 
     def test_k_validation(self, two_doc_index):
         with pytest.raises(ValidationError):
@@ -687,7 +726,7 @@ class TestPersistence:
         save_index(index, tmp_path / "idx")
         assert np.load(tmp_path / "idx" / "postings.npy").dtype == dtype
         loaded = load_index(tmp_path / "idx")
-        assert loaded.docs.dtype == index.docs.dtype == np.int32
+        assert loaded.docs.dtype == index.docs.dtype == dtype  # held as postings.npy stores them
         assert int(loaded.docs.max()) == num_docs - 1  # the last ordinal is in use
         for doc_id in index.doc_ids:
             assert list(loaded.doc_bag(doc_id).items()) == list(index.doc_bag(doc_id).items())
@@ -704,7 +743,7 @@ class TestPersistence:
         np.save(wide, np.load(wide).astype(np.int32))
         narrow, wide = load_index(tmp_path / "narrow"), load_index(tmp_path / "wide")
         assert np.load(tmp_path / "narrow" / "postings.npy").dtype == np.uint16
-        assert np.array_equal(narrow.docs, wide.docs)
+        assert np.array_equal(narrow.docs, wide.docs) and wide.docs.dtype == np.uint16
         for query in (["c1", "c4", "c4"], ["c2", "r3", "c7"]):
             for scorer in SCORERS:
                 for rm3 in (False, True):
