@@ -313,7 +313,6 @@ def build_parser(config: dict[str, dict] | None = None) -> argparse.ArgumentPars
     """The ``xlir`` parser; the values of ``config`` (from ``load_config``) replace the
     built-in defaults of every command, and an explicit flag still wins over them."""
     parser = argparse.ArgumentParser(prog="xlir", description=__doc__)
-    parser.add_argument("--verbose", action="store_true", help="debug-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psq-translate", help="translate documents into query-language bags")
@@ -399,11 +398,7 @@ def build_parser(config: dict[str, dict] | None = None) -> argparse.ArgumentPars
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(message)s",
-        stream=sys.stderr,
-    )
+    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     try:
         config = load_config(getattr(args, "config", None))
         if config:

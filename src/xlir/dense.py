@@ -22,6 +22,11 @@ Embedding file format (all integers little-endian):
     per passage: key_len u16, key bytes (UTF-8), token_count u32,
                  token_count * dim float32 values (row-major)
 
+``load_embeddings`` reads the file into one buffer once and parses every
+record, refusing any size a record claims beyond the bytes left, before it
+checks a norm; ``write_embeddings`` checks norms before it opens its file.
+Both check them with ``_check_norms``, 64 passages per numpy call.
+
 Index directory layout (version 3): ``meta.json`` (format, version,
 parameters), ``centroids.npy``, ``bucket_boundaries.npy``,
 ``bucket_values.npy``, ``keys.txt`` (one passage key per line, in increasing
@@ -45,7 +50,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import struct
 import time
 from collections.abc import Iterable, Mapping
@@ -63,7 +67,8 @@ logger = logging.getLogger(__name__)
 EMBEDDING_MAGIC = b"LIEMB"
 EMBEDDING_VERSION = 1
 NORM_TOLERANCE = 1e-4
-# Passages whose norms write_embeddings checks with one numpy call.
+# Passages whose norms _check_norms takes with one numpy call: a call per passage costs more,
+# and one call over all rows would hold a float64 copy of every vector at once.
 _NORM_BLOCK = 64
 
 INDEX_FORMAT = "xlir-dense-index"
@@ -111,12 +116,6 @@ class DenseIndexParams:
         return 2 ** math.ceil(math.log2(16.0 * math.sqrt(total_tokens)))
 
 
-def _norm_fault(norms: np.ndarray) -> int | None:
-    """The first row whose norm is not within ``NORM_TOLERANCE`` of 1, a NaN norm included; ``None`` if none."""
-    unit = np.abs(norms - 1.0) <= NORM_TOLERANCE
-    return None if unit.all() else int(np.argmin(unit))
-
-
 def _key_bytes(key: str) -> bytes:
     """A passage key's UTF-8 bytes; a ``ValidationError`` for a non-string or a lone surrogate."""
     if not isinstance(key, str):
@@ -125,6 +124,21 @@ def _key_bytes(key: str) -> bytes:
         return key.encode("utf-8")
     except UnicodeEncodeError:
         raise ValidationError(f"passage key {key!r}: holds a lone surrogate, which UTF-8 cannot encode") from None
+
+
+def _check_norms(items: list[tuple[str, np.ndarray]], where: str) -> None:
+    """Refuse, prefixed by ``where``, the first vector of ``(key, matrix)`` items whose float64 norm is
+    not within ``NORM_TOLERANCE`` of 1 (NaN included), taking ``_NORM_BLOCK`` passages per numpy call."""
+    for start in range(0, len(items), _NORM_BLOCK):
+        block = items[start : start + _NORM_BLOCK]
+        norms = np.linalg.norm(np.concatenate([matrix for _, matrix in block], dtype=np.float64), axis=1)
+        unit = np.abs(norms - 1.0) <= NORM_TOLERANCE
+        if not unit.all():
+            row = int(np.argmin(unit))
+            ends = np.cumsum([len(matrix) for _, matrix in block])
+            p = int(np.searchsorted(ends, row, side="right"))
+            token = row - (int(ends[p - 1]) if p else 0)
+            raise ValidationError(f"{where}passage {block[p][0]!r} token {token} has norm {norms[row]:.6f}, expected 1")
 
 
 def write_embeddings(path: str | Path, embeddings: Mapping[str, np.ndarray]) -> None:
@@ -142,17 +156,7 @@ def write_embeddings(path: str | Path, embeddings: Mapping[str, np.ndarray]) -> 
             )
         if len(key_bytes) > 0xFFFF:
             raise ValidationError(f"passage key {key[:20]!r}...: {len(key_bytes)} UTF-8 bytes, at most 65535 fit")
-    # Norms as load_embeddings computes them, a block of passages at a time: a numpy call per
-    # passage costs more, and one over all rows holds a float64 copy of every vector at once.
-    for start in range(0, len(items), _NORM_BLOCK):
-        block = items[start : start + _NORM_BLOCK]
-        norms = np.linalg.norm(np.concatenate([matrix for _, _, matrix in block], dtype=np.float64), axis=1)
-        row = _norm_fault(norms)
-        if row is not None:
-            ends = np.cumsum([len(matrix) for _, _, matrix in block])
-            p = int(np.searchsorted(ends, row, side="right"))
-            token = row - (int(ends[p - 1]) if p else 0)
-            raise ValidationError(f"passage {block[p][0]!r} token {token} has norm {norms[row]:.6f}, expected 1")
+    _check_norms([(key, matrix) for key, _, matrix in items], "")
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<IIQ", EMBEDDING_VERSION, dim, len(items)))
@@ -163,48 +167,48 @@ def write_embeddings(path: str | Path, embeddings: Mapping[str, np.ndarray]) -> 
             fh.write(matrix.astype("<f4").tobytes(order="C"))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    # A size claimed by a record is compared with the bytes left before anything is allocated.
-    data = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
-    if len(data) != n:
-        raise FormatError(f"{fh.name}: truncated embedding file while reading {what}")
-    return data
-
-
 def load_embeddings(path: str | Path) -> TokenEmbeddings:
-    """Read an embedding file, validating the header and per-vector norms."""
+    """Read an embedding file into one buffer, refusing a bad header or record, then check every norm.
+    Vectors move to the buffer's front as read, so each matrix is an aligned, writable float32 view of it."""
+    data = np.fromfile(path, dtype=np.uint8)
+    end = len(EMBEDDING_MAGIC)
+    magic = data[:end].tobytes()
+    if magic != EMBEDDING_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {EMBEDDING_MAGIC!r}")
+
+    def field(size: int, what: str) -> int:
+        """Where the next ``size`` bytes start; a size a record claims is compared with the bytes left."""
+        nonlocal end
+        if size > len(data) - end:
+            raise FormatError(f"{path}: truncated embedding file while reading {what}")
+        end += size
+        return end - size
+
+    version, dim, count = struct.unpack_from("<IIQ", data, field(16, "header"))
+    if version != EMBEDDING_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if dim < 1:
+        raise FormatError(f"{path}: non-positive dimension {dim}")
     embeddings: TokenEmbeddings = {}
-    with open(path, "rb") as fh:
-        magic = fh.read(len(EMBEDDING_MAGIC))
-        if magic != EMBEDDING_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {EMBEDDING_MAGIC!r}")
-        version, dim, count = struct.unpack("<IIQ", _read_exact(fh, 16, "header"))
-        if version != EMBEDDING_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if dim < 1:
-            raise FormatError(f"{path}: non-positive dimension {dim}")
-        for i in range(count):
-            (key_len,) = struct.unpack("<H", _read_exact(fh, 2, f"record {i} key length"))
-            try:
-                key = _read_exact(fh, key_len, f"record {i} key").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: record {i} key is not UTF-8 ({exc.reason})") from None
-            (token_count,) = struct.unpack("<I", _read_exact(fh, 4, f"{key!r} token count"))
-            if token_count == 0:
-                raise ValidationError(f"{path}: passage {key!r} has no tokens")
-            raw = _read_exact(fh, token_count * dim * 4, f"{key!r} vectors")
-            matrix = np.frombuffer(raw, dtype="<f4").reshape(token_count, dim).copy()
-            norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
-            j = _norm_fault(norms)
-            if j is not None:
-                raise ValidationError(
-                    f"{path}: passage {key!r} token {j} has norm {norms[j]:.6f}, expected 1"
-                )
-            if key in embeddings:
-                raise ValidationError(f"{path}: duplicate passage key {key!r}")
-            embeddings[key] = matrix
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after {count} records")
+    moved = 0
+    for i in range(count):
+        (key_len,) = struct.unpack_from("<H", data, field(2, f"record {i} key length"))
+        try:
+            key = data[field(key_len, f"record {i} key") : end].tobytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: record {i} key is not UTF-8 ({exc.reason})") from None
+        (token_count,) = struct.unpack_from("<I", data, field(4, f"{key!r} token count"))
+        if token_count == 0:
+            raise ValidationError(f"{path}: passage {key!r} has no tokens")
+        size = token_count * dim * 4
+        data[moved : moved + size] = data[field(size, f"{key!r} vectors") : end]
+        if key in embeddings:
+            raise ValidationError(f"{path}: duplicate passage key {key!r}")
+        embeddings[key] = data[moved : moved + size].view("<f4").reshape(token_count, dim)
+        moved += size
+    if end != len(data):
+        raise FormatError(f"{path}: trailing bytes after {count} records")
+    _check_norms(list(embeddings.items()), f"{path}: ")
     return embeddings
 
 
@@ -525,13 +529,19 @@ class DenseIndex:
                 f"token counts add up to {shape[0]} tokens, which need {shape[0]} centroid ids and "
                 f"codes of shape {shape}, got {centroid_ids.size} ids and codes of shape {codes.shape}"
             )
+        n, k = len(keys), codebook.num_centroids
+        # An id of K or more would be counted as the next passage's in the pairs below, and
+        # fail only at search. load_dense_index refuses such ids first, naming its file.
+        if not np.issubdtype(centroid_ids.dtype, np.integer) or (
+            centroid_ids.size and (centroid_ids.min() < 0 or centroid_ids.max() >= k)
+        ):
+            raise ValidationError(f"centroid ids must be integers in [0, {k})")
         # One sort of (passage ordinal, centroid id) pairs, encoded as ordinal * K + cid,
         # cut per passage; a stable sort of its centroid column, cut per centroid, keeps
         # each centroid's passages in increasing order. Repeats are dropped by comparing
         # neighbours, as np.unique took eight times as long for the same pairs, and the
         # stable sort runs on the ids' dtype, the narrowest that holds K - 1, where numpy
         # sorts 8- and 16-bit keys by radix.
-        n, k = len(keys), codebook.num_centroids
         ordinals = np.repeat(np.arange(n, dtype=np.int64), token_counts)
         pairs = np.sort(ordinals * k + centroid_ids.astype(np.int64))
         pairs = pairs[np.diff(pairs, prepend=-1) != 0]
@@ -562,9 +572,10 @@ def _key_order_fault(keys: Iterable[str]) -> str | None:
 
 
 def _check_keys(keys: Iterable[str]) -> None:
-    """``keys.txt`` holds one passage key per line, so no key may contain a line feed."""
+    """``keys.txt`` holds one passage key per line in UTF-8, so every key must be a string UTF-8
+    can encode, with no line feed."""
     for key in keys:
-        if "\n" in key:
+        if b"\n" in _key_bytes(key):
             raise ValidationError(f"passage key {key!r} contains a line feed")
 
 

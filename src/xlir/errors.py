@@ -3,6 +3,7 @@
 
 import json
 import math
+import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,6 +42,17 @@ def malformed(path: str | Path, what: str) -> Iterator[None]:
         raise FormatError(f"{path}: missing {what}") from None
     except RECORD_ERRORS as exc:
         raise FormatError(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from None
+
+
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def lone_surrogate(texts: list[str]) -> str | None:
+    """The first of ``texts`` that holds a lone surrogate, which UTF-8 cannot encode (JSON reads a
+    ``"\\ud800"`` escape as one); ``None`` if none does. The common case is one scan of them all."""
+    if _LONE_SURROGATE.search("".join(texts)) is None:
+        return None
+    return next(text for text in texts if _LONE_SURROGATE.search(text))
 
 
 def json_int(value: object, path: str | Path, what: str) -> int:

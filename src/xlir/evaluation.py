@@ -19,7 +19,7 @@ from itertools import pairwise
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import FormatError, ValidationError, read_lines
+from .errors import FormatError, ValidationError, lone_surrogate, read_lines
 
 # topic_id -> (doc_id, score) pairs, best first
 Run = dict[str, list[tuple[str, float]]]
@@ -51,6 +51,9 @@ def write_run(path: str | Path, run: Run, run_tag: str) -> None:
     for name in names:
         if name.split() != [name]:
             raise ValidationError(f"{path}: run field {name!r} is empty or contains whitespace")
+    bad = lone_surrogate(list(names))
+    if bad is not None:
+        raise ValidationError(f"{path}: run field {bad!r} holds a lone surrogate, which UTF-8 cannot encode")
     with open(path, "w", encoding="utf-8") as fh:
         for topic_id, ranked in run.items():
             fh.writelines(

@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, json_int, load_array, malformed
+from .errors import FormatError, ValidationError, json_int, load_array, lone_surrogate, malformed
 
 logger = logging.getLogger(__name__)
 
@@ -240,7 +240,7 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
     Weights that are zero as float32 (the precision ``save_index`` stores),
     such as 1e-46, are dropped like zero weights; negative weights, weights
     that are not finite as float32, duplicate doc ids, and doc ids or terms
-    that are not strings are rejected.
+    that are not strings, or hold a lone surrogate, are rejected.
     """
     doc_ids: list[str] = []
     vocabulary: dict[str, int] = {}
@@ -262,6 +262,10 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
                         raise ValidationError(f"document {doc_id!r}: term {term!r} is not a string")
                     t = vocabulary[term] = len(vocabulary)
                 postings.append((t, ordinal, w))
+    for what, names in (("document id", doc_ids), ("term", list(vocabulary))):
+        bad = lone_surrogate(names)
+        if bad is not None:
+            raise ValidationError(f"{what} {bad!r} holds a lone surrogate, which UTF-8 cannot encode")
     columns = np.fromiter(postings, dtype=[("term", np.int64), ("doc", np.int64), ("weight", np.float64)])
     return _from_postings(doc_ids, list(vocabulary), columns["term"], columns["doc"], columns["weight"])
 
@@ -523,6 +527,9 @@ def _load_strings(path: Path, what: str) -> list[str]:
         names = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise FormatError(f"{path}: {what} must be a JSON list of strings")
+    bad = lone_surrogate(names)
+    if bad is not None:
+        raise FormatError(f"{path}: {what} entry {bad!r} holds a lone surrogate, which UTF-8 cannot encode")
     return names
 
 

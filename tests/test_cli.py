@@ -911,6 +911,31 @@ def test_lone_surrogate_id_is_refused_without_output(workspace, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, what", [("docs.json", "document list"), ("terms.json", "term list")])
+def test_lone_surrogate_in_a_lexical_index_is_refused_without_output(workspace, tmp_path, capsys, name, what):
+    # JSON reads a "\ud800" escape as a lone surrogate, which the UTF-8 run file cannot hold.
+    root, paths = workspace
+    index_dir = tmp_path / "idx"
+    shutil.copytree(root / INDEX_DIRS["lexical"], index_dir)
+    names = json.loads((index_dir / name).read_text(encoding="utf-8"))
+    names[0] += "\ud800"
+    (index_dir / name).write_text(json.dumps(names) + "\n", encoding="utf-8")
+    out = tmp_path / "never.run"
+    capsys.readouterr()
+    assert main([*_search_argv(root, paths, "lexical", index_dir=index_dir), "--output", str(out)]) == 1
+    message = f"error: {index_dir / name}: {what} entry {names[0]!r} holds a lone surrogate, which UTF-8 cannot encode"
+    assert capsys.readouterr().err.strip().splitlines() == [message]
+    assert not out.exists()
+
+
+def test_verbose_flag_is_gone(capsys):
+    # No code logs at debug level, so a flag that selects it would change nothing.
+    with pytest.raises(SystemExit) as caught:
+        main(["--verbose", "fuse", "a.run", "--output", "never.run"])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+
 # The first byte of the first passage key: magic, then version, dim and count (16 bytes), then the key length.
 _FIRST_KEY_BYTE = len(EMBEDDING_MAGIC) + 16 + 2
 _GOOD_RUN = "1 Q0 d1 1 2.0 t\n1 Q0 d2 2 1.0 t\n"

@@ -194,6 +194,27 @@ def test_default_num_centroids_heuristic():
     assert DenseIndexParams.default_num_centroids(10_000) == 2048
 
 
+# The norm faults write_embeddings and load_embeddings both refuse, through one check.
+NORM_CASES = {
+    "non-unit": ({"p0": np.eye(3, 4), "p1": np.eye(2, 4) * [[1], [2]]},
+                 "passage 'p1' token 1 has norm 2.000000, expected 1"),
+    "nan": ({"p0": np.eye(3, 4), "p1": np.full((1, 4), np.nan)}, "passage 'p1' token 0 has norm nan, expected 1"),
+    "non-unit-in-a-later-block": ({**{f"p{i:02d}": np.eye(2, 4) for i in range(70)}, "p66": np.eye(2, 4) * [[1], [3]]},
+                                  "passage 'p66' token 1 has norm 3.000000, expected 1"),
+    "infinity": ({"p0": np.vstack([np.eye(2, 4), [[np.inf, 0, 0, 0]]])},
+                 "passage 'p0' token 2 has norm inf, expected 1"),
+}
+
+
+def write_raw_embeddings(path, embeddings, dim=4):
+    """Write ``embeddings`` in the embedding file format with ``struct`` alone, checking nothing."""
+    with open(path, "wb") as fh:
+        fh.write(EMBEDDING_MAGIC + struct.pack("<IIQ", 1, dim, len(embeddings)))
+        for key, matrix in embeddings.items():
+            matrix, key_bytes = np.asarray(matrix, dtype="<f4"), key.encode("utf-8")
+            fh.write(struct.pack("<H", len(key_bytes)) + key_bytes + struct.pack("<I", len(matrix)) + matrix.tobytes())
+
+
 @pytest.mark.parametrize(
     "embeddings,message",
     [
@@ -202,11 +223,7 @@ def test_default_num_centroids_heuristic():
          "passage 'p0': expected (tokens >= 1, dim) with the first passage's dim, got shape (4,)"),
         ({"p0": np.eye(2, 4), "p1": np.eye(2, 5)}, "passage 'p1': expected (tokens >= 1, dim)"),
         ({"p0": np.eye(2, 4), "p1": np.zeros((0, 4))}, "got shape (0, 4)"),
-        ({"p0": np.eye(3, 4), "p1": np.eye(2, 4) * [[1], [2]]}, "passage 'p1' token 1 has norm 2.000000, expected 1"),
-        ({"p0": np.eye(3, 4), "p1": np.full((1, 4), np.nan)}, "passage 'p1' token 0 has norm nan, expected 1"),
-        ({**{f"p{i:02d}": np.eye(2, 4) for i in range(70)}, "p66": np.eye(2, 4) * [[1], [3]]},
-         "passage 'p66' token 1 has norm 3.000000, expected 1"),
-        ({"p0": np.vstack([np.eye(2, 4), [[np.inf, 0, 0, 0]]])}, "passage 'p0' token 2 has norm inf, expected 1"),
+        *NORM_CASES.values(),
         ({"é" * 32768: np.eye(1, 4)}, "65536 UTF-8 bytes, at most 65535 fit"),
         ({"p0": np.eye(1, 4), "\ud800": np.eye(1, 4)}, "passage key '\\ud800': holds a lone surrogate"),
         ({"p0": np.eye(1, 4), 7: np.eye(1, 4)}, "passage key 7: expected a string"),
@@ -219,6 +236,36 @@ def test_write_embeddings_refuses_what_load_refuses_before_writing(tmp_path, emb
     with pytest.raises(ValidationError, match=re.escape(message)):
         write_embeddings(path, embeddings)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("embeddings,message", NORM_CASES.values(), ids=NORM_CASES)
+def test_load_embeddings_refuses_the_norms_write_embeddings_refuses(tmp_path, embeddings, message):
+    path = tmp_path / "e.bin"
+    write_raw_embeddings(path, embeddings)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+        load_embeddings(path)
+
+
+def test_load_embeddings_refuses_a_truncated_record_before_any_norm(tmp_path):
+    # Norms are checked once the last record parses, so a vector of norm 2 in record 0
+    # does not hide that record 2 is cut short.
+    path = tmp_path / "e.bin"
+    write_raw_embeddings(path, {"p0": np.eye(2, 4) * 2, "p1": np.eye(2, 4), "p2": np.eye(2, 4)})
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(FormatError, match=re.escape(f"{path}: truncated embedding file while reading 'p2' vectors")):
+        load_embeddings(path)
+
+
+def test_loaded_matrices_are_aligned_writable_float32(tmp_path):
+    # Keys of 1 to 5 bytes leave each record's vectors at an offset the file does not align.
+    embeddings = {"p" * n: unit_rows(np.random.default_rng(n).standard_normal((n, 4))) for n in range(1, 6)}
+    path = tmp_path / "e.bin"
+    write_embeddings(path, embeddings)
+    loaded = load_embeddings(path)
+    assert list(loaded) == list(embeddings)
+    for key, matrix in loaded.items():
+        assert matrix.dtype == np.float32 and matrix.flags.aligned and matrix.flags.writeable
+        np.testing.assert_array_equal(matrix, embeddings[key].astype(np.float32))
 
 
 def reference_kmeans(embeddings, params):
@@ -963,6 +1010,31 @@ class TestPersistence:
         np.save(tmp_path / "idx" / "centroid_ids.npy", ids)
         with pytest.raises(FormatError, match="centroid_ids.npy"):
             load_dense_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("bad_id, dtype", [(259, np.int64), (-1, np.int64), (4, np.uint8), (1.0, np.float64)])
+    def test_direct_construction_refuses_centroid_ids_out_of_range(self, bad_id, dtype):
+        # An id of K or more would count as the next passage's in the centroid maps, and 259 at
+        # 4 centroids indexes past the codebook at search.
+        rng = np.random.default_rng(29)
+        index = build_dense_index(random_embeddings(rng, 10, 8), DenseIndexParams(num_centroids=4, seed=3))
+        ids = index.centroid_ids.astype(dtype)
+        ids[len(ids) // 2] = bad_id
+        counts = np.diff(index.token_offsets)
+        with pytest.raises(ValidationError, match=re.escape("centroid ids must be integers in [0, 4)")):
+            DenseIndex(index.codebook, index.keys, counts, ids, index.codes, index.params)
+
+    def test_lone_surrogate_key_is_refused_before_any_file(self, tmp_path):
+        # keys.txt is UTF-8, which cannot hold a lone surrogate; it is refused before meta.json is written.
+        rng = np.random.default_rng(32)
+        embeddings = random_embeddings(rng, 10, 8)
+        message = "passage key 'p9\\ud800': holds a lone surrogate, which UTF-8 cannot encode"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build_dense_index({**embeddings, "p9\ud800": embeddings["p0000"]}, DenseIndexParams(num_centroids=4))
+        index = build_dense_index(embeddings, DenseIndexParams(num_centroids=4, seed=3))
+        index.keys[-1] = "p9\ud800"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            save_dense_index(index, tmp_path / "idx")
+        assert not (tmp_path / "idx").exists()
 
     def test_index_written_with_wide_arrays_loads_and_searches_the_same(self, tmp_path):
         # The version-3 layout as written before ids were narrowed: int32 ids, int64 counts. Both

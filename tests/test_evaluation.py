@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ class TestRunIO:
     def test_unreadable_field_rejected_before_writing(self, tmp_path, run, run_tag):
         path = tmp_path / "never.run"
         with pytest.raises(ValidationError, match="whitespace"):
+            write_run(path, run, run_tag)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        ("run", "run_tag", "field"),
+        [({"t1": [("d\ud800", 0.5)]}, "x", "d\\ud800"), ({"t\udc00": [("d1", 0.5)]}, "x", "t\\udc00"),
+         ({"t1": [("d1", 0.5)]}, "\ud800x", "\\ud800x")],
+        ids=["doc-id", "topic-id", "run-tag"],
+    )
+    def test_lone_surrogate_field_rejected_before_writing(self, tmp_path, run, run_tag, field):
+        # A run file is UTF-8, which cannot hold one; it is refused before the file is opened.
+        path = tmp_path / "never.run"
+        with pytest.raises(ValidationError, match=re.escape(f"run field '{field}' holds a lone surrogate")):
             write_run(path, run, run_tag)
         assert not path.exists()
 

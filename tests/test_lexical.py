@@ -2,6 +2,7 @@ import importlib.util
 import json
 import logging
 import math
+import re
 import sys
 import threading
 from collections import Counter
@@ -77,6 +78,19 @@ class TestBuildIndex:
     )
     def test_non_string_id_or_term_rejected(self, bags, named):
         with pytest.raises(ValidationError, match=f"{named} is not a string"):
+            build_index(bags)
+
+    @pytest.mark.parametrize(
+        "bags,message",
+        [
+            ([("d1", {"a": 1.0}), ("d\ud800", {"a": 2.0})], "document id 'd\\ud800' holds a lone surrogate"),
+            ([("d1", {"a": 1.0}), ("d2", {"a": 1.0, "b\udfff": 2.0})], "term 'b\\udfff' holds a lone surrogate"),
+        ],
+        ids=["doc-id", "term"],
+    )
+    def test_lone_surrogate_id_or_term_rejected(self, bags, message):
+        # docs.json and terms.json are UTF-8, which cannot hold one, so save_index could not write them.
+        with pytest.raises(ValidationError, match=re.escape(message)):
             build_index(bags)
 
     def test_postings_sorted_by_doc_id(self):
@@ -806,6 +820,8 @@ class TestPersistence:
             ("terms.json", '{"terms": ["a", "b"]}', "terms.json"),
             ("docs.json", '["d1", 5]', "docs.json"),
             ("docs.json", '["d1"]', "counts in stats.json"),
+            ("docs.json", '["d1", "d\\ud800"]', r"docs.json: document list entry 'd\\ud800' holds a lone surrogate"),
+            ("terms.json", '["\\udfff", "b"]', r"terms.json: term list entry '\\udfff' holds a lone surrogate"),
             ("terms.json", '["a"]', "counts in stats.json"),
             # int() would read these as the index's 2 documents and 2 terms.
             ("stats.json", STATS_JSON % ("2.9", "2"), "stats.json: num_docs must be a JSON integer, got 2.9"),
