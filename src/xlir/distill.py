@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RECORD_ERRORS, FormatError, ValidationError, XlirError, read_jsonl
+from .errors import RECORD_ERRORS, FormatError, ValidationError, XlirError, lone_surrogate, read_jsonl
 
 # query id -> (passage key, teacher score) pairs, in mined order
 DistillSet = dict[str, list[tuple[str, float]]]
@@ -77,6 +77,11 @@ def write_distill_file(path: str | Path, pairs: DistillSet) -> None:
         types_ok = all(isinstance(pid, str) and (isinstance(s, float) or type(s) is int) for pid, s in scored)
         if not (isinstance(query_id, str) and types_ok):
             raise ValidationError(f"{path}: query {query_id!r}: expected a string id and (string key, number) pairs")
+        bad = lone_surrogate([query_id, *(pid for pid, _ in scored)])
+        if bad is not None:
+            raise ValidationError(
+                f"{path}: query {query_id!r}: id {bad!r} holds a lone surrogate, which UTF-8 cannot encode"
+            )
         _check_query(str(path), query_id, scored, ValidationError)
     with open(path, "w", encoding="utf-8") as fh:
         for query_id, scored in pairs.items():

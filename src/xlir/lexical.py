@@ -262,12 +262,13 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
                         raise ValidationError(f"document {doc_id!r}: term {term!r} is not a string")
                     t = vocabulary[term] = len(vocabulary)
                 postings.append((t, ordinal, w))
-    for what, names in (("document id", doc_ids), ("term", list(vocabulary))):
+    terms = list(vocabulary)
+    for what, names in (("document id", doc_ids), ("term", terms)):
         bad = lone_surrogate(names)
         if bad is not None:
             raise ValidationError(f"{what} {bad!r} holds a lone surrogate, which UTF-8 cannot encode")
     columns = np.fromiter(postings, dtype=[("term", np.int64), ("doc", np.int64), ("weight", np.float64)])
-    return _from_postings(doc_ids, list(vocabulary), columns["term"], columns["doc"], columns["weight"])
+    return _from_postings(doc_ids, terms, columns["term"], columns["doc"], columns["weight"])
 
 
 def _resolve(params: LexicalParams | None) -> LexicalParams:

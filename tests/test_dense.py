@@ -257,7 +257,7 @@ def test_load_embeddings_refuses_a_truncated_record_before_any_norm(tmp_path):
 
 
 def test_loaded_matrices_are_aligned_writable_float32(tmp_path):
-    # Keys of 1 to 5 bytes leave each record's vectors at an offset the file does not align.
+    # Keys of 1 to 5 bytes put most records' vectors at file offsets that are not a multiple of 4.
     embeddings = {"p" * n: unit_rows(np.random.default_rng(n).standard_normal((n, 4))) for n in range(1, 6)}
     path = tmp_path / "e.bin"
     write_embeddings(path, embeddings)
@@ -1012,7 +1012,7 @@ class TestPersistence:
             load_dense_index(tmp_path / "idx")
 
     @pytest.mark.parametrize("bad_id, dtype", [(259, np.int64), (-1, np.int64), (4, np.uint8), (1.0, np.float64)])
-    def test_direct_construction_refuses_centroid_ids_out_of_range(self, bad_id, dtype):
+    def test_direct_construction_refuses_centroid_ids_not_integers_in_range(self, bad_id, dtype):
         # An id of K or more would count as the next passage's in the centroid maps, and 259 at
         # 4 centroids indexes past the codebook at search.
         rng = np.random.default_rng(29)

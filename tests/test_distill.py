@@ -214,6 +214,20 @@ class TestDistillFile:
         assert not path.exists()
 
     @pytest.mark.parametrize(
+        "pairs,query,bad",
+        [({"q\ud800": [("p1", 1.0), ("p2", 0.5)]}, "q\\ud800", "q\\ud800"),
+         ({"q": [("p1", 1.0), ("p\udfff", 0.5)]}, "q", "p\\udfff")],
+        ids=["query-id", "pid"],
+    )
+    def test_write_refuses_a_lone_surrogate_before_writing(self, tmp_path, pairs, query, bad):
+        # The file is UTF-8, which cannot hold one; it is refused before the file is opened.
+        path = tmp_path / "distill.jsonl"
+        message = f"{path}: query '{query}': id '{bad}' holds a lone surrogate"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            write_distill_file(path, {"q0": [("a", 1.0), ("b", 0.0)], **pairs})
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "passages,message",
         [
             ('[{"pid": "p1", "teacher": 1.0}]', "need at least 2 passages, got 1"),
