@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, ValidationError, read_jsonl
+from .errors import LONE_SURROGATE, FormatError, ValidationError, read_jsonl, unwritable
 
 QUERY_VARIANTS = ("T", "D", "TD")
 
@@ -173,7 +173,26 @@ def ingest_topics(path: str | Path) -> list[Topic]:
     return topics
 
 
+def _check_records(path: str | Path, what: str, records: list, fields: tuple[str, ...]) -> None:
+    """Refuse, before ``path`` is opened, a record the ingest function could not read back: one whose
+    text ``fields`` (the id first) are not strings or hold a lone surrogate, or an id given twice."""
+    texts = [getattr(record, name) for record in records for name in fields]
+    bad = unwritable(texts)
+    if bad is not None:
+        reason = LONE_SURROGATE if isinstance(texts[bad], str) else "is not a string"
+        record_id, name = texts[bad - bad % len(fields)], fields[bad % len(fields)]
+        raise ValidationError(f"{path}: {what} {record_id!r}: field {name!r} {reason}")
+    seen: set[str] = set()
+    for record_id in texts[:: len(fields)]:
+        if record_id in seen:
+            raise ValidationError(f"{path}: duplicate {what} id {record_id!r}")
+        seen.add(record_id)
+
+
 def write_collection(path: str | Path, docs: Iterable[Document]) -> None:
+    """Write ``docs`` as JSON lines; refuse, before opening ``path``, a document ``ingest_collection`` refuses."""
+    docs = list(docs)
+    _check_records(path, "document", docs, ("doc_id", "title", "text", "lang"))
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
             record: dict = {"id": doc.doc_id, "title": doc.title, "text": doc.text, "lang": doc.lang}
@@ -183,6 +202,9 @@ def write_collection(path: str | Path, docs: Iterable[Document]) -> None:
 
 
 def write_topics(path: str | Path, topics: Iterable[Topic]) -> None:
+    """Write ``topics`` as JSON lines; refuse, before opening ``path``, a topic ``ingest_topics`` refuses."""
+    topics = list(topics)
+    _check_records(path, "topic", topics, ("topic_id", "title", "description"))
     with open(path, "w", encoding="utf-8") as fh:
         for topic in topics:
             record: dict = {

@@ -59,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, json_int, load_array, malformed
+from .errors import LONE_SURROGATE, FormatError, ValidationError, json_int, load_array, malformed, unwritable
 from .shards import _best_per_id
 
 logger = logging.getLogger(__name__)
@@ -116,14 +116,18 @@ class DenseIndexParams:
         return 2 ** math.ceil(math.log2(16.0 * math.sqrt(total_tokens)))
 
 
-def _key_bytes(key: str) -> bytes:
-    """A passage key's UTF-8 bytes; a ``ValidationError`` for a non-string or a lone surrogate."""
+def _check_keys(keys: list[str], forbidden: str = "\n") -> None:
+    """Refuse the first passage key that is not a string, holds a lone surrogate (so has no UTF-8
+    bytes) or holds one of ``forbidden``, by default the line feed that ends a key in ``keys.txt``."""
+    bad = unwritable(keys, forbidden)
+    if bad is None:
+        return
+    key = keys[bad]
     if not isinstance(key, str):
         raise ValidationError(f"passage key {key!r}: expected a string")
-    try:
-        return key.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValidationError(f"passage key {key!r}: holds a lone surrogate, which UTF-8 cannot encode") from None
+    if unwritable([key]) is not None:
+        raise ValidationError(f"passage key {key!r}: {LONE_SURROGATE}")
+    raise ValidationError(f"passage key {key!r} contains a line feed")
 
 
 def _check_norms(items: list[tuple[str, np.ndarray]], where: str) -> None:
@@ -146,7 +150,8 @@ def write_embeddings(path: str | Path, embeddings: Mapping[str, np.ndarray]) -> 
     ``path``, any passage ``load_embeddings`` would refuse."""
     if not embeddings:
         raise ValidationError("refusing to write an embedding file with no passages")
-    items = [(key, _key_bytes(key), np.asarray(matrix, dtype=np.float32)) for key, matrix in embeddings.items()]
+    _check_keys(list(embeddings), forbidden="")  # stored after its length, a key may hold a line feed
+    items = [(key, key.encode("utf-8"), np.asarray(matrix, dtype=np.float32)) for key, matrix in embeddings.items()]
     first = items[0][2]
     dim = first.shape[1] if first.ndim == 2 else None
     for key, key_bytes, matrix in items:
@@ -571,14 +576,6 @@ def _key_order_fault(keys: Iterable[str]) -> str | None:
     return None
 
 
-def _check_keys(keys: Iterable[str]) -> None:
-    """``keys.txt`` holds one passage key per line in UTF-8, so every key must be a string UTF-8
-    can encode, with no line feed."""
-    for key in keys:
-        if b"\n" in _key_bytes(key):
-            raise ValidationError(f"passage key {key!r} contains a line feed")
-
-
 def build_dense_index(
     embeddings: Mapping[str, np.ndarray], params: DenseIndexParams = DenseIndexParams()
 ) -> DenseIndex:
@@ -586,7 +583,7 @@ def build_dense_index(
 
     The codebook is trained on the embeddings in the caller's order.
     """
-    _check_keys(embeddings)
+    _check_keys(list(embeddings))
     first = np.shape(next(iter(embeddings.values()), ()))[1:]
     for key, matrix in embeddings.items():
         if len(matrix) == 0:

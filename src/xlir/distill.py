@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RECORD_ERRORS, FormatError, ValidationError, XlirError, lone_surrogate, read_jsonl
+from .errors import LONE_SURROGATE, RECORD_ERRORS, FormatError, ValidationError, XlirError, read_jsonl, unwritable
 
 # query id -> (passage key, teacher score) pairs, in mined order
 DistillSet = dict[str, list[tuple[str, float]]]
@@ -77,11 +77,10 @@ def write_distill_file(path: str | Path, pairs: DistillSet) -> None:
         types_ok = all(isinstance(pid, str) and (isinstance(s, float) or type(s) is int) for pid, s in scored)
         if not (isinstance(query_id, str) and types_ok):
             raise ValidationError(f"{path}: query {query_id!r}: expected a string id and (string key, number) pairs")
-        bad = lone_surrogate([query_id, *(pid for pid, _ in scored)])
+        ids = [query_id, *(pid for pid, _ in scored)]
+        bad = unwritable(ids)
         if bad is not None:
-            raise ValidationError(
-                f"{path}: query {query_id!r}: id {bad!r} holds a lone surrogate, which UTF-8 cannot encode"
-            )
+            raise ValidationError(f"{path}: query {query_id!r}: id {ids[bad]!r} {LONE_SURROGATE}")
         _check_query(str(path), query_id, scored, ValidationError)
     with open(path, "w", encoding="utf-8") as fh:
         for query_id, scored in pairs.items():

@@ -1,11 +1,12 @@
-"""Exception types shared across the package, and the readers every text, JSON-lines and
-``.npy`` input goes through so that a malformed file is refused with an error naming it."""
+"""Exception types shared across the package, the readers every text, JSON-lines and ``.npy``
+input goes through so that a malformed file is refused with an error naming it, and the one rule
+for what a text field written to a file can hold (``unwritable``)."""
 
 import json
 import math
 import re
-from collections.abc import Iterator
-from contextlib import contextmanager
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +45,18 @@ def malformed(path: str | Path, what: str) -> Iterator[None]:
         raise FormatError(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from None
 
 
-_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+# Why a text holding a lone surrogate is refused; JSON reads a "\ud800" escape as one.
+LONE_SURROGATE = "holds a lone surrogate, which UTF-8 cannot encode"
 
 
-def lone_surrogate(texts: list[str]) -> str | None:
-    """The first of ``texts`` that holds a lone surrogate, which UTF-8 cannot encode (JSON reads a
-    ``"\\ud800"`` escape as one); ``None`` if none does. The common case is one scan of them all."""
-    if _LONE_SURROGATE.search("".join(texts)) is None:
-        return None
-    return next(text for text in texts if _LONE_SURROGATE.search(text))
+def unwritable(texts: Sequence[object], forbidden: str = "") -> int | None:
+    """The position of the first of ``texts`` that is not a string, or holds a lone surrogate or one of
+    the ``forbidden`` characters; ``None`` if every one can be written. The common case is one scan."""
+    pattern = re.compile(f"[{re.escape(forbidden)}\ud800-\udfff]")  # compiled once, then cached by re
+    with suppress(TypeError):  # a text that is not a string
+        if pattern.search("".join(texts)) is None:
+            return None
+    return next(i for i, text in enumerate(texts) if not isinstance(text, str) or pattern.search(text))
 
 
 def json_int(value: object, path: str | Path, what: str) -> int:
@@ -101,15 +105,13 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line of a JSON-lines file."""
     for lineno, line in read_lines(path):
         try:
-            record = json.loads(line)
-            if "\\u" in line:  # JSON reads a "\ud800" escape as a lone surrogate, which UTF-8 cannot encode.
-                json.dumps(record, ensure_ascii=False).encode("utf-8")
+            record = json.loads(line)  # reads a "\ud800" escape as a lone surrogate
+            if "\\u" in line and unwritable([json.dumps(record, ensure_ascii=False)]) is not None:
+                raise FormatError(f"{path}:{lineno}: {LONE_SURROGATE}")
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
         except RecursionError:
             raise FormatError(f"{path}:{lineno}: JSON nested too deeply to read") from None
-        except UnicodeEncodeError:
-            raise FormatError(f"{path}:{lineno}: holds a lone surrogate, which UTF-8 cannot encode") from None
         if not isinstance(record, dict):
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
         yield lineno, record

@@ -19,7 +19,7 @@ from itertools import pairwise
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import FormatError, ValidationError, lone_surrogate, read_lines
+from .errors import LONE_SURROGATE, FormatError, ValidationError, read_lines, unwritable
 
 # topic_id -> (doc_id, score) pairs, best first
 Run = dict[str, list[tuple[str, float]]]
@@ -42,18 +42,24 @@ def _validate_ranking(topic_id: str, ranked: Sequence[tuple[str, float]], where:
             raise ValidationError(f"{where}: topic {topic_id}: score increases from rank {rank} to {rank + 1}")
 
 
-def write_run(path: str | Path, run: Run, run_tag: str) -> None:
-    """Write ``run`` as a run file tagged ``run_tag``, a topic with no documents as no line;
-    refuse a run ``read_run`` could not read back."""
-    for topic_id, ranked in run.items():
-        _validate_ranking(topic_id, ranked, str(path))
-    names = {run_tag, *run, *(doc_id for ranked in run.values() for doc_id, _ in ranked)}
+def _check_fields(path: str | Path, what: str, names: list[str]) -> None:
+    """Refuse a field that splitting a line on whitespace would not read back: one that is not a
+    string, holds a lone surrogate, is empty or contains whitespace."""
+    bad = unwritable(names)
+    if bad is not None:
+        reason = LONE_SURROGATE if isinstance(names[bad], str) else "is not a string"
+        raise ValidationError(f"{path}: {what} field {names[bad]!r} {reason}")
     for name in names:
         if name.split() != [name]:
-            raise ValidationError(f"{path}: run field {name!r} is empty or contains whitespace")
-    bad = lone_surrogate(list(names))
-    if bad is not None:
-        raise ValidationError(f"{path}: run field {bad!r} holds a lone surrogate, which UTF-8 cannot encode")
+            raise ValidationError(f"{path}: {what} field {name!r} is empty or contains whitespace")
+
+
+def write_run(path: str | Path, run: Run, run_tag: str) -> None:
+    """Write ``run`` as a run file tagged ``run_tag``, a topic with no documents as no line;
+    refuse, before opening ``path``, a run ``read_run`` could not read back."""
+    for topic_id, ranked in run.items():
+        _validate_ranking(topic_id, ranked, str(path))
+    _check_fields(path, "run", list({run_tag, *run, *(doc_id for ranked in run.values() for doc_id, _ in ranked)}))
     with open(path, "w", encoding="utf-8") as fh:
         for topic_id, ranked in run.items():
             fh.writelines(
@@ -116,6 +122,15 @@ def read_qrels(path: str | Path) -> Qrels:
 
 
 def write_qrels(path: str | Path, qrels: Qrels) -> None:
+    """Write ``qrels`` sorted by topic and document; refuse, before opening ``path``, qrels
+    ``read_qrels`` could not read back."""
+    _check_fields(path, "qrels", [*qrels, *{doc_id for judged in qrels.values() for doc_id in judged}])
+    for topic_id, judged in qrels.items():
+        for doc_id, grade in judged.items():
+            if type(grade) is not int or grade < 0:  # a bool is an int to Python, but is written as True
+                raise ValidationError(
+                    f"{path}: topic {topic_id}: document {doc_id}: grade {grade!r} is not an int >= 0"
+                )
     with open(path, "w", encoding="utf-8") as fh:
         for topic_id in sorted(qrels):
             for doc_id in sorted(qrels[topic_id]):

@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, json_int, load_array, lone_surrogate, malformed
+from .errors import LONE_SURROGATE, FormatError, ValidationError, json_int, load_array, malformed, unwritable
 
 logger = logging.getLogger(__name__)
 
@@ -246,8 +246,6 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
     vocabulary: dict[str, int] = {}
     postings: list[tuple[int, int, float]] = []
     for ordinal, (doc_id, bag) in enumerate(bags):
-        if not isinstance(doc_id, str):
-            raise ValidationError(f"document id {doc_id!r} is not a string")
         doc_ids.append(doc_id)
         for term, w in bag.items():
             w = float(w)
@@ -257,16 +255,20 @@ def build_index(bags: Iterable[tuple[str, Mapping[str, float]]]) -> InvertedInde
                 )
             if w > _FLOAT32_UNDERFLOW:
                 t = vocabulary.get(term)
-                if t is None:  # a new term, checked once
-                    if not isinstance(term, str):
-                        raise ValidationError(f"document {doc_id!r}: term {term!r} is not a string")
+                if t is None:
                     t = vocabulary[term] = len(vocabulary)
                 postings.append((t, ordinal, w))
     terms = list(vocabulary)
-    for what, names in (("document id", doc_ids), ("term", terms)):
-        bad = lone_surrogate(names)
-        if bad is not None:
-            raise ValidationError(f"{what} {bad!r} holds a lone surrogate, which UTF-8 cannot encode")
+    bad = unwritable(doc_ids)
+    if bad is not None:
+        reason = LONE_SURROGATE if isinstance(doc_ids[bad], str) else "is not a string"
+        raise ValidationError(f"document id {doc_ids[bad]!r} {reason}")
+    bad = unwritable(terms)
+    if bad is not None and isinstance(terms[bad], str):
+        raise ValidationError(f"term {terms[bad]!r} {LONE_SURROGATE}")
+    if bad is not None:  # named with the document it first came in
+        doc_id = doc_ids[next(doc for t, doc, _ in postings if t == bad)]
+        raise ValidationError(f"document {doc_id!r}: term {terms[bad]!r} is not a string")
     columns = np.fromiter(postings, dtype=[("term", np.int64), ("doc", np.int64), ("weight", np.float64)])
     return _from_postings(doc_ids, terms, columns["term"], columns["doc"], columns["weight"])
 
@@ -343,9 +345,8 @@ def _impacts(index: InvertedIndex, scorer: str, params: LexicalParams) -> np.nda
         lam = params.lambda_
         p_coll = index.coll_freq / total if total > 0 else np.zeros(len(index.terms))
         p = lam * (tf / lengths[index.docs]) + (1.0 - lam) * np.repeat(p_coll, np.diff(index.offsets))
-        values = p.tolist()
-        logs = map(math.log, values) if (p > 0.0).all() else (math.log(x) if x > 0.0 else -math.inf for x in values)
-        impacts = np.fromiter(logs, np.float64, len(values))
+        logs = (math.log(x) if x > 0.0 else -math.inf for x in p.tolist())
+        impacts = np.fromiter(logs, np.float64, len(p))
     index._impacts[scorer] = (key, impacts)
     return impacts
 
@@ -526,11 +527,11 @@ def save_index(index: InvertedIndex, dirpath: str | Path) -> None:
 def _load_strings(path: Path, what: str) -> list[str]:
     with malformed(path, what):
         names = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+    bad = unwritable(names) if isinstance(names, list) else None
+    if not isinstance(names, list) or (bad is not None and not isinstance(names[bad], str)):
         raise FormatError(f"{path}: {what} must be a JSON list of strings")
-    bad = lone_surrogate(names)
     if bad is not None:
-        raise FormatError(f"{path}: {what} entry {bad!r} holds a lone surrogate, which UTF-8 cannot encode")
+        raise FormatError(f"{path}: {what} entry {names[bad]!r} {LONE_SURROGATE}")
     return names
 
 

@@ -10,11 +10,10 @@ query-language terms, which are then indexed like ordinary documents.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 
-from .errors import FormatError, ValidationError, read_lines
+from .errors import FormatError, ValidationError, read_lines, unwritable
 
 # A weighted bag maps each term to a positive expected count.
 WeightedBag = dict[str, float]
@@ -27,10 +26,6 @@ DEFAULT_MAX_ALTS = 64
 
 # source token -> (target token, P(target | source)) pairs, most probable first
 TranslationTable = dict[str, list[tuple[str, float]]]
-
-# What a table file cannot hold in a token: its separators, and a lone surrogate (no UTF-8 encoding).
-_UNWRITABLE = re.compile("[\t\n\r\ud800-\udfff]")
-
 
 def table_from_rows(rows: Iterable[tuple[str, str, float]]) -> TranslationTable:
     """Group ``(source, target, prob)`` rows into a table; refuse a probability outside (0, 1],
@@ -81,12 +76,12 @@ def load_table(path: str | Path) -> TranslationTable:
 def write_table(path: str | Path, table: TranslationTable) -> None:
     """Write ``table`` as TSV rows in (source, target) order; refuse, before opening ``path``, a
     token ``load_table`` could not read back."""
-    for source, targets in table.items():
-        for token in (source, *(target for target, _ in targets)):
-            if not isinstance(token, str) or _UNWRITABLE.search(token):
-                raise ValidationError(
-                    f"translation table token {token!r}: expected a string with no tab, line break or lone surrogate"
-                )
+    tokens = [token for source, targets in table.items() for token in (source, *(target for target, _ in targets))]
+    bad = unwritable(tokens, "\t\n\r")  # the table's separators
+    if bad is not None:
+        raise ValidationError(
+            f"translation table token {tokens[bad]!r}: expected a string with no tab, line break or lone surrogate"
+        )
     rows = sorted((source, target, prob) for source, targets in table.items() for target, prob in targets)
     with open(path, "w", encoding="utf-8") as fh:
         for source, target, prob in rows:

@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -170,6 +171,33 @@ class TestIngestion:
         path = tmp_path / "topics.jsonl"
         write_topics(path, topics)
         assert ingest_topics(path) == topics
+
+    @pytest.mark.parametrize(
+        "write,records,message",
+        [
+            # Each lone surrogate once ended in a raw UnicodeEncodeError after the first record was written.
+            (write_collection, [Document("d1", "t", "x", "eng"), Document("d2", "t", "x\ud800", "eng")],
+             "document 'd2': field 'text' holds a lone surrogate, which UTF-8 cannot encode"),
+            (write_collection, [Document("d1", "t", "x", "eng"), Document("d\udfff", "t", "x", "eng")],
+             "document 'd\\udfff': field 'doc_id' holds a lone surrogate"),
+            (write_collection, [Document("d1", "t", "x", "eng"), Document("d2", "t", "x", 7)],
+             "document 'd2': field 'lang' is not a string"),
+            (write_collection, [Document(5, "t", "x", "eng")], "document 5: field 'doc_id' is not a string"),
+            (write_collection, [Document("d1", "t", "x", "eng"), Document("d1", "u", "y", "rus")],
+             "duplicate document id 'd1'"),
+            (write_topics, [Topic("201", "t", "d"), Topic("202", "t\ud800", "d")],
+             "topic '202': field 'title' holds a lone surrogate"),
+            (write_topics, [Topic("201", "t", None)], "topic '201': field 'description' is not a string"),
+            (write_topics, [Topic("201", "t", "d"), Topic("201", "u", "e")], "duplicate topic id '201'"),
+        ],
+        ids=["document-text-surrogate", "document-id-surrogate", "document-lang-int", "document-id-int",
+             "document-id-twice", "topic-title-surrogate", "topic-description-none", "topic-id-twice"],
+    )
+    def test_write_refuses_what_ingest_refuses_before_opening(self, tmp_path, write, records, message):
+        path = tmp_path / "never.jsonl"
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            write(path, iter(records))
+        assert not path.exists()
 
 
 class TestParseDate:

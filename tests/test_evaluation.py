@@ -173,14 +173,20 @@ class TestRunIO:
             read_run(path)
 
     @pytest.mark.parametrize(
-        ("run", "run_tag"),
-        [({"t1": [("d1", 0.5)]}, ""), ({"t1": [("d1", 0.5)]}, "a tag"), ({"t 1": [("d1", 0.5)]}, "x"),
-         ({"t1": [("d\t1", 0.5)]}, "x"), ({}, "a b")],
-        ids=["empty-tag", "spaced-tag", "spaced-topic", "tabbed-doc", "spaced-tag-empty-run"],
+        ("run", "run_tag", "message"),
+        [({"t1": [("d1", 0.5)]}, "", "whitespace"), ({"t1": [("d1", 0.5)]}, "a tag", "whitespace"),
+         ({"t 1": [("d1", 0.5)]}, "x", "whitespace"), ({"t1": [("d\t1", 0.5)]}, "x", "whitespace"),
+         ({}, "a b", "whitespace"),
+         # Each once ended in a raw AttributeError from str.split.
+         ({1: [("d1", 0.5)]}, "x", "run field 1 is not a string"),
+         ({"t1": [(2, 0.5)]}, "x", "run field 2 is not a string"),
+         ({"t1": [("d1", 0.5)]}, 3, "run field 3 is not a string")],
+        ids=["empty-tag", "spaced-tag", "spaced-topic", "tabbed-doc", "spaced-tag-empty-run", "int-topic", "int-doc",
+             "int-tag"],
     )
-    def test_unreadable_field_rejected_before_writing(self, tmp_path, run, run_tag):
+    def test_unreadable_field_rejected_before_writing(self, tmp_path, run, run_tag, message):
         path = tmp_path / "never.run"
-        with pytest.raises(ValidationError, match="whitespace"):
+        with pytest.raises(ValidationError, match=re.escape(message)):
             write_run(path, run, run_tag)
         assert not path.exists()
 
@@ -212,6 +218,31 @@ class TestQrelsIO:
         path = tmp_path / "qrels.txt"
         write_qrels(path, qrels)
         assert read_qrels(path) == qrels
+
+    @pytest.mark.parametrize(
+        "qrels,message",
+        [
+            ({1: {"d1": 1}}, "qrels field 1 is not a string"),
+            ({"t1": {None: 1}}, "qrels field None is not a string"),
+            ({"t1": {"": 1}}, "qrels field '' is empty or contains whitespace"),
+            # Written, this line has 5 fields, which read_qrels refuses.
+            ({"t1": {"a b": 1}}, "qrels field 'a b' is empty or contains whitespace"),
+            ({"t\n1": {"d1": 1}}, "qrels field 't\\n1' is empty or contains whitespace"),
+            # Once a raw UnicodeEncodeError, after "t1 0 a 1" was written.
+            ({"t1": {"a": 1, "b\ud800": 0}}, "qrels field 'b\\ud800' holds a lone surrogate"),
+            ({"t1": {"d1": -1}}, "topic t1: document d1: grade -1 is not an int >= 0"),
+            ({"t1": {"d1": True}}, "topic t1: document d1: grade True is not an int >= 0"),
+            ({"t1": {"d1": 1.0}}, "topic t1: document d1: grade 1.0 is not an int >= 0"),
+            ({"t1": {"d1": "1"}}, "topic t1: document d1: grade '1' is not an int >= 0"),
+        ],
+        ids=["int-topic", "none-doc", "empty-doc", "spaced-doc", "line-feed-topic", "lone-surrogate", "negative-grade",
+             "bool-grade", "float-grade", "text-grade"],
+    )
+    def test_write_refuses_what_read_refuses_before_opening(self, tmp_path, qrels, message):
+        path = tmp_path / "never.txt"
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            write_qrels(path, qrels)
+        assert not path.exists()
 
     def test_negative_grade_rejected(self, tmp_path):
         path = tmp_path / "qrels.txt"
